@@ -342,6 +342,11 @@ def read_off(star: Table, H: Table, K: Table) -> tuple[list[list[int]], list[lis
     return star_k, gamma, beta
 
 
+def reinduces(H: Table, K: Table, sigma: Table, star: Table) -> bool:
+    """The formula gives the table back from the data read off it."""
+    return induce(H, K, sigma, *read_off(star, H, K)) == [list(r) for r in star]
+
+
 def is_ideal(mul: Table, star: Table, members: Sequence[int]) -> bool:
     """members is normal and x * m, m * x stay in it for every x."""
     mem = set(members)
@@ -405,12 +410,18 @@ def check_induced(
     raw_count: int,
     class_count_: int,
     auts: Sequence[Sequence[int]],
+    ideal_exhaustive: Sequence[Table],
     exhaustive: Optional[Sequence[Table]] = None,
 ) -> list[str]:
     """Induced enumeration output: the product group is H x| K, every table is
     a bracket with H as an ideal and is re-induced by the formula from its own
-    read-off data, and the counts match; with ``exhaustive`` (coprime orders,
-    trivial action) the induced set equals the exhaustive one."""
+    read-off data, and the counts match.
+
+    ``ideal_exhaustive`` is an exhaustive search on the product for brackets
+    with H as an ideal: the induced set must equal its tables that the
+    formula re-induces from their read-off data, so a table missing from the
+    output is caught. With ``exhaustive`` (coprime orders, trivial action, no
+    ideal required) the induced set must equal that whole set."""
     errors = []
     nH = len(H)
     if [list(r) for r in product_mul] != product_table(H, K, sigma):
@@ -427,13 +438,14 @@ def check_induced(
         if not is_ideal(product_mul, t, h_members):
             errors.append(f"H is not an ideal of table {i}")
             break
-        star_k, gamma, beta = read_off(t, H, K)
-        if induce(H, K, sigma, star_k, gamma, beta) != [list(r) for r in t]:
+        if not reinduces(H, K, sigma, t):
             errors.append(f"table {i} is not re-induced by its read-off data")
             break
     got = class_count(product_mul, items, auts)
     if got != class_count_:
         errors.append(f"{got} classes, class_count is {class_count_}")
+    if {flat(t) for t in ideal_exhaustive if reinduces(H, K, sigma, t)} != {flat(t) for t in items}:
+        errors.append("induced set differs from the re-induced tables of the exhaustive search with H ideal")
     if exhaustive is not None and {flat(t) for t in exhaustive} != {flat(t) for t in items}:
         errors.append("induced set differs from the exhaustive search on the product")
     return errors

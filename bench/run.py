@@ -35,6 +35,7 @@ import shutil
 import statistics
 import sys
 import time
+from dataclasses import replace
 from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
@@ -61,8 +62,10 @@ SETUP_REPS = 15
 # fixed reference loop, measured right before and after each operation and
 # set-up, against its nominal time REFERENCE_S. On a shared host the same
 # call takes anywhere from 1x to 2x its fastest time from one minute to the
-# next; the scaled times follow the program, not the host's load. The
-# measured times are kept in the result file under "measured".
+# next; the scaled times follow the program, not the host's load. Every
+# end-to-end time is therefore in reference-scaled seconds, not wall time; the
+# result file keeps the measured times under "measured" and the end-to-end
+# metrics computed from them under "measured_metrics".
 REFERENCE_LOOP = 50_000
 REFERENCE_S = 0.005
 MAX_ORDER = 32
@@ -193,18 +196,34 @@ class Induce(Workload):
             if name not in outputs:
                 continue
             raw, classes, exhausted, items = outputs[name]
-            G = lib.construction.semidirect_product(action)
-            exhaustive = None
-            if action.is_trivial and gcd(action.H.order, action.K.order) == 1:
-                exhaustive = [b.star for b in lib.search.enumerate_brackets(G, search_config(lib)).items]
-            auts = checks.automorphisms(G.cayley)
-            found = checks.check_induced(
-                action.H.cayley, action.K.cayley, action.sigma, G.cayley, items, raw, classes, auts, exhaustive
-            )
+            found = check_induced_output(lib, action, items, raw, classes)
             if not exhausted:
                 found.append("search on K was cut short by its node budget")
             errors += [f"{name}: {e}" for e in found]
         return errors
+
+
+def check_induced_output(lib, action, items, raw_count: int, class_count: int) -> list[str]:
+    """One product's induced enumeration against checks.check_induced. The
+    sets it is compared with come from the library's exhaustive search on the
+    product (order at most 32, after the timed rounds): with H, as the
+    benchmark embeds it, required to be an ideal, and, for coprime orders and
+    the trivial action, with no ideal required."""
+    G = lib.construction.semidirect_product(action)
+    H, K = action.H.cayley, action.K.cayley
+    h_members = tuple(h + len(H) * checks.identity_of(K) for h in range(len(H)))
+    config = search_config(lib)
+    ideal = lib.search.enumerate_brackets(G, replace(config, require_ideal=lib.groups.Subgroup(G, h_members)))
+    exhaustive = None
+    if action.is_trivial and gcd(len(H), len(K)) == 1:
+        exhaustive = [b.star for b in lib.search.enumerate_brackets(G, config).items]
+    errors = checks.check_induced(
+        H, K, action.sigma, G.cayley, items, raw_count, class_count, checks.automorphisms(G.cayley),
+        [b.star for b in ideal.items], exhaustive,
+    )
+    if not ideal.exhausted:
+        errors.append("exhaustive search with H ideal was cut short by its node budget")
+    return errors
 
 
 class Roundtrip(Workload):
@@ -374,7 +393,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     wl = WORKLOADS[workload]()
     rng = random.Random(seed)
     work = OUT / f"work-{os.getpid()}"
-    raw = {"setup": [], "rounds": [], "traced_rounds": [], "speed": []}
+    raw = {"setup": [], "rounds": [], "traced_rounds": [], "ops": [], "speed": []}
     setup_times: list[float] = []
     lib = inputs = None
 
@@ -432,6 +451,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> dict:
                 round_raw += elapsed
                 round_scaled += elapsed * factor
                 if not traced and label in outputs:
+                    raw["ops"].append(elapsed)
                     op_times.append(elapsed * factor)
                     op_log.setdefault(label, []).append(elapsed * factor)
             if traced:
@@ -458,19 +478,13 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
+    scaled = end_to_end(setup_times, walls[False], op_times if wl.per_call else walls[False], peak_rss_mb)
+    measured = end_to_end(raw["setup"], raw["rounds"], raw["ops"] if wl.per_call else raw["rounds"], peak_rss_mb)
     if trace:
         metrics = {k: statistics.median(r[k] for r in layer_rounds) for k in layer_rounds[0]}
         metrics["trace.overhead_s"] = statistics.median(raw["traced_rounds"]) - statistics.median(raw["rounds"])
     else:
-        ops = op_times if wl.per_call else walls[False]
-        metrics = {
-            "setup_s": statistics.median(setup_times),
-            "wall_s": statistics.median(walls[False]),
-            "peak_rss_mb": peak_rss_mb,
-            "op_p50_s": statistics.median(ops),
-            # inclusive: with a dozen rounds, stay inside the samples seen
-            "op_p90_s": statistics.quantiles(ops, n=10, method="inclusive")[8] if len(ops) > 1 else ops[0],
-        }
+        metrics = scaled
     for p in problems:
         print(f"problem: {p}", file=sys.stderr)
     for e in errors:
@@ -478,7 +492,8 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     print(
         f"{workload} seed={seed}: {rounds} rounds, {attempted} operations, {failed} failed; "
         f"median speed factor {statistics.median(raw['speed']):.3f}, "
-        f"measured round times {[round(w, 3) for w in raw['rounds']]}",
+        f"measured round times {[round(w, 3) for w in raw['rounds']]}; "
+        f"measured (unscaled) {json.dumps({k: round(v, 6) for k, v in measured.items()})}",
         file=sys.stderr,
     )
     result = {
@@ -490,8 +505,9 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     OUT.mkdir(exist_ok=True)
     tag = f"{workload}-seed{seed}-trace{int(trace)}"
     (OUT / f"result-{tag}.json").write_text(
-        json.dumps({**result, "rounds": rounds, "round_walls": walls[False], "setup_times": setup_times,
-                    "op_times": op_log, "measured": raw, "errors": errors, "problems": problems}),
+        json.dumps({**result, "rounds": rounds, "scaled_metrics": scaled, "measured_metrics": measured,
+                    "round_walls": walls[False], "setup_times": setup_times, "op_times": op_log,
+                    "measured": raw, "errors": errors, "problems": problems}),
         encoding="utf-8",
     )
     if trace:
@@ -499,6 +515,19 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> dict:
             json.dumps({"spans": tracer.spans, "rounds": layer_rounds}), encoding="utf-8"
         )
     return result
+
+
+def end_to_end(setups: list[float], rounds: list[float], ops: list[float], peak_rss_mb: float) -> dict:
+    """The end-to-end metrics of a run from its set-up, round and operation
+    times (scaled or measured)."""
+    return {
+        "setup_s": statistics.median(setups),
+        "wall_s": statistics.median(rounds),
+        "peak_rss_mb": peak_rss_mb,
+        "op_p50_s": statistics.median(ops),
+        # inclusive: with a dozen rounds, stay inside the samples seen
+        "op_p90_s": statistics.quantiles(ops, n=10, method="inclusive")[8] if len(ops) > 1 else ops[0],
+    }
 
 
 def unit_of(metric: str) -> str:

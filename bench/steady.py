@@ -2,13 +2,13 @@
 end-to-end metric's median, quartiles and spread.
 
     python3 bench/steady.py [--runs 10] [--first-seed 1] [--workload NAME ...]
-                            [--seconds S] [--compare EARLIER.json]
+                            [--compare EARLIER.json]
 
 Runs ``bench/run.py`` one process at a time, each with another seed, for
-the run length in BENCHMARK.json unless --seconds is given. The spread of a
-metric is (Q3 - Q1) / median over the runs, with the quartiles of
+the run length in BENCHMARK.json. The spread of a metric is
+(Q3 - Q1) / median over the runs, with the quartiles of
 ``statistics.quantiles(values, n=4)``; a bound in BENCHMARK.json must be at
-least three times the spread seen (setup_s is compared by median only).
+least three times the spread seen, for every metric.
 The values are saved under .bench_out/ so that a second set can be compared
 with --compare: a median worse than the earlier one by more than the bound
 is flagged, as is a different share of failed operations.
@@ -50,7 +50,6 @@ def main() -> int:
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--workload", action="append", choices=[w["name"] for w in bench["workloads"]])
-    parser.add_argument("--seconds", type=int, default=bench["run_seconds"])
     parser.add_argument("--compare", type=Path, help="an earlier set saved by this command")
     args = parser.parse_args()
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
@@ -60,7 +59,7 @@ def main() -> int:
     saved: dict[str, dict] = {}
     flagged = 0
     for workload in workloads:
-        results = [run_once(workload, args.first_seed + i, args.seconds) for i in range(args.runs)]
+        results = [run_once(workload, args.first_seed + i, bench["run_seconds"]) for i in range(args.runs)]
         shares = {r["failed"] / r["attempted"] for r in results}
         values = {name: [r["metrics"][name]["value"] for r in results] for name in bounds}
         saved[workload] = {"values": values, "failed_shares": sorted(shares),
@@ -73,7 +72,7 @@ def main() -> int:
             median, q1, q3, spread = summarize(vals)
             bound = bounds[name]
             note = ""
-            if name != "setup_s" and spread > bound / 3:
+            if spread > bound / 3:
                 note = "  SPREAD ABOVE BOUND/3"
                 flagged += 1
             before = earlier.get(workload, {}).get("values", {}).get(name)

@@ -102,40 +102,49 @@ class EnumerationChecks(unittest.TestCase):
 
 
 class InducedChecks(unittest.TestCase):
+    """Through the same call the induce workload makes, on one trivial action
+    with orders not coprime and one non-trivial action."""
+
     @classmethod
     def setUpClass(cls):
         H, K = LIB.cli.parse_preset("Z3"), LIB.cli.parse_preset("D3")
-        cls.action = LIB.construction.Action.trivial(H, K)
-        r = LIB.search.enumerate_induced(H, K, cls.action, run.search_config(LIB))
-        cls.G = LIB.construction.semidirect_product(cls.action)
-        cls.tables = [list(map(list, b.star)) for b in r.items]
-        cls.raw, cls.classes = r.raw_count, r.class_count
+        cls.cases = {}
+        for name, action in (("Z3xD3", LIB.construction.Action.trivial(H, K)),
+                             ("Z8:Z2", run.make_action(LIB, "Z8:Z2"))):
+            r = LIB.search.enumerate_induced(action.H, action.K, action, run.search_config(LIB))
+            G = LIB.construction.semidirect_product(action)
+            tables = [list(map(list, b.star)) for b in r.items]
+            cls.cases[name] = (action, G, tables, r.raw_count, r.class_count)
 
-    def errors(self, items=None, raw=None, classes=None, exhaustive=None):
-        a = self.action
-        return checks.check_induced(
-            a.H.cayley, a.K.cayley, a.sigma, self.G.cayley,
-            self.tables if items is None else items,
-            self.raw if raw is None else raw,
-            self.classes if classes is None else classes,
-            checks.automorphisms(self.G.cayley),
-            exhaustive,
+    def errors(self, name, items=None, raw=None, classes=None):
+        action, _, tables, raw0, classes0 = self.cases[name]
+        return run.check_induced_output(
+            LIB, action,
+            tables if items is None else items,
+            raw0 if raw is None else raw,
+            classes0 if classes is None else classes,
         )
 
     def test_real_output_passes(self):
-        exhaustive = LIB.search.enumerate_brackets(self.G, run.search_config(LIB)).items
-        self.assertEqual(self.errors(exhaustive=[b.star for b in exhaustive]), [])
+        for name in self.cases:
+            self.assertEqual(self.errors(name), [], name)
 
     def test_flipped_cell_is_rejected(self):
-        self.assertNotEqual(self.errors(items=flip_cell(self.tables, self.G.order)), [])
+        for name, (_, G, tables, _, _) in self.cases.items():
+            self.assertNotEqual(self.errors(name, items=flip_cell(tables, G.order)), [], name)
 
     def test_dropped_table_is_rejected(self):
-        exhaustive = [b.star for b in LIB.search.enumerate_brackets(self.G, run.search_config(LIB)).items]
-        self.assertNotEqual(self.errors(items=self.tables[:-1], raw=self.raw - 1, exhaustive=exhaustive), [])
+        for name, (_, G, tables, raw, _) in self.cases.items():
+            # counts adjusted to the shortened list, so only the comparison
+            # with the exhaustive search can catch it
+            short = tables[:-1]
+            classes = checks.class_count(G.cayley, short, checks.automorphisms(G.cayley))
+            self.assertNotEqual(self.errors(name, items=short, raw=raw - 1, classes=classes), [], name)
 
     def test_wrong_counts_are_rejected(self):
-        self.assertNotEqual(self.errors(raw=self.raw + 1), [])
-        self.assertNotEqual(self.errors(classes=self.classes + 1), [])
+        for name, (_, _, _, raw, classes) in self.cases.items():
+            self.assertNotEqual(self.errors(name, raw=raw + 1), [], name)
+            self.assertNotEqual(self.errors(name, classes=classes + 1), [], name)
 
 
 class RoundtripChecks(unittest.TestCase):
