@@ -17,7 +17,8 @@ y*x = (x*y)^-1, which the search and propagation code relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import BoundExceededError, ValidationError
 from .groups import (
@@ -26,11 +27,14 @@ from .groups import (
     Subgroup,
     automorphisms,
     endomorphisms,
+    int_table,
     subgroup_generated,
 )
 
 DEFAULT_VIOLATION_CAP = 16
 AXIOM_NAMES = ("A1", "A2", "A3", "A4", "A5")
+
+_Table = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,7 @@ class LieBracket:
 
     @classmethod
     def make(cls, group: FiniteGroup, star: Sequence[Sequence[int]]) -> "LieBracket":
-        rows = tuple(tuple(int(v) for v in row) for row in star)
+        rows = int_table(star, "star")
         n = group.order
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValidationError("star table shape does not match group order")
@@ -51,9 +55,6 @@ class LieBracket:
                 if not (0 <= v < n):
                     raise ValidationError(f"star value {v} out of range 0..{n - 1}")
         return cls(group, rows)
-
-    def value(self, x: int, y: int) -> int:
-        return self.star[x][y]
 
     def is_trivial(self) -> bool:
         e = self.group.identity
@@ -84,18 +85,23 @@ def verify_mla(
     n = group.order
     if len(table) != n or any(len(r) != n for r in table):
         raise ValidationError("star table shape does not match group order")
-    mul = group.cayley
-    conj = group.conj_table
+    violations = chain.from_iterable(scan(group, table) for scan in AXIOM_SCANS.values())
+    return list(islice(violations, max(1, max_violations)))
+
+
+# One generator per axiom, each producing that axiom's violations lazily, in
+# lexicographic witness order, on a star table of the group's shape.
+
+
+def _scan_a1(group: FiniteGroup, table: _Table) -> Iterator[MlaViolation]:
     e = group.identity
-    out: list[MlaViolation] = []
+    for x in range(group.order):
+        if table[x][x] != e:
+            yield MlaViolation("A1", (x,), table[x][x], e)
 
-    def push(axiom: str, witness: tuple[int, ...], left: int, right: int) -> bool:
-        out.append(MlaViolation(axiom, witness, left, right))
-        return len(out) >= max_violations
 
-    for x in range(n):
-        if table[x][x] != e and push("A1", (x,), table[x][x], e):
-            return out
+def _scan_a2(group: FiniteGroup, table: _Table) -> Iterator[MlaViolation]:
+    n, mul, conj = group.order, group.cayley, group.conj_table
     for x in range(n):
         sx = table[x]
         for y in range(n):
@@ -105,8 +111,12 @@ def verify_mla(
             for z in range(n):
                 lhs = sx[my[z]]
                 rhs = mul[sxy][cy[sx[z]]]
-                if lhs != rhs and push("A2", (x, y, z), lhs, rhs):
-                    return out
+                if lhs != rhs:
+                    yield MlaViolation("A2", (x, y, z), lhs, rhs)
+
+
+def _scan_a3(group: FiniteGroup, table: _Table) -> Iterator[MlaViolation]:
+    n, mul, conj = group.order, group.cayley, group.conj_table
     for x in range(n):
         cx = conj[x]
         mx = mul[x]
@@ -115,8 +125,12 @@ def verify_mla(
             for z in range(n):
                 lhs = table[mx[y]][z]
                 rhs = mul[cx[sy[z]]][table[x][z]]
-                if lhs != rhs and push("A3", (x, y, z), lhs, rhs):
-                    return out
+                if lhs != rhs:
+                    yield MlaViolation("A3", (x, y, z), lhs, rhs)
+
+
+def _scan_a4(group: FiniteGroup, table: _Table) -> Iterator[MlaViolation]:
+    n, mul, conj, e = group.order, group.cayley, group.conj_table, group.identity
     for x in range(n):
         sx = table[x]
         cx = conj[x]
@@ -129,8 +143,12 @@ def verify_mla(
                 t2 = table[sy[z]][conj[z][x]]
                 t3 = table[table[z][x]][cx[y]]
                 val = mul[mul[t1][t2]][t3]
-                if val != e and push("A4", (x, y, z), val, e):
-                    return out
+                if val != e:
+                    yield MlaViolation("A4", (x, y, z), val, e)
+
+
+def _scan_a5(group: FiniteGroup, table: _Table) -> Iterator[MlaViolation]:
+    n, conj = group.order, group.conj_table
     for x in range(n):
         sx = table[x]
         for y in range(n):
@@ -139,9 +157,17 @@ def verify_mla(
                 cz = conj[z]
                 lhs = cz[sxy]
                 rhs = table[cz[x]][cz[y]]
-                if lhs != rhs and push("A5", (x, y, z), lhs, rhs):
-                    return out
-    return out
+                if lhs != rhs:
+                    yield MlaViolation("A5", (x, y, z), lhs, rhs)
+
+
+AXIOM_SCANS: dict[str, Callable[[FiniteGroup, _Table], Iterator[MlaViolation]]] = {
+    "A1": _scan_a1,
+    "A2": _scan_a2,
+    "A3": _scan_a3,
+    "A4": _scan_a4,
+    "A5": _scan_a5,
+}
 
 
 def trivial_bracket(group: FiniteGroup) -> LieBracket:

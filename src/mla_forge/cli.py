@@ -73,15 +73,7 @@ def _token_group(token: str) -> FiniteGroup:
 def parse_preset(spec: str) -> FiniteGroup:
     """Preset grammar: Zn | Dn | Qm | AxB (direct product) | A:B:sigma=FILE."""
     if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3 or not parts[2].startswith("sigma="):
-            raise ValidationError(f"split-product preset must look like A:B:sigma=FILE, got {spec!r}")
-        H = parse_preset(parts[0])
-        K = parse_preset(parts[1])
-        doc = json.loads(Path(parts[2][len("sigma="):]).read_text(encoding="utf-8"))
-        sigma = doc["sigma"] if isinstance(doc, dict) else doc
-        action = Action.make(H, K, sigma)
-        return semidirect_product(action, name=spec)
+        return semidirect_product(_split_action(spec), name=spec)
     if "x" in spec:
         tokens = spec.split("x")
         group = _token_group(tokens[0])
@@ -94,6 +86,18 @@ def parse_preset(spec: str) -> FiniteGroup:
     return _token_group(spec)
 
 
+def _split_action(spec: str) -> Action:
+    """The action of an ``A:B:sigma=FILE`` preset, FILE holding {"sigma": [[int]]}."""
+    parts = spec.split(":")
+    if len(parts) != 3 or not parts[2].startswith("sigma="):
+        raise ValidationError(f"split-product preset must look like A:B:sigma=FILE, got {spec!r}")
+    H = parse_preset(parts[0])
+    K = parse_preset(parts[1])
+    doc = json.loads(Path(parts[2][len("sigma="):]).read_text(encoding="utf-8"))
+    sigma = doc["sigma"] if isinstance(doc, dict) else doc
+    return Action.make(H, K, sigma)
+
+
 def load_group_arg(value: str) -> FiniteGroup:
     if _is_preset(value):
         return parse_preset(value)
@@ -104,11 +108,13 @@ def _search_config(args: argparse.Namespace) -> SearchConfig:
     budget = getattr(args, "node_budget", None)
     if budget is None:
         env = os.environ.get(BUDGET_ENV)
-        budget = int(env) if env else DEFAULT_NODE_BUDGET
+        try:
+            budget = int(env) if env else DEFAULT_NODE_BUDGET
+        except ValueError:
+            raise ValidationError(f"{BUDGET_ENV} must be an integer, got {env!r}")
     return SearchConfig(
         max_group_order=getattr(args, "max_order", 12),
         up_to_iso=getattr(args, "up_to_iso", False),
-        worker_count=getattr(args, "jobs", 1),
         node_budget=budget,
     )
 
@@ -284,14 +290,7 @@ def _as_multiplication(H, row) -> Optional[int]:
 
 def _action_from_group_arg(spec: str) -> Action:
     if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3 or not parts[2].startswith("sigma="):
-            raise ValidationError(f"split-product preset must look like A:B:sigma=FILE, got {spec!r}")
-        H = parse_preset(parts[0])
-        K = parse_preset(parts[1])
-        doc = json.loads(Path(parts[2][len("sigma="):]).read_text(encoding="utf-8"))
-        sigma = doc["sigma"] if isinstance(doc, dict) else doc
-        return Action.make(H, K, sigma)
+        return _split_action(spec)
     if "x" in spec:
         tokens = spec.split("x")
         if len(tokens) < 2:
@@ -352,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--node-budget", type=int, default=None, dest="node_budget")
 
     p = sub.add_parser("verify", help="verify a group, a bracket, or construction data")

@@ -8,17 +8,19 @@ with values in H, the induced candidate bracket on the product is
                        beta(x, y),  x * y)
 
 Six conditions C1..C6 characterize when this is a valid structure. C1 and C2
-are direct statements about beta and Gamma. C3..C6 are evaluated here as
-two-sided expansions on the product group, comparing the direct formula
-evaluation of one side against the axiom-shaped expansion of the other:
+are statements about beta and Gamma, checked on the maps. C3..C6 are bracket
+axioms (see brackets) of the induced table on the product group; with
+A = (h,x), B = (k,y) and C = (l,z):
 
-    C3  ((h,x)(k,y)) * (l,z)   =  ^(h,x)((k,y)*(l,z)) . ((h,x)*(l,z))
-    C4  (h,x) * ((k,y)(l,z))   =  ((h,x)*(k,y)) . ^(k,y)((h,x)*(l,z))
-    C5  ((A*B) * ^B C)((B*C) * ^C A)((C*A) * ^A B) = 1
-    C6  ^(l,z)((h,x)*(k,y))    =  ^(l,z)(h,x) * ^(l,z)(k,y)
+    C3 = A3   (A B) * C  =  ^A(B*C) . (A*C)
+    C4 = A2   A * (B C)  =  (A*B) . ^B(A*C)
+    C5 = A4   ((A*B) * ^B C) ((B*C) * ^C A) ((C*A) * ^A B) = 1
+    C6 = A5   ^C(A*B)    =  ^C A * ^C B
 
-Each side is computed independently from the candidate table and the group
-law, which avoids any ambiguity in flattened one-line forms of C3 and C5.
+A failing C3..C6 is reported with the first failing (x, y, z, h, k, l) in
+that loop order, x outermost. The product encodes (h, x) as h + |H| x, so the
+axiom scan runs in the order (x, h, y, k, z, l) instead; the witness is the
+smallest failing triple under the documented key.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .brackets import LieBracket, is_ideal, trivial_bracket, verify_mla
+from .brackets import AXIOM_SCANS, LieBracket, is_ideal, trivial_bracket, verify_mla
 from .errors import (
     ConditionsViolatedError,
     NotIdealError,
@@ -39,6 +41,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     find_generators,
+    int_table,
     make_semidirect,
     pair_index,
     validate_action_tables,
@@ -46,6 +49,7 @@ from .groups import (
 
 CONDITION_NAMES = ("C1", "C2", "C3", "C4", "C5", "C6")
 CONDITION_EVAL_ORDER = ("C1", "C2", "C6", "C3", "C4", "C5")  # cheap first
+CONDITION_AXIOMS = {"C3": "A3", "C4": "A2", "C5": "A4", "C6": "A5"}
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,7 @@ class Action:
     def make(cls, H: FiniteGroup, K: FiniteGroup, sigma: Sequence[Sequence[int]]) -> "Action":
         if not H.is_abelian:
             raise ValidationError("actions are only supported on abelian H")
-        rows = tuple(tuple(int(v) for v in row) for row in sigma)
+        rows = int_table(sigma, "sigma")
         validate_action_tables(H, K, rows)
         return cls(H, K, rows)
 
@@ -82,11 +86,16 @@ class Action:
         ident = tuple(range(self.H.order))
         return all(row == ident for row in self.sigma)
 
-    def apply(self, x: int, h: int) -> int:
-        return self.sigma[x][h]
+    @cached_property
+    def product_group(self) -> FiniteGroup:
+        """H x| K, built once per action."""
+        return make_semidirect(self.H, self.K, self.sigma)
 
 
 def semidirect_product(action: Action, name: Optional[str] = None) -> FiniteGroup:
+    """The action's product group; with ``name``, a separately built copy under that name."""
+    if name is None:
+        return action.product_group
     return make_semidirect(action.H, action.K, action.sigma, name=name)
 
 
@@ -100,7 +109,7 @@ class GammaMap:
 
     @classmethod
     def make(cls, H: FiniteGroup, K: FiniteGroup, gamma: Sequence[Sequence[int]]) -> "GammaMap":
-        rows = tuple(tuple(int(v) for v in row) for row in gamma)
+        rows = int_table(gamma, "gamma")
         if len(rows) != K.order:
             raise ValidationError(f"gamma needs {K.order} tables, got {len(rows)}")
         for x, row in enumerate(rows):
@@ -118,9 +127,6 @@ class GammaMap:
         row = (H.identity,) * H.order
         return cls(H, K, (row,) * K.order)
 
-    def apply(self, x: int, h: int) -> int:
-        return self.gamma[x][h]
-
     def is_zero(self) -> bool:
         e = self.H.identity
         return all(v == e for row in self.gamma for v in row)
@@ -136,7 +142,7 @@ class PairingMap:
 
     @classmethod
     def make(cls, H: FiniteGroup, K: FiniteGroup, beta: Sequence[Sequence[int]]) -> "PairingMap":
-        rows = tuple(tuple(int(v) for v in row) for row in beta)
+        rows = int_table(beta, "beta")
         if len(rows) != K.order or any(len(r) != K.order for r in rows):
             raise ValidationError("beta table shape does not match |K| x |K|")
         for row in rows:
@@ -149,9 +155,6 @@ class PairingMap:
     def trivial(cls, H: FiniteGroup, K: FiniteGroup) -> "PairingMap":
         row = (H.identity,) * K.order
         return cls(H, K, (row,) * K.order)
-
-    def apply(self, x: int, y: int) -> int:
-        return self.beta[x][y]
 
     def is_trivial(self) -> bool:
         e = self.H.identity
@@ -206,9 +209,9 @@ class ConstructionData:
     def K(self) -> FiniteGroup:
         return self.action.K
 
-    @cached_property
+    @property
     def product_group(self) -> FiniteGroup:
-        return semidirect_product(self.action)
+        return self.action.product_group
 
 
 @dataclass(frozen=True)
@@ -329,80 +332,28 @@ def induced_star_table(data: ConstructionData) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in table)
 
 
-def direct_star_table(data: ConstructionData) -> tuple[tuple[int, ...], ...]:
-    """The simplified formula for the trivial action:
-    (h,x)*(k,y) = (Gamma_x(k) Gamma_y(h^-1) beta(x,y), x*y)."""
-    H, K = data.H, data.K
-    nH = H.order
-    mul_h, inv_h = H.cayley, H.inverse
-    star_k = data.star_k.star
-    g = data.gamma.gamma
-    b = data.beta.beta
-    size = nH * K.order
-    table = [[0] * size for _ in range(size)]
-    for x in range(K.order):
-        gx = g[x]
-        bx = b[x]
-        for h in range(nH):
-            row = table[pair_index(h, x, nH)]
-            ih = inv_h[h]
-            for y in range(K.order):
-                s = star_k[x][y]
-                gy_ih = g[y][ih]
-                for k in range(nH):
-                    t = mul_h[mul_h[gx[k]][gy_ih]][bx[y]]
-                    row[pair_index(k, y, nH)] = pair_index(t, s, nH)
-    return tuple(tuple(r) for r in table)
-
-
 def check_theorem_conditions(data: ConstructionData, short_circuit: bool = False) -> ConditionReport:
     """Evaluate C1..C6 exhaustively (evaluation order C1, C2, C6, C3, C4, C5;
     with ``short_circuit`` later conditions are skipped after a failure).
 
-    Witnesses are the lexicographically first failing tuples: (x,) for C1,
-    (x, y, h) for C2 and (x, y, z, h, k, l) for C3..C6.
+    C1 and C2 are checked on the maps, C3..C6 by the axiom scans of brackets
+    on the induced table. Witnesses are the first failing tuples in loop
+    order: (x,) for C1, (x, y, h) for C2 and (x, y, z, h, k, l) for C3..C6.
     """
     results: dict[str, ConditionStatus] = {}
-    checks: dict[str, Callable[[], Optional[tuple[int, ...]]]] = {
-        "C1": lambda: _check_c1(data),
-        "C2": lambda: _check_c2(data),
-        "C6": None,  # filled below, shares precomputed tables
-        "C3": None,
-        "C4": None,
-        "C5": None,
-    }
-    lazy: dict[str, Callable[[], Optional[tuple[int, ...]]]] = {}
-
-    def ensure_tables():
-        G = data.product_group
-        star = induced_star_table(data)
-        return G, star
-
-    tables: list = []
-
-    def table_check(kind: str) -> Callable[[], Optional[tuple[int, ...]]]:
-        def run() -> Optional[tuple[int, ...]]:
-            if not tables:
-                tables.append(ensure_tables())
-            G, star = tables[0]
-            return _expansion_witness(data, G, star, kind)
-
-        return run
-
-    for kind in ("C6", "C3", "C4", "C5"):
-        lazy[kind] = table_check(kind)
-    checks.update(lazy)
-
-    failed = False
+    table: Optional[tuple[tuple[int, ...], ...]] = None
     for name in CONDITION_EVAL_ORDER:
-        if failed and short_circuit:
-            continue
-        witness = checks[name]()
-        if witness is None:
-            results[name] = ConditionStatus(True, None)
+        if name == "C1":
+            witness = _check_c1(data)
+        elif name == "C2":
+            witness = _check_c2(data)
         else:
-            results[name] = ConditionStatus(False, witness)
-            failed = True
+            if table is None:
+                table = induced_star_table(data)
+            witness = _axiom_witness(data, table, CONDITION_AXIOMS[name])
+        results[name] = _status_from(witness)
+        if witness is not None and short_circuit:
+            break
     return _report(results)
 
 
@@ -420,51 +371,25 @@ def _check_c2(data: ConstructionData) -> Optional[tuple[int, ...]]:
     return viol[0].witness if viol else None
 
 
-def _expansion_witness(
-    data: ConstructionData,
-    G: FiniteGroup,
-    star: tuple[tuple[int, ...], ...],
-    kind: str,
+def _axiom_witness(
+    data: ConstructionData, table: tuple[tuple[int, ...], ...], axiom: str
 ) -> Optional[tuple[int, ...]]:
-    """First witness (x, y, z, h, k, l) violating one two-sided expansion."""
-    nH, nK = data.H.order, data.K.order
-    mul = G.cayley
-    conj = G.conj_table
-    e = G.identity
-    rng_k, rng_h = range(nK), range(nH)
-    for x in rng_k:
-        for y in rng_k:
-            for z in rng_k:
-                for h in rng_h:
-                    A = h + nH * x
-                    sA = star[A]
-                    cA = conj[A]
-                    for k in rng_h:
-                        B = k + nH * y
-                        sB = star[B]
-                        cB = conj[B]
-                        AB = mul[A][B]
-                        sAB_row = star[AB]
-                        vAB = sA[B]
-                        for l in rng_h:
-                            C = l + nH * z
-                            if kind == "C3":
-                                if sAB_row[C] != mul[cA[sB[C]]][sA[C]]:
-                                    return (x, y, z, h, k, l)
-                            elif kind == "C4":
-                                if sA[mul[B][C]] != mul[vAB][cB[sA[C]]]:
-                                    return (x, y, z, h, k, l)
-                            elif kind == "C5":
-                                t1 = star[vAB][cB[C]]
-                                t2 = star[sB[C]][conj[C][A]]
-                                t3 = star[star[C][A]][cA[B]]
-                                if mul[mul[t1][t2]][t3] != e:
-                                    return (x, y, z, h, k, l)
-                            else:  # C6
-                                cC = conj[C]
-                                if cC[vAB] != star[cC[A]][cC[B]]:
-                                    return (x, y, z, h, k, l)
-    return None
+    """The first (x, y, z, h, k, l) at which the induced table fails the axiom.
+
+    The scan runs over (A, B, C) with A = h + |H| x outermost, so its first
+    violation fixes x; the smallest witness lies among the violations with
+    that x, and the scan stops at the first one beyond it.
+    """
+    nH = data.H.order
+    best: Optional[tuple[int, ...]] = None
+    for v in AXIOM_SCANS[axiom](data.product_group, table):
+        a, b, c = v.witness
+        if best is not None and a // nH != best[0]:
+            break
+        witness = (a // nH, b // nH, c // nH, a % nH, b % nH, c % nH)
+        if best is None or witness < best:
+            best = witness
+    return best
 
 
 def check_direct_conditions(data: ConstructionData) -> ConditionReport:
@@ -582,14 +507,16 @@ def induce_bracket(data: ConstructionData, check: bool = True) -> LieBracket:
 
 
 def induce_bracket_direct(data: ConstructionData, check: bool = True) -> LieBracket:
-    """Direct-product specialization; agrees cell-for-cell with induce_bracket."""
+    """Direct-product specialization: the conditions are checked in their
+    simplified form. For the trivial action the induction formula reduces to
+    (h,x)*(k,y) = (Gamma_x(k) Gamma_y(h^-1) beta(x,y), x*y), since H is abelian."""
     if not data.action.is_trivial:
         raise ValidationError("induce_bracket_direct requires the trivial action")
     if check:
         report = check_direct_conditions(data)
         if not report.passed:
             raise ConditionsViolatedError(report)
-    return LieBracket(data.product_group, direct_star_table(data))
+    return LieBracket(data.product_group, induced_star_table(data))
 
 
 def split_factor_subgroup(action: Action, group: FiniteGroup) -> Subgroup:

@@ -23,6 +23,29 @@ class GroupViolation:
     message: str
 
 
+def int_table(table: Sequence[Sequence[int]], what: str) -> tuple[tuple[int, ...], ...]:
+    """``table`` as a tuple of int tuples.
+
+    Every entry must already be an ``int``: a float, a string or a bool is
+    rejected, not coerced.
+    """
+    try:
+        rows = tuple(tuple(row) for row in table)
+    except TypeError:
+        raise ValidationError(f"{what} must be a table of rows")
+    for row in rows:
+        for v in row:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValidationError(f"{what} entry {v!r} is not an integer")
+    return rows
+
+
+def _check_order_bound(order: int) -> None:
+    """Reject a group order above MAX_GROUP_ORDER, before anything of that size is built."""
+    if order > MAX_GROUP_ORDER:
+        raise BoundExceededError(f"group order {order} exceeds supported bound {MAX_GROUP_ORDER}")
+
+
 def verify_group(
     cayley: Sequence[Sequence[int]],
     generators: Optional[Sequence[int]] = None,
@@ -139,9 +162,8 @@ class FiniteGroup:
         generators: Optional[Sequence[int]] = None,
         element_names: Optional[Sequence[str]] = None,
     ) -> "FiniteGroup":
-        rows = tuple(tuple(int(v) for v in row) for row in cayley)
-        if len(rows) > MAX_GROUP_ORDER:
-            raise BoundExceededError(f"group order {len(rows)} exceeds supported bound {MAX_GROUP_ORDER}")
+        rows = int_table(cayley, "cayley")
+        _check_order_bound(len(rows))
         problems = verify_group(rows, generators=generators)
         if problems:
             summary = "; ".join(v.message for v in problems[:4])
@@ -158,9 +180,6 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def mul(self, a: int, b: int) -> int:
         return self.cayley[a][b]
@@ -232,6 +251,7 @@ def make_cyclic(n: int) -> FiniteGroup:
     """Z_n with element i = residue class i and identity 0."""
     if n < 1:
         raise ValidationError(f"cyclic order must be >= 1, got {n}")
+    _check_order_bound(n)
     cayley = [[(i + j) % n for j in range(n)] for i in range(n)]
     gens = (1,) if n > 1 else ()
     names = tuple(str(i) for i in range(n))
@@ -246,6 +266,7 @@ def make_dihedral(n: int) -> FiniteGroup:
     if n < 2:
         raise ValidationError(f"dihedral index must be >= 2, got {n}")
     size = 2 * n
+    _check_order_bound(size)
 
     def enc(i: int, j: int) -> int:
         return (j % 2) * n + (i % n)
@@ -268,6 +289,7 @@ def make_quaternion(n: int) -> FiniteGroup:
         raise ValidationError(f"quaternion index must be >= 1, got {n}")
     m = 2 * n
     size = 4 * n
+    _check_order_bound(size)
 
     def enc(i: int, j: int) -> int:
         return (j % 2) * m + (i % m)
@@ -294,10 +316,6 @@ def _power_name(sym: str, i: int, suffix: str = "") -> str:
 
 def pair_index(h: int, x: int, h_order: int) -> int:
     return h + h_order * x
-
-
-def pair_split(i: int, h_order: int) -> tuple[int, int]:
-    return i % h_order, i // h_order
 
 
 def validate_action_tables(
@@ -347,8 +365,7 @@ def _pair_product(
 ) -> FiniteGroup:
     nH, nK = H.order, K.order
     size = nH * nK
-    if size > MAX_GROUP_ORDER:
-        raise BoundExceededError(f"product order {size} exceeds supported bound {MAX_GROUP_ORDER}")
+    _check_order_bound(size)
     cayley = [[0] * size for _ in range(size)]
     for h, x, k, y in product(range(nH), range(nK), range(nH), range(nK)):
         hh = H.cayley[h][sigma[x][k]]

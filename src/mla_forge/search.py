@@ -50,17 +50,11 @@ HARD_ORDER_CAP = 32
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the enumeration engines.
-
-    worker_count is accepted for API stability; the engines run a single
-    deterministic schedule, which trivially satisfies the requirement that
-    results not depend on the worker count.
-    """
+    """Knobs for the enumeration engines."""
 
     max_group_order: int = 12
     require_ideal: Optional[Subgroup] = None
     up_to_iso: bool = False
-    worker_count: int = 1
     node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
@@ -68,8 +62,6 @@ class SearchConfig:
             raise ValidationError("max_group_order must be positive")
         if self.node_budget < 1:
             raise ValidationError("node_budget must be positive")
-        if self.worker_count < 1:
-            raise ValidationError("worker_count must be positive")
 
 
 @dataclass(frozen=True)

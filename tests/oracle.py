@@ -112,3 +112,104 @@ def map_scan_endomorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
         if ok:
             out.append(images)
     return sorted(out)
+
+
+def induced_pair_bracket(H: FiniteGroup, K: FiniteGroup, sigma, star_k, gamma, beta) -> dict:
+    """The induction formula on explicit pairs of H x| K:
+
+    (h,x)*(k,y) = (h k Gamma_x(k) sigma_{x*y}(h^-1 k^-1 Gamma_y(h^-1)) beta(x,y), x*y)
+    """
+    mul, inv = H.cayley, H.inverse
+    out = {}
+    for x, y, h, k in product(range(K.order), range(K.order), range(H.order), range(H.order)):
+        s = star_k[x][y]
+        inner = mul[mul[inv[h]][inv[k]]][gamma[y][inv[h]]]
+        value = mul[mul[mul[mul[h][k]][gamma[x][k]]][sigma[s][inner]]][beta[x][y]]
+        out[(h, x), (k, y)] = (value, s)
+    return out
+
+
+def condition_witnesses(H: FiniteGroup, K: FiniteGroup, sigma, star_k, gamma, beta) -> dict:
+    """C1..C6 by their definitions; each value is the first failing tuple in
+    the documented loop order, or None.
+
+    C1: beta vanishes on the border and diagonal, witness (x,).
+    C2: the identities G1, then G2, witness (x, y, h).
+    C3..C6: the two-sided expansions on pairs A = (h,x), B = (k,y),
+    C = (l,z), witness (x, y, z, h, k, l):
+
+      C3  (A B) * C  =  ^A(B*C) . (A*C)
+      C4  A * (B C)  =  (A*B) . ^B(A*C)
+      C5  ((A*B) * ^B C) ((B*C) * ^C A) ((C*A) * ^A B) = 1
+      C6  ^C(A*B)    =  ^C A * ^C B
+    """
+    mul_h, inv_h = H.cayley, H.inverse
+    mul_k, inv_k = K.cayley, K.inverse
+    rK, rH = range(K.order), range(H.order)
+    eH, eK = H.identity, K.identity
+    out = {}
+
+    out["C1"] = next(
+        ((x,) for x in rK if beta[x][eK] != eH or beta[eK][x] != eH or beta[x][x] != eH), None
+    )
+
+    def g1(x, y, h):
+        return gamma[mul_k[x][y]][h] == mul_h[gamma[x][h]][sigma[x][gamma[y][h]]]
+
+    def g2(x, y, h):
+        xyx = mul_k[mul_k[x][y]][inv_k[x]]
+        rhs = mul_h[gamma[x][gamma[y][h]]][gamma[xyx][gamma[x][inv_h[h]]]]
+        return gamma[star_k[x][y]][sigma[y][h]] == rhs
+
+    out["C2"] = next(
+        ((x, y, h) for identity in (g1, g2) for x, y, h in product(rK, rK, rH) if not identity(x, y, h)),
+        None,
+    )
+
+    bracket = induced_pair_bracket(H, K, sigma, star_k, gamma, beta)
+
+    def mul(a, b):
+        return (mul_h[a[0]][sigma[a[1]][b[0]]], mul_k[a[1]][b[1]])
+
+    def inv(a):
+        xi = inv_k[a[1]]
+        return (sigma[xi][inv_h[a[0]]], xi)
+
+    def conj(u, v):
+        return mul(mul(u, v), inv(u))
+
+    def star(a, b):
+        return bracket[a, b]
+
+    one = (eH, eK)
+    expansions = {
+        "C3": lambda A, B, C: star(mul(A, B), C) == mul(conj(A, star(B, C)), star(A, C)),
+        "C4": lambda A, B, C: star(A, mul(B, C)) == mul(star(A, B), conj(B, star(A, C))),
+        "C5": lambda A, B, C: mul(
+            mul(star(star(A, B), conj(B, C)), star(star(B, C), conj(C, A))), star(star(C, A), conj(A, B))
+        ) == one,
+        "C6": lambda A, B, C: conj(C, star(A, B)) == star(conj(C, A), conj(C, B)),
+    }
+    for name, holds in expansions.items():
+        out[name] = next(
+            (
+                (x, y, z, h, k, l)
+                for x, y, z, h, k, l in product(rK, rK, rK, rH, rH, rH)
+                if not holds((h, x), (k, y), (l, z))
+            ),
+            None,
+        )
+    return out
+
+
+def direct_induced_table(H: FiniteGroup, K: FiniteGroup, star_k, gamma, beta):
+    """The induced table for the trivial action by the direct formula
+    (h,x)*(k,y) = (Gamma_x(k) Gamma_y(h^-1) beta(x,y), x*y), with (h, x)
+    encoded as h + |H| x."""
+    mul, inv = H.cayley, H.inverse
+    n = H.order * K.order
+    table = [[0] * n for _ in range(n)]
+    for x, y, h, k in product(range(K.order), range(K.order), range(H.order), range(H.order)):
+        value = mul[mul[gamma[x][k]][gamma[y][inv[h]]]][beta[x][y]]
+        table[h + H.order * x][k + H.order * y] = value + H.order * star_k[x][y]
+    return tuple(tuple(row) for row in table)

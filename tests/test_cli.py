@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mla_forge import serialization as io
 from mla_forge.brackets import commutator_bracket, trivial_bracket
 from mla_forge.cli import main, parse_preset
@@ -137,6 +139,24 @@ def test_enumerate_budget_env_var(capsys, monkeypatch):
     monkeypatch.delenv("MLA_FORGE_BUDGET")
     code, _, _ = run(capsys, "enumerate", "--group", "D4")
     assert code == 0
+
+
+def test_enumerate_budget_env_var_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("MLA_FORGE_BUDGET", "abc")
+    code, out, err = run(capsys, "enumerate", "--group", "D3")
+    assert code == 2
+    assert out == ""
+    assert "MLA_FORGE_BUDGET" in err
+
+
+@pytest.mark.parametrize("entry", [1.7, True], ids=["float", "bool"])
+def test_group_file_with_non_integer_entries_is_input_error(tmp_path, capsys, entry):
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps({"name": "Z2", "order": 2, "cayley": [[0, entry], [entry, 0]]}))
+    code, out, err = run(capsys, "enumerate", "--group", str(path))
+    assert code == 2
+    assert out == ""
+    assert "not an integer" in err
 
 
 def test_enumerate_emits_item_files(tmp_path, capsys):

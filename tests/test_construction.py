@@ -1,14 +1,17 @@
+import random
 from itertools import product
 
 import pytest
 
 from mla_forge.brackets import (
+    LieBracket,
     commutator_bracket,
     derived_subalgebra,
     trivial_bracket,
     verify_mla,
 )
 from mla_forge.construction import (
+    CONDITION_EVAL_ORDER,
     Action,
     ConstructionData,
     GammaMap,
@@ -32,12 +35,17 @@ from mla_forge.errors import (
     ValidationError,
 )
 from mla_forge.groups import (
+    FiniteGroup,
     direct_product,
+    endomorphisms,
+    find_generators,
     identify_small_group,
     make_cyclic,
     make_dihedral,
 )
 from mla_forge.search import SearchConfig, enumerate_brackets, enumerate_gamma, enumerate_pairings
+
+import oracle
 
 
 def s3_action():
@@ -62,6 +70,22 @@ def test_action_validation_rejects_non_homomorphism():
     # order-4 K cannot act through inversion on the generator only
     with pytest.raises(ValidationError):
         Action.make(H, K, [ident, inv, ident, ident])
+
+
+@pytest.mark.parametrize("one", [1.0, True], ids=["float", "bool"])
+def test_tables_with_non_integer_entries_are_rejected(one):
+    # every table below is valid once ``one`` is coerced to 1
+    H, K = make_cyclic(3), make_cyclic(2)
+    makes = [
+        lambda: FiniteGroup.from_table("Z2", [[0, one], [one, 0]]),
+        lambda: LieBracket.make(K, [[0, 0], [0, one]]),
+        lambda: Action.make(H, K, [[0, 1, 2], [0, 2, one]]),
+        lambda: GammaMap.make(H, K, [[0, 0, 0], [0, one, 2]]),
+        lambda: PairingMap.make(H, K, [[0, 0], [0, one]]),
+    ]
+    for make in makes:
+        with pytest.raises(ValidationError, match="not an integer"):
+            make()
 
 
 def test_action_trivial_and_inversion():
@@ -135,6 +159,110 @@ def test_condition_failure_reports_witness():
         induce_bracket(data)
 
 
+def gamma_from_generator_images(action, images):
+    """The family with Gamma_g = images[i] on the i-th generator g of K,
+    extended by Gamma_{x g} = Gamma_x . sigma_x Gamma_g."""
+    H, K = action.H, action.K
+    gamma = {K.identity: (H.identity,) * H.order}
+    frontier = [K.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g, img in zip(find_generators(K), images):
+                y = K.cayley[x][g]
+                if y not in gamma:
+                    gamma[y] = tuple(H.cayley[gamma[x][h]][action.sigma[x][img[h]]] for h in range(H.order))
+                    nxt.append(y)
+        frontier = nxt
+    return GammaMap.make(H, K, [gamma[x] for x in range(K.order)])
+
+
+def oracle_catalog():
+    """Construction data on six split products for the condition oracle.
+
+    Gamma is zero or built from generator images; beta vanishes on the border
+    and the diagonal and is trivial or random. On D4, beta is instead a
+    function of the images in the abelianization D4 -> V4, which keeps it
+    invariant under conjugation but not bilinear: random, or phi_y(x) with
+    each phi_v a homomorphism V4 -> Z4 but v -> phi_v not one, so that it is
+    linear in x only. On V4 x D3 the listed generator images make the A4
+    scan of brackets meet a violation before the first one in the documented
+    order (x, y, z, h, k, l).
+    """
+    rng = random.Random(2305)
+    z = make_cyclic
+    v4 = direct_product(z(2), z(2))
+    d4 = make_dihedral(4)
+    products = [
+        (Action.trivial(z(4), d4), None),
+        (Action.by_inversion(z(3), make_dihedral(3), (3, 4, 5)), None),
+        (Action.by_inversion(z(8), z(2), (1,)), None),
+        (Action.make(z(5), z(4), [[(pow(2, x, 5) * h) % 5 for h in range(5)] for x in range(4)]), None),
+        (Action.make(v4, z(2), [[0, 1, 2, 3], [0, 2, 1, 3]]), None),
+        (Action.trivial(v4, make_dihedral(3)), [((0, 1, 3, 2), (0, 2, 2, 0))]),
+    ]
+    out = []
+    for act, images in products:
+        H, K = act.H, act.K
+        stars = [trivial_bracket(K)] + ([] if K.is_abelian else [commutator_bracket(K)])
+        if images is None:
+            endos = endomorphisms(H)
+            n_gens = len(find_generators(K))
+            images = [[endos[(i + j) % len(endos)] for j in range(n_gens)] for i in (1, len(endos) - 1)]
+        gammas = [GammaMap.zero(H, K)] + [gamma_from_generator_images(act, imgs) for imgs in images]
+
+        def vanishing(f):
+            return PairingMap.make(
+                H, K, [[H.identity if K.identity in (x, y) or x == y else f(x, y) for y in range(K.order)]
+                       for x in range(K.order)]
+            )
+
+        betas = [PairingMap.trivial(H, K)]
+        if K is d4:
+            ab = [x % 2 + 2 * (x // 4) for x in range(K.order)]  # b^i a^j -> (i mod 2, j)
+            f = {(u, v): rng.randrange(H.order) for u in range(4) for v in range(4)}
+            phi = {1: (0, 0, 2, 2), 2: (0, 0, 0, 0), 3: (0, 2, 2, 0)}  # phi[v][u]; phi[3] != phi[1] + phi[2]
+            betas.append(vanishing(lambda x, y: f[ab[x], ab[y]]))
+            betas.append(vanishing(lambda x, y: phi[ab[y]][ab[x]] if ab[y] else H.identity))
+            gammas = gammas[:2]  # order 32, where the oracle scan is slowest
+        else:
+            betas.append(vanishing(lambda x, y: rng.randrange(H.order)))
+        for star, gamma, beta in product(stars, gammas, betas):
+            out.append(ConstructionData.make(act, star, gamma, beta))
+    return out
+
+
+def test_condition_reports_match_oracle():
+    failing_alone = set()  # conditions among C3..C6 seen failing while C1 and C2 pass
+    for data in oracle_catalog():
+        expected = oracle.condition_witnesses(
+            data.H, data.K, data.action.sigma, data.star_k.star, data.gamma.gamma, data.beta.beta
+        )
+        report = check_theorem_conditions(data)
+        assert {name: st.witness for name, st in report.statuses} == expected
+        assert all(st.passed is (st.witness is None) for _, st in report.statuses)
+        if expected["C1"] is None and expected["C2"] is None:
+            failing_alone |= {name for name in ("C3", "C4", "C5", "C6") if expected[name] is not None}
+    assert failing_alone == {"C3", "C4", "C5", "C6"}
+
+
+def test_short_circuit_report_is_truncated_full_report():
+    first_failures = set()
+    for data in oracle_catalog():
+        full = dict(check_theorem_conditions(data).statuses)
+        short = dict(check_theorem_conditions(data, short_circuit=True).statuses)
+        failed = False
+        for name in CONDITION_EVAL_ORDER:
+            if failed:
+                assert short[name].passed is None and short[name].witness is None
+            else:
+                assert short[name] == full[name]
+                failed = full[name].passed is False
+                if failed:
+                    first_failures.add(name)
+    assert {"C2", "C6", "C3", "C4"} <= first_failures
+
+
 def test_short_circuit_skips_later_conditions():
     H, K = make_cyclic(3), make_cyclic(2)
     act = Action.trivial(H, K)
@@ -182,7 +310,8 @@ def test_direct_conditions_match_general_checker():
         assert direct.passed == general.passed, (star.star[4][1], gamma.gamma, beta.beta)
         if direct.passed:
             accepted += 1
-            assert induce_bracket_direct(data, check=False).star == induce_bracket(data, check=False).star
+            expected = oracle.direct_induced_table(act.H, act.K, star.star, gamma.gamma, beta.beta)
+            assert induce_bracket_direct(data, check=False).star == expected
     assert accepted > 4  # the comparison exercises both outcomes
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -227,6 +228,21 @@ def test_automorphisms_form_group():
         assert m.inverse_map().images in tables
         for m2 in autos:
             assert m.compose(m2).images in tables
+
+
+def test_presets_check_the_order_bound_before_building():
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceededError):
+            make_cyclic(1500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    with pytest.raises(BoundExceededError):
+        make_dihedral(33)
+    with pytest.raises(BoundExceededError):
+        make_quaternion(17)
 
 
 def test_automorphism_bound():

@@ -1,5 +1,6 @@
 import pytest
 
+from mla_forge import construction
 from mla_forge.brackets import (
     commutator_bracket,
     end_mla,
@@ -98,10 +99,9 @@ def test_up_to_iso_returns_class_representatives():
 
 def test_determinism_across_runs_and_worker_counts():
     g = make_dihedral(4)
-    one = enumerate_brackets(g, SearchConfig(worker_count=1))
-    four = enumerate_brackets(g, SearchConfig(worker_count=4))
-    again = enumerate_brackets(g, SearchConfig(worker_count=1))
-    assert [b.star for b in one.items] == [b.star for b in four.items] == [b.star for b in again.items]
+    one = enumerate_brackets(g, SearchConfig())
+    again = enumerate_brackets(g, SearchConfig())
+    assert [b.star for b in one.items] == [b.star for b in again.items]
 
 
 def test_require_ideal_monotonic():
@@ -135,8 +135,6 @@ def test_order_bound_enforced():
 def test_search_config_validation():
     with pytest.raises(ValidationError):
         SearchConfig(node_budget=0)
-    with pytest.raises(ValidationError):
-        SearchConfig(worker_count=0)
 
 
 # -- gamma enumeration ------------------------------------------------------------
@@ -214,6 +212,17 @@ def test_enumerate_induced_contains_trivial():
     G_order = H.order * K.order
     trivial_table = tuple((0,) * G_order for _ in range(G_order))
     assert trivial_table in {b.star for b in res.items}
+
+
+def test_enumerate_induced_builds_the_product_once(monkeypatch):
+    builds = []
+    build = construction.make_semidirect
+    monkeypatch.setattr(construction, "make_semidirect", lambda *a, **kw: builds.append(a) or build(*a, **kw))
+    H, K = make_cyclic(3), make_cyclic(2)
+    for calls in (1, 2):
+        res = enumerate_induced(H, K, Action.by_inversion(H, K, inverting=(1,)))
+        assert res.raw_count == 3
+        assert len(builds) == calls
 
 
 def test_enumerated_induced_items_reverify():
