@@ -45,8 +45,6 @@ from .groups import (
     GroupMap,
     Subgroup,
     automorphisms,
-    commutator,
-    conjugate,
     direct_product,
     endomorphisms,
     identify_small_group,

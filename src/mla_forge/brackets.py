@@ -22,10 +22,12 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import BoundExceededError, ValidationError
 from .groups import (
+    MAX_GROUP_ORDER,
     FiniteGroup,
     GroupMap,
     Subgroup,
     automorphisms,
+    endomorphism_count,
     endomorphisms,
     int_table,
     subgroup_generated,
@@ -217,20 +219,16 @@ def is_ideal(bracket: LieBracket, sub: Union[Subgroup, Iterable[int]]) -> bool:
     return True
 
 
-def bracket_equivalent(
-    first: LieBracket, second: LieBracket, bound: int = 64
-) -> Optional[GroupMap]:
+def bracket_equivalent(first: LieBracket, second: LieBracket) -> Optional[GroupMap]:
     """An automorphism f with f(x *1 y) = f(x) *2 f(y) for all x, y, or None."""
     _require_same_group(first, second)
-    for phi in automorphisms(first.group, bound=bound):
+    for phi in automorphisms(first.group):
         if _intertwines(phi.images, first.star, second.star):
             return phi
     return None
 
 
-def bracket_equivalent_mod_reversal(
-    first: LieBracket, second: LieBracket, bound: int = 64
-) -> Optional[tuple[GroupMap, bool]]:
+def bracket_equivalent_mod_reversal(first: LieBracket, second: LieBracket) -> Optional[tuple[GroupMap, bool]]:
     """Like bracket_equivalent, but also allows swapping argument order.
 
     Returns (map, reversed) where reversed says the map matches ``first``
@@ -239,7 +237,7 @@ def bracket_equivalent_mod_reversal(
     """
     _require_same_group(first, second)
     rev = reverse_bracket(second).star
-    for phi in automorphisms(first.group, bound=bound):
+    for phi in automorphisms(first.group):
         if _intertwines(phi.images, first.star, second.star):
             return phi, False
         if _intertwines(phi.images, first.star, rev):
@@ -293,20 +291,23 @@ def canonical_bracket_key(
     return min(pushforward_table(phi.images, t) for phi in autos for t in tables)
 
 
-def end_mla(group: FiniteGroup, max_order: int = 64) -> tuple[FiniteGroup, LieBracket]:
+def end_mla(group: FiniteGroup) -> tuple[FiniteGroup, LieBracket]:
     """The endomorphism structure of an abelian group.
 
     Elements are the endomorphism tables of H in sorted order; the group
     operation is the pointwise product (F.G)(h) = F(h)G(h) and the bracket is
     (F*G)(h) = F(G(h)) G(F(h^-1)). The returned pair passes verify_mla.
+    |End(H)| is checked against MAX_GROUP_ORDER before any endomorphism is
+    enumerated.
     """
     if not group.is_abelian:
         raise ValidationError("end_mla requires an abelian group")
-    endos = endomorphisms(group)
-    if len(endos) > max_order:
+    size = endomorphism_count(group)
+    if size > MAX_GROUP_ORDER:
         raise BoundExceededError(
-            f"End({group.name}) has {len(endos)} elements, beyond supported order {max_order}"
+            f"End({group.name}) has {size} elements, beyond supported order {MAX_GROUP_ORDER}"
         )
+    endos = endomorphisms(group)
     index = {t: i for i, t in enumerate(endos)}
     mul_h, inv_h = group.cayley, group.inverse
     hs = range(group.order)
@@ -317,7 +318,6 @@ def end_mla(group: FiniteGroup, max_order: int = 64) -> tuple[FiniteGroup, LieBr
     def star_op(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(mul_h[f[g[h]]][g[f[inv_h[h]]]] for h in hs)
 
-    size = len(endos)
     cayley = [[index[dot(endos[i], endos[j])] for j in range(size)] for i in range(size)]
     end_group = FiniteGroup.from_table(f"End({group.name})", cayley)
     star = [[index[star_op(endos[i], endos[j])] for j in range(size)] for i in range(size)]

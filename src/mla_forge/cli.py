@@ -37,7 +37,15 @@ from .errors import (
     ReconstructionMismatchError,
     ValidationError,
 )
-from .groups import FiniteGroup, direct_product, make_cyclic, make_dihedral, make_quaternion, verify_group
+from .groups import (
+    MAX_GROUP_ORDER,
+    FiniteGroup,
+    direct_product,
+    make_cyclic,
+    make_dihedral,
+    make_quaternion,
+    verify_group,
+)
 from .scenarios import catalog, run_scenarios
 from .search import DEFAULT_NODE_BUDGET, SearchConfig, enumerate_brackets
 
@@ -50,6 +58,7 @@ BUDGET_ENV = "MLA_FORGE_BUDGET"
 
 _PRESET_TOKEN = re.compile(r"^([ZDQ])(\d+)$")
 _PRESET_FULL = re.compile(r"^[ZDQ]\d+(x[ZDQ]\d+)*$")
+_INDEX = re.compile(r"[0-9]{1,9}")
 
 
 def _is_preset(value: str) -> bool:
@@ -60,7 +69,11 @@ def _token_group(token: str) -> FiniteGroup:
     m = _PRESET_TOKEN.match(token)
     if not m:
         raise ValidationError(f"unrecognized preset {token!r}")
-    kind, num = m.group(1), int(m.group(2))
+    kind = m.group(1)
+    try:
+        num = int(m.group(2))
+    except ValueError:  # more digits than int() converts
+        raise BoundExceededError(f"preset {token[:12]!r}... exceeds supported bound {MAX_GROUP_ORDER}")
     if kind == "Z":
         return make_cyclic(num)
     if kind == "D":
@@ -71,19 +84,22 @@ def _token_group(token: str) -> FiniteGroup:
 
 
 def parse_preset(spec: str) -> FiniteGroup:
-    """Preset grammar: Zn | Dn | Qm | AxB (direct product) | A:B:sigma=FILE."""
+    """Preset grammar: Zn | Dn | Qm | AxB (direct product) | A:B:sigma=FILE.
+
+    A product is named by its spec.
+    """
     if ":" in spec:
-        return semidirect_product(_split_action(spec), name=spec)
-    if "x" in spec:
+        group = _split_action(spec).product_group
+    elif "x" in spec:
         tokens = spec.split("x")
         group = _token_group(tokens[0])
         for tok in tokens[1:]:
             group = direct_product(group, _token_group(tok))
-        group_named = FiniteGroup(
-            spec, group.cayley, group.identity, group.inverse, group.generators, group.element_names
-        )
-        return group_named
-    return _token_group(spec)
+    else:
+        return _token_group(spec)
+    return FiniteGroup(
+        spec, group.cayley, group.identity, group.inverse, group.generators, group.element_names
+    )
 
 
 def _split_action(spec: str) -> Action:
@@ -113,7 +129,7 @@ def _search_config(args: argparse.Namespace) -> SearchConfig:
         except ValueError:
             raise ValidationError(f"{BUDGET_ENV} must be an integer, got {env!r}")
     return SearchConfig(
-        max_group_order=getattr(args, "max_order", 12),
+        max_group_order=getattr(args, "max_order", SearchConfig.max_group_order),
         up_to_iso=getattr(args, "up_to_iso", False),
         node_budget=budget,
     )
@@ -240,7 +256,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     group = semidirect_product(action)
     bracket = io.load_bracket(args.bracket, group=group)
     if args.ideal is not None and args.ideal != "H":
-        wanted = tuple(sorted(int(v) for v in args.ideal.split(",")))
+        wanted = _parse_ideal(args.ideal)
         h_members = split_factor_subgroup(action, group).members
         if wanted != h_members:
             raise ValidationError(
@@ -267,6 +283,14 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _parse_ideal(text: str) -> tuple[int, ...]:
+    """The sorted element indices of a comma-separated ``--ideal`` list."""
+    items = text.split(",")
+    if not all(_INDEX.fullmatch(v) for v in items):
+        raise ValidationError(f"--ideal must be 'H' or comma-separated element indices, got {text!r}")
+    return tuple(sorted(int(v) for v in items))
+
+
 def _describe_gamma(data) -> list[str]:
     H, K = data.H, data.K
     lines = []
@@ -289,18 +313,14 @@ def _as_multiplication(H, row) -> Optional[int]:
 
 
 def _action_from_group_arg(spec: str) -> Action:
+    """The action of a product preset: A:B:sigma=FILE, or the trivial action of
+    B on A for a direct product AxB (B itself may be a product)."""
     if ":" in spec:
         return _split_action(spec)
-    if "x" in spec:
-        tokens = spec.split("x")
-        if len(tokens) < 2:
-            raise ValidationError(f"cannot infer a product decomposition from {spec!r}")
-        H = _token_group(tokens[0])
-        K = _token_group(tokens[1])
-        for tok in tokens[2:]:
-            K = direct_product(K, _token_group(tok))
-        return Action.trivial(H, K)
-    raise ValidationError("decompose needs a product preset like Z4xD4 or A:B:sigma=FILE")
+    head, sep, rest = spec.partition("x")
+    if not sep:
+        raise ValidationError("decompose needs a product preset like Z4xD4 or A:B:sigma=FILE")
+    return Action.trivial(_token_group(head), parse_preset(rest))
 
 
 # -- scenarios ---------------------------------------------------------------------
@@ -363,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate bracket structures on a group")
     p.add_argument("--group", required=True)
     p.add_argument("--up-to-iso", action="store_true", dest="up_to_iso")
-    p.add_argument("--max-order", type=int, default=12, dest="max_order")
+    p.add_argument("--max-order", type=int, default=SearchConfig.max_group_order, dest="max_order")
     p.add_argument("--emit", help="directory for the enumerated bracket files")
     common(p)
     p.set_defaults(func=cmd_enumerate)

@@ -41,6 +41,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     find_generators,
+    generator_words,
     int_table,
     make_semidirect,
     pair_index,
@@ -92,11 +93,9 @@ class Action:
         return make_semidirect(self.H, self.K, self.sigma)
 
 
-def semidirect_product(action: Action, name: Optional[str] = None) -> FiniteGroup:
-    """The action's product group; with ``name``, a separately built copy under that name."""
-    if name is None:
-        return action.product_group
-    return make_semidirect(action.H, action.K, action.sigma, name=name)
+def semidirect_product(action: Action) -> FiniteGroup:
+    """The action's product group H x| K, built once per action."""
+    return action.product_group
 
 
 @dataclass(frozen=True)
@@ -659,29 +658,15 @@ def sigma_gamma_commute_check(action: Action, gamma: GammaMap) -> bool:
 # pairing enumeration
 
 
-def enumerate_bilinear_pairings(
-    K: FiniteGroup,
-    H: FiniteGroup,
-    alternating: bool = True,
-    conj_invariant: bool = True,
-) -> list[PairingMap]:
+def enumerate_bilinear_pairings(K: FiniteGroup, H: FiniteGroup) -> list[PairingMap]:
     """All bilinear tables K x K -> H (beta(xy,z) = beta(x,z)beta(y,z) and
-    symmetrically), optionally alternating (vanishing diagonal) and invariant
-    under simultaneous conjugation. Built by assigning values on generator
-    pairs, propagating bilinearity, then filtering."""
-    action = Action.trivial(H, K)
-    return enumerate_pairing_tables(
-        action, trivial_bracket(K), alternating=alternating, conj_invariant=conj_invariant
-    )
+    symmetrically) that are alternating (vanishing diagonal) and invariant
+    under simultaneous conjugation: the pairing tables of the trivial action."""
+    return enumerate_pairing_tables(Action.trivial(H, K), trivial_bracket(K))
 
 
-def enumerate_pairing_tables(
-    action: Action,
-    star_k: LieBracket,
-    alternating: bool = True,
-    conj_invariant: bool = True,
-) -> list[PairingMap]:
-    """Pairing tables compatible with the induction conditions.
+def enumerate_pairing_tables(action: Action, star_k: LieBracket) -> list[PairingMap]:
+    """Alternating pairing tables compatible with the induction conditions.
 
     Setting h = k = l = 1 in the two-sided expansions C3, C4 and C6 leaves
     constraints on beta alone:
@@ -691,8 +676,9 @@ def enumerate_pairing_tables(
       T3  beta(^z x, ^z y) = sigma_z(beta(x, y))
 
     For the trivial action these are plain bilinearity plus conjugation
-    invariance. Values on generator pairs determine the table through T1/T2;
-    every candidate is then checked against all constraint instances.
+    invariance, whatever star_k is. Values on off-diagonal generator pairs
+    determine the table through T1/T2; every candidate is then checked
+    against all constraint instances and C1.
     """
     H, K = action.H, action.K
     nH, nK = H.order, K.order
@@ -703,21 +689,8 @@ def enumerate_pairing_tables(
     sig = action.sigma
     star = star_k.star
     gens = find_generators(K)
-    if not gens:
-        return [PairingMap.trivial(H, K)]
-    word: dict[int, tuple[int, ...]] = {eK: ()}
-    frontier = [eK]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = mul_k[x][g]
-                if y not in word:
-                    word[y] = word[x] + (g,)
-                    nxt.append(y)
-        frontier = nxt
-
-    cells = [(a, b) for a in gens for b in gens if not (alternating and a == b)]
+    word = generator_words(K.cayley, eK, gens)
+    cells = [(a, b) for a in gens for b in gens if a != b]
 
     def build(seed: dict[tuple[int, int], int]) -> tuple[tuple[int, ...], ...]:
         memo: dict[tuple[int, int], int] = dict(seed)
@@ -728,7 +701,7 @@ def enumerate_pairing_tables(
             got = memo.get((x, y))
             if got is not None:
                 return got
-            if alternating and x == y and len(word[x]) == 1:
+            if x == y and len(word[x]) == 1:
                 v = eH
             elif len(word[x]) > 1:
                 s = word[x][0]
@@ -745,16 +718,14 @@ def enumerate_pairing_tables(
 
     def acceptable(b: tuple[tuple[int, ...], ...]) -> bool:
         for x in range(nK):
-            if b[x][eK] != eH or b[eK][x] != eH:
-                return False
-            if alternating and b[x][x] != eH:
+            if b[x][eK] != eH or b[eK][x] != eH or b[x][x] != eH:
                 return False
         for x, y, z in product(range(nK), repeat=3):
             if b[mul_k[x][y]][z] != mul_h[sig[x][b[y][z]]][sig[conj_k[x][star[y][z]]][b[x][z]]]:
                 return False
             if b[x][mul_k[y][z]] != mul_h[b[x][y]][sig[mul_k[star[x][y]][y]][b[x][z]]]:
                 return False
-            if conj_invariant and b[conj_k[z][x]][conj_k[z][y]] != sig[z][b[x][y]]:
+            if b[conj_k[z][x]][conj_k[z][y]] != sig[z][b[x][y]]:
                 return False
         return True
 

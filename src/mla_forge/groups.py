@@ -5,12 +5,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from math import gcd, prod
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BoundExceededError, ValidationError
 
-DEFAULT_AUT_BOUND = 64
+# Size limits, each defined and checked in one place.
+#
+#   MAX_GROUP_ORDER  the largest group any table of this package describes:
+#                    presets, products, subgroups, files and End(H). Checked
+#                    before a table of that size is built (_check_order_bound,
+#                    brackets.end_mla), so Hom, Aut and isomorphism searches
+#                    need no bound of their own.
+#   HARD_ORDER_CAP   the largest group that search.enumerate_brackets
+#                    enumerates exhaustively.
 MAX_GROUP_ORDER = 64
+HARD_ORDER_CAP = 32
+
 VIOLATION_CAP = 32
 
 
@@ -24,20 +35,28 @@ class GroupViolation:
 
 
 def int_table(table: Sequence[Sequence[int]], what: str) -> tuple[tuple[int, ...], ...]:
-    """``table`` as a tuple of int tuples.
+    """``table`` as a tuple of int tuples, each row checked by :func:`int_row`."""
+    try:
+        rows = tuple(tuple(row) for row in table)
+    except TypeError:
+        raise ValidationError(f"{what} must be a table of rows")
+    return tuple(int_row(row, what) for row in rows)
+
+
+def int_row(values: Sequence[int], what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints.
 
     Every entry must already be an ``int``: a float, a string or a bool is
     rejected, not coerced.
     """
     try:
-        rows = tuple(tuple(row) for row in table)
+        row = tuple(values)
     except TypeError:
-        raise ValidationError(f"{what} must be a table of rows")
-    for row in rows:
-        for v in row:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValidationError(f"{what} entry {v!r} is not an integer")
-    return rows
+        raise ValidationError(f"{what} must be a list of integers, got {values!r}")
+    for v in row:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValidationError(f"{what} entry {v!r} is not an integer")
+    return row
 
 
 def _check_order_bound(order: int) -> None:
@@ -47,15 +66,18 @@ def _check_order_bound(order: int) -> None:
 
 
 def verify_group(
-    cayley: Sequence[Sequence[int]],
-    generators: Optional[Sequence[int]] = None,
-    cap: int = VIOLATION_CAP,
+    cayley: Sequence[Sequence[int]], generators: Optional[Sequence[int]] = None
 ) -> list[GroupViolation]:
     """Check the group axioms on a candidate Cayley table.
 
-    Returns every violation found (up to ``cap``); an empty list means the
-    table is a group and, if generators were supplied, that they generate it.
+    Returns every violation found (up to VIOLATION_CAP); an empty list means
+    the table is a group and, if generators were supplied, that they generate
+    it. Entries and generators that are not integers, and tables above
+    MAX_GROUP_ORDER, are input errors and raise instead.
     """
+    cayley = int_table(cayley, "cayley")
+    gens = int_row(generators, "generators") if generators is not None else None
+    _check_order_bound(len(cayley))
     out: list[GroupViolation] = []
     n = len(cayley)
     if n == 0:
@@ -64,7 +86,7 @@ def verify_group(
         if len(row) != n:
             return [GroupViolation("shape", (i,), f"row {i} has length {len(row)}, expected {n}")]
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not (0 <= v < n):
+            if not (0 <= v < n):
                 return [GroupViolation("shape", (i, j), f"entry [{i}][{j}]={v!r} out of range 0..{n - 1}")]
 
     for i in range(n):
@@ -72,8 +94,8 @@ def verify_group(
             out.append(GroupViolation("latin-row", (i,), f"row {i} is not a permutation"))
         if len({cayley[x][i] for x in range(n)}) != n:
             out.append(GroupViolation("latin-column", (i,), f"column {i} is not a permutation"))
-        if len(out) >= cap:
-            return out[:cap]
+        if len(out) >= VIOLATION_CAP:
+            return out[:VIOLATION_CAP]
 
     identity = None
     for e in range(n):
@@ -87,46 +109,51 @@ def verify_group(
         for x in range(n):
             if not any(cayley[x][y] == identity and cayley[y][x] == identity for y in range(n)):
                 out.append(GroupViolation("inverse", (x,), f"element {x} has no two-sided inverse"))
-                if len(out) >= cap:
-                    return out[:cap]
+                if len(out) >= VIOLATION_CAP:
+                    return out[:VIOLATION_CAP]
 
     for x, y, z in product(range(n), repeat=3):
         if cayley[cayley[x][y]][z] != cayley[x][cayley[y][z]]:
             out.append(
                 GroupViolation("associativity", (x, y, z), f"(x*y)*z != x*(y*z) at ({x},{y},{z})")
             )
-            if len(out) >= cap:
-                return out[:cap]
+            if len(out) >= VIOLATION_CAP:
+                return out[:VIOLATION_CAP]
 
-    if generators is not None and not out and identity is not None:
-        gens = tuple(int(g) for g in generators)
+    if gens is not None and not out and identity is not None:
         if any(not (0 <= g < n) for g in gens):
             out.append(GroupViolation("generators", gens, "generator index out of range"))
         else:
-            reached = _closure(cayley, identity, gens)
+            reached = generator_words(cayley, identity, gens)
             if len(reached) != n:
                 out.append(
                     GroupViolation(
                         "generators", gens, f"generators reach only {len(reached)} of {n} elements"
                     )
                 )
-    return out[:cap]
+    return out[:VIOLATION_CAP]
 
 
-def _closure(cayley: Sequence[Sequence[int]], identity: int, seeds: Iterable[int]) -> set[int]:
-    reached = {identity}
+def generator_words(
+    cayley: Sequence[Sequence[int]], identity: int, gens: Iterable[int]
+) -> dict[int, tuple[int, ...]]:
+    """A shortest word in ``gens`` for every element they reach from the
+    identity by right multiplication, in breadth-first order, so the element
+    of every word's prefix comes before it. In a finite group the keys are
+    the subgroup the generators generate."""
+    gens = tuple(gens)
+    words = {identity: ()}
     frontier = [identity]
-    seeds = tuple(seeds)
     while frontier:
         nxt = []
         for x in frontier:
-            for g in seeds:
+            for g in gens:
                 y = cayley[x][g]
-                if y not in reached:
-                    reached.add(y)
+                if y not in words:
+                    words[y] = words[x] + (g,)
                     nxt.append(y)
         frontier = nxt
-    return reached
+    return words
 
 
 class FiniteGroup:
@@ -163,8 +190,8 @@ class FiniteGroup:
         element_names: Optional[Sequence[str]] = None,
     ) -> "FiniteGroup":
         rows = int_table(cayley, "cayley")
-        _check_order_bound(len(rows))
-        problems = verify_group(rows, generators=generators)
+        gens = int_row(generators, "generators") if generators is not None else None
+        problems = verify_group(rows, generators=gens)
         if problems:
             summary = "; ".join(v.message for v in problems[:4])
             raise ValidationError(f"{name!r} is not a valid group: {summary}")
@@ -172,7 +199,6 @@ class FiniteGroup:
             e for e in range(len(rows)) if all(rows[e][x] == x and rows[x][e] == x for x in range(len(rows)))
         )
         inverse = tuple(row.index(identity) for row in rows)
-        gens = tuple(int(g) for g in generators) if generators is not None else None
         names = tuple(element_names) if element_names is not None else None
         if names is not None and len(names) != len(rows):
             raise ValidationError("element_names length does not match group order")
@@ -239,7 +265,7 @@ def find_generators(group: FiniteGroup) -> tuple[int, ...]:
     while len(reached) < group.order:
         nxt = next(x for x in range(group.order) if x not in reached)
         gens.append(nxt)
-        reached = _closure(group.cayley, group.identity, gens)
+        reached = generator_words(group.cayley, group.identity, gens)
     return tuple(gens)
 
 
@@ -354,10 +380,10 @@ def make_semidirect(
     return _pair_product(H, K, sigma, name or f"{H.name}:{K.name}")
 
 
-def direct_product(A: FiniteGroup, B: FiniteGroup, name: Optional[str] = None) -> FiniteGroup:
-    """Direct product with the same pair encoding as make_semidirect."""
+def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
+    """Direct product, named AxB, with the same pair encoding as make_semidirect."""
     sigma = [list(range(A.order)) for _ in range(B.order)]
-    return _pair_product(A, B, sigma, name or f"{A.name}x{B.name}")
+    return _pair_product(A, B, sigma, f"{A.name}x{B.name}")
 
 
 def _pair_product(
@@ -378,20 +404,6 @@ def _pair_product(
         f"({H.element_name(h)},{K.element_name(x)})" for x in range(nK) for h in range(nH)
     )
     return FiniteGroup.from_table(name, cayley, generators=gens, element_names=names)
-
-
-# ---------------------------------------------------------------------------
-# free functions mirroring the table methods
-
-
-def conjugate(group: FiniteGroup, x: int, g: int) -> int:
-    """x g x^-1."""
-    return group.conj(x, g)
-
-
-def commutator(group: FiniteGroup, x: int, y: int) -> int:
-    """x y x^-1 y^-1."""
-    return group.comm(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -422,37 +434,26 @@ class Subgroup:
         mem = self._member_set
         return all(G.conj(g, s) in mem for g in range(G.order) for s in self.members)
 
-    def as_group(self, name: Optional[str] = None) -> FiniteGroup:
+    def as_group(self) -> FiniteGroup:
         """The subgroup as a standalone group, elements re-indexed in member order."""
         G = self.parent
         pos = {m: i for i, m in enumerate(self.members)}
         cayley = [[pos[G.cayley[a][b]] for b in self.members] for a in self.members]
-        label = name or f"{G.name}-sub{len(self.members)}"
         names = tuple(G.element_name(m) for m in self.members)
-        return FiniteGroup.from_table(label, cayley, element_names=names)
+        return FiniteGroup.from_table(f"{G.name}-sub{len(self.members)}", cayley, element_names=names)
 
 
 def subgroup_generated(group: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
-    """Closure of the seed set (plus identity) under products and inverses."""
-    members = {group.identity}
-    frontier = [group.identity]
-    seeds = sorted({int(s) for s in seeds} | {group.identity})
+    """Closure of the seed set (plus identity) under products and inverses.
+
+    Closing under products with the seeds suffices in a finite group, where
+    inverses are positive powers.
+    """
+    seeds = set(seeds)
     for s in seeds:
         if not (0 <= s < group.order):
             raise ValidationError(f"seed {s} out of range for {group.name}")
-    # closing under products with the seeds and their inverses suffices in a
-    # finite group (inverses are positive powers)
-    step = sorted(set(seeds) | {group.inverse[s] for s in seeds})
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in step:
-                y = group.cayley[x][s]
-                if y not in members:
-                    members.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return Subgroup(group, tuple(sorted(members)))
+    return Subgroup(group, tuple(sorted(generator_words(group.cayley, group.identity, seeds))))
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +470,7 @@ class GroupMap:
 
     @classmethod
     def make(cls, domain: FiniteGroup, codomain: FiniteGroup, images: Sequence[int]) -> "GroupMap":
-        imgs = tuple(int(v) for v in images)
+        imgs = int_row(images, "images")
         if len(imgs) != domain.order:
             raise ValidationError("image table length does not match domain order")
         if any(not (0 <= v < codomain.order) for v in imgs):
@@ -540,42 +541,34 @@ def _extend_from_generators(
     return tuple(val)
 
 
-def homomorphisms(domain: FiniteGroup, codomain: FiniteGroup) -> list[GroupMap]:
-    """All homomorphisms domain -> codomain, in image-table order."""
+def _generator_maps(domain: FiniteGroup, codomain: FiniteGroup, bijective: bool) -> Iterator[tuple[int, ...]]:
+    """Every homomorphism domain -> codomain as an image table, only the
+    bijections when ``bijective``.
+
+    The images of the domain's generators range, in product order, over the
+    codomain elements whose order divides the generator's order (equals it
+    when ``bijective``).
+    """
     gens = domain.generator_set()
-    if not gens:
-        return [GroupMap(domain, codomain, (codomain.identity,) * 1)] if domain.order == 1 else []
+    orders = [codomain.element_order(y) for y in range(codomain.order)]
     cand = []
     for g in gens:
         og = domain.element_order(g)
-        cand.append([y for y in range(codomain.order) if og % codomain.element_order(y) == 0])
-    found = []
+        cand.append([y for y, oy in enumerate(orders) if (oy == og if bijective else og % oy == 0)])
     for images in product(*cand):
         ext = _extend_from_generators(domain, codomain, gens, images)
-        if ext is not None:
-            found.append(ext)
-    found = sorted(set(found))
-    return [GroupMap(domain, codomain, t) for t in found]
+        if ext is not None and (not bijective or len(set(ext)) == domain.order == codomain.order):
+            yield ext
 
 
-def automorphisms(group: FiniteGroup, bound: int = DEFAULT_AUT_BOUND) -> list[GroupMap]:
-    """All automorphisms, found by matching generator images among elements of
-    equal order. Sorted by image table, so the identity map comes first."""
-    if group.order > bound:
-        raise BoundExceededError(f"automorphism search bound {bound} exceeded by order {group.order}")
-    n = group.order
-    if n == 1:
-        return [GroupMap(group, group, (0,))]
-    gens = group.generator_set()
-    orders = [group.element_order(x) for x in range(n)]
-    cand = [[y for y in range(n) if orders[y] == orders[g]] for g in gens]
-    found = []
-    for images in product(*cand):
-        ext = _extend_from_generators(group, group, gens, images)
-        if ext is not None and len(set(ext)) == n:
-            found.append(ext)
-    found = sorted(set(found))
-    return [GroupMap(group, group, t) for t in found]
+def homomorphisms(domain: FiniteGroup, codomain: FiniteGroup) -> list[GroupMap]:
+    """All homomorphisms domain -> codomain, in image-table order."""
+    return [GroupMap(domain, codomain, t) for t in sorted(_generator_maps(domain, codomain, False))]
+
+
+def automorphisms(group: FiniteGroup) -> list[GroupMap]:
+    """All automorphisms, sorted by image table, so the identity map comes first."""
+    return [GroupMap(group, group, t) for t in sorted(_generator_maps(group, group, True))]
 
 
 def endomorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
@@ -589,24 +582,20 @@ def endomorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
     return [m.images for m in homomorphisms(group, group)]
 
 
+def endomorphism_count(group: FiniteGroup) -> int:
+    """|End(H)| of an abelian group, without enumerating: the product of
+    gcd(d_i, d_j) over all pairs of invariant factors, since Hom(Z_a, Z_b)
+    has gcd(a, b) elements."""
+    factors = invariant_factors(group)
+    return prod(gcd(a, b) for a in factors for b in factors)
+
+
 def is_isomorphic(a: FiniteGroup, b: FiniteGroup) -> Optional[GroupMap]:
     """An explicit isomorphism a -> b, or None."""
-    if a.order != b.order:
+    if a.order != b.order or a.is_abelian != b.is_abelian or a.order_profile != b.order_profile:
         return None
-    if a.order > DEFAULT_AUT_BOUND:
-        raise BoundExceededError(f"isomorphism search unsupported above order {DEFAULT_AUT_BOUND}")
-    if a.is_abelian != b.is_abelian or a.order_profile != b.order_profile:
-        return None
-    if a.order == 1:
-        return GroupMap(a, b, (b.identity,))
-    gens = a.generator_set()
-    orders_b = [b.element_order(x) for x in range(b.order)]
-    cand = [[y for y in range(b.order) if orders_b[y] == a.element_order(g)] for g in gens]
-    for images in product(*cand):
-        ext = _extend_from_generators(a, b, gens, images)
-        if ext is not None and len(set(ext)) == a.order:
-            return GroupMap(a, b, ext)
-    return None
+    images = next(_generator_maps(a, b, True), None)
+    return GroupMap(a, b, images) if images is not None else None
 
 
 def invariant_factors(group: FiniteGroup) -> tuple[int, ...]:

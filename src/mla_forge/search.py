@@ -28,7 +28,6 @@ from .construction import (
     check_gamma_identities,
     check_theorem_conditions,
     decompose_bracket,
-    enumerate_bilinear_pairings,
     enumerate_pairing_tables,
     induced_star_table,
     semidirect_product,
@@ -36,16 +35,17 @@ from .construction import (
 )
 from .errors import BoundExceededError, ValidationError
 from .groups import (
+    HARD_ORDER_CAP,
     FiniteGroup,
     Subgroup,
     automorphisms,
     endomorphisms,
     find_generators,
+    generator_words,
     homomorphisms,
 )
 
 DEFAULT_NODE_BUDGET = 10_000_000
-HARD_ORDER_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -276,27 +276,18 @@ def enumerate_gamma(
     gens = find_generators(K)
     zero = (H.identity,) * H.order
     mul_h = H.cayley
-    mul_k = K.cayley
     sig = action.sigma
-    if not gens:
-        only = GammaMap.make(H, K, (zero,))
-        return [only] if not check_gamma_identities(action, only, star_k, max_violations=1) else []
-    order: list[int] = [K.identity]
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {K.identity}
-    for x in order:
-        for gi, g in enumerate(gens):
-            y = mul_k[x][g]
-            if y not in seen:
-                seen.add(y)
-                parent[y] = (x, gi)
-                order.append(y)
+    # y = x g for x the element of the prefix of y's word and g its last letter
+    steps = [
+        (y, K.cayley[y][K.inverse[w[-1]]], gens.index(w[-1]))
+        for y, w in generator_words(K.cayley, K.identity, gens).items()
+        if w
+    ]
     found = []
     for images in product(endos, repeat=len(gens)):
         gamma: list[Optional[tuple[int, ...]]] = [None] * K.order
         gamma[K.identity] = zero
-        for y in order[1:]:
-            x, gi = parent[y]
+        for y, x, gi in steps:
             gx = gamma[x]
             gg = images[gi]
             sx = sig[x]
@@ -313,9 +304,7 @@ def enumerate_pairings(
 ) -> list[PairingMap]:
     """Pairing maps compatible with the induction conditions; bilinear
     conjugation-invariant maps when the action is trivial."""
-    if action.is_trivial:
-        return enumerate_bilinear_pairings(K, H, alternating=True, conj_invariant=True)
-    return enumerate_pairing_tables(action, star_k, alternating=True, conj_invariant=True)
+    return enumerate_pairing_tables(action, star_k)
 
 
 def enumerate_induced(

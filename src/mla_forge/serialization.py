@@ -61,11 +61,12 @@ def group_from_doc(doc: Any) -> FiniteGroup:
     if not isinstance(doc, dict):
         raise ValidationError("group document must be a JSON object")
     name = doc.get("name")
-    if not isinstance(name, str):
-        raise ValidationError("group document needs a string 'name'")
+    # a lone surrogate is a valid JSON escape but cannot be printed as UTF-8
+    if not isinstance(name, str) or any("\ud800" <= c <= "\udfff" for c in name):
+        raise ValidationError("group document needs a string 'name' of Unicode text")
     cayley = _expect_table(doc, "cayley")
     order = doc.get("order")
-    if order != len(cayley):
+    if not isinstance(order, int) or isinstance(order, bool) or order != len(cayley):
         raise ValidationError(f"declared order {order} does not match table size {len(cayley)}")
     generators = doc.get("generators")
     return FiniteGroup.from_table(name, cayley, generators=generators)

@@ -5,7 +5,7 @@ and map searches scan the whole function space."""
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from mla_forge.brackets import verify_mla
 from mla_forge.groups import FiniteGroup
@@ -213,3 +213,61 @@ def direct_induced_table(H: FiniteGroup, K: FiniteGroup, star_k, gamma, beta):
         value = mul[mul[gamma[x][k]][gamma[y][inv[h]]]][beta[x][y]]
         table[h + H.order * x][k + H.order * y] = value + H.order * star_k[x][y]
     return tuple(tuple(row) for row in table)
+
+
+def structure_constant_tables(group: FiniteGroup, p: int):
+    """Every bracket table on an elementary abelian p-group, as the Lie
+    algebra structures on F_p^d.
+
+    On an abelian group A2 and A3 say the bracket is biadditive, hence
+    F_p-bilinear, A1 that it is alternating, A4 is the Jacobi identity and
+    A5 holds trivially. So: choose [e_i, e_j] in F_p^d for every i < j, keep
+    the choices that satisfy Jacobi on every basis triple (Jacobi is
+    trilinear and alternating), and transport each along a basis of the
+    group found greedily.
+    """
+    n, e = group.order, group.identity
+    basis, span = [], {e}
+    for x in range(n):
+        if x not in span:
+            basis.append(x)
+            powers = [e]
+            for _ in range(p - 1):
+                powers.append(group.mul(powers[-1], x))
+            span = {group.mul(s, t) for s in span for t in powers}
+    d = len(basis)
+    assert n == p ** d, "not an elementary abelian p-group"
+
+    def element(v):
+        out = e
+        for b, c in zip(basis, v):
+            for _ in range(c):
+                out = group.mul(out, b)
+        return out
+
+    vectors = list(product(range(p), repeat=d))
+    elem = {v: element(v) for v in vectors}
+    coords = {x: v for v, x in elem.items()}
+    assert len(coords) == n
+    units = [tuple(int(k == i) for k in range(d)) for i in range(d)]
+    pairs = list(combinations(range(d), 2))
+
+    tables = set()
+    for constants in product(vectors, repeat=len(pairs)):
+        c = dict(zip(pairs, constants))
+
+        def bracket(u, v):
+            out = [0] * d
+            for (i, j), w in c.items():
+                coef = u[i] * v[j] - u[j] * v[i]
+                out = [(o + coef * wk) % p for o, wk in zip(out, w)]
+            return tuple(out)
+
+        def jacobi(a, b, z):
+            terms = (bracket(bracket(a, b), z), bracket(bracket(b, z), a), bracket(bracket(z, a), b))
+            return all(sum(t[k] for t in terms) % p == 0 for k in range(d))
+
+        if all(jacobi(units[i], units[j], units[k]) for i, j, k in combinations(range(d), 3)):
+            table = tuple(tuple(elem[bracket(coords[x], coords[y])] for y in range(n)) for x in range(n))
+            tables.add(table)
+    return sorted(tables)

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -16,6 +17,7 @@ from mla_forge.brackets import (
 from mla_forge.errors import BoundExceededError, ValidationError
 from mla_forge.groups import (
     direct_product,
+    endomorphism_count,
     endomorphisms,
     identify_small_group,
     make_cyclic,
@@ -284,6 +286,31 @@ def test_end_mla_rejects_nonabelian_and_oversize():
     big = direct_product(direct_product(make_cyclic(2), make_cyclic(2)), make_cyclic(2))
     with pytest.raises(BoundExceededError):
         end_mla(big)  # 512 endomorphisms
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [(2,), (4,), (6,), (2, 2), (2, 4), (2, 6), (2, 2, 2)],
+    ids=lambda f: "x".join(f"Z{d}" for d in f),
+)
+def test_endomorphism_count_matches_enumeration(factors):
+    group = make_cyclic(factors[0])
+    for d in factors[1:]:
+        group = direct_product(group, make_cyclic(d))
+    assert endomorphism_count(group) == len(endomorphisms(group))
+
+
+def test_end_mla_checks_its_bound_before_enumerating():
+    z2 = make_cyclic(2)
+    big = direct_product(direct_product(direct_product(z2, z2), z2), z2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceededError, match=r"End\(.*\) has 65536 elements"):
+            end_mla(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_derived_label_identification():

@@ -48,6 +48,13 @@ def test_bad_preset_is_input_error(capsys):
     assert "error" in err
 
 
+def test_preset_with_more_digits_than_int_converts_is_input_error(capsys):
+    code, out, err = run(capsys, "enumerate", "--group", "Z" + "9" * 5000)
+    assert code == 2
+    assert out == ""
+    assert "exceeds supported bound" in err
+
+
 # -- verify ---------------------------------------------------------------------
 
 
@@ -159,6 +166,37 @@ def test_group_file_with_non_integer_entries_is_input_error(tmp_path, capsys, en
     assert "not an integer" in err
 
 
+def test_group_file_with_a_surrogate_in_its_name_is_input_error(tmp_path, capsys):
+    path = tmp_path / "z1.json"
+    path.write_text('{"name": "\\ud800", "order": 1, "cayley": [[0]]}')
+    code, out, err = run(capsys, "enumerate", "--group", str(path))
+    assert code == 2
+    assert out == ""
+    assert "name" in err
+
+
+@pytest.mark.parametrize("order", [True, 1.0, "1"], ids=["bool", "float", "string"])
+def test_group_file_with_non_integer_order_is_input_error(tmp_path, capsys, order):
+    path = tmp_path / "z1.json"
+    path.write_text(json.dumps({"name": "Z1", "order": order, "cayley": [[0]]}))
+    code, out, err = run(capsys, "enumerate", "--group", str(path))
+    assert code == 2
+    assert out == ""
+    assert "declared order" in err
+
+
+@pytest.mark.parametrize("command", ["enumerate", "verify"])
+@pytest.mark.parametrize("generators", [["x"], [1.9], [True], 5], ids=["string", "float", "bool", "scalar"])
+def test_group_file_with_non_integer_generators_is_input_error(tmp_path, capsys, command, generators):
+    path = tmp_path / "z2.json"
+    doc = {"name": "Z2", "order": 2, "cayley": [[0, 1], [1, 0]], "generators": generators}
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, "--group", str(path))
+    assert code == 2
+    assert out == ""
+    assert "generators" in err
+
+
 def test_enumerate_emits_item_files(tmp_path, capsys):
     out_dir = tmp_path / "items"
     code, _, _ = run(capsys, "enumerate", "--group", "D3", "--emit", str(out_dir))
@@ -246,6 +284,16 @@ def test_decompose_wrong_ideal_rejected(tmp_path, capsys):
         "0,1,2",
     )
     assert code == 2
+
+
+def test_decompose_non_numeric_ideal_is_input_error(tmp_path, capsys):
+    io.save_bracket(trivial_bracket(parse_preset("Z3xZ2")), tmp_path / "b.json")
+    code, out, err = run(
+        capsys, "decompose", "--group", "Z3xZ2", "--bracket", str(tmp_path / "b.json"), "--ideal", "a,b"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--ideal" in err
 
 
 def test_decompose_emit_component_files(tmp_path, capsys):

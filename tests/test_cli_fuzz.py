@@ -1,0 +1,93 @@
+"""Fuzz the command line: whatever the presets, group files, budget variable
+and ``--ideal`` lists say, ``main`` returns one of the documented exit codes
+and lets no exception escape."""
+
+import contextlib
+import io as stdio
+import json
+import os
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mla_forge import serialization as io
+from mla_forge.brackets import commutator_bracket
+from mla_forge.cli import BUDGET_ENV, main, parse_preset
+
+EXIT_CODES = {0, 1, 2, 3}
+# Derandomized, so a suite run passes or fails the same way every time.
+FUZZ = settings(max_examples=80, deadline=None, database=None, derandomize=True)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 70) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+VALID_DOCS = [io.group_to_doc(parse_preset(spec)) for spec in ("Z1", "Z2", "Z3", "Z2xZ2")]
+FIELDS = ("name", "order", "cayley", "generators")
+
+
+@st.composite
+def group_documents(draw):
+    """A valid group document with one field replaced by any JSON value."""
+    doc = dict(draw(st.sampled_from(VALID_DOCS)))
+    doc[draw(st.sampled_from(FIELDS))] = draw(json_values)
+    return doc
+
+
+presets = st.one_of(
+    st.from_regex(r"[ZDQ][0-9]{1,2}(x[ZDQ][0-9]{1,2}){0,2}", fullmatch=True),
+    st.text(alphabet="ZDQx:0123456789", max_size=10),
+)
+env_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=8)
+
+
+def run(*argv):
+    with contextlib.redirect_stdout(stdio.StringIO()), contextlib.redirect_stderr(stdio.StringIO()):
+        return main(list(argv))
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    io.save_bracket(commutator_bracket(parse_preset("Z3xZ2")), path / "bracket.json")
+    return path
+
+
+@FUZZ
+@given(spec=presets)
+def test_any_preset(spec):
+    assert run("enumerate", f"--group={spec}", "--node-budget=50") in EXIT_CODES
+
+
+@FUZZ
+@given(h=presets, k=presets, sigma=st.one_of(json_values, st.fixed_dictionaries({"sigma": json_values})))
+def test_any_split_preset(workdir, h, k, sigma):
+    path = workdir / "sigma.json"
+    path.write_text(json.dumps(sigma))
+    assert run("enumerate", f"--group={h}:{k}:sigma={path}", "--node-budget=50") in EXIT_CODES
+
+
+@pytest.mark.parametrize("command", [("enumerate", "--node-budget=50"), ("verify",)], ids=lambda c: c[0])
+@FUZZ
+@given(doc=st.one_of(group_documents(), json_values))
+def test_any_group_document(workdir, command, doc):
+    path = workdir / "group.json"
+    path.write_text(json.dumps(doc))
+    assert run(command[0], f"--group={path}", *command[1:]) in EXIT_CODES
+
+
+@FUZZ
+@given(value=st.one_of(st.integers(-3, 10**12).map(str), env_text))
+def test_any_budget_variable(value):
+    with mock.patch.dict(os.environ, {BUDGET_ENV: value}):
+        assert run("enumerate", "--group=D3") in EXIT_CODES
+
+
+@FUZZ
+@given(ideal=st.one_of(st.from_regex(r"[0-9]{1,2}(,[0-9]{1,2}){0,3}", fullmatch=True), st.text(max_size=8)))
+def test_any_ideal_list(workdir, ideal):
+    code = run("decompose", "--group=Z3xZ2", f"--bracket={workdir / 'bracket.json'}", f"--ideal={ideal}")
+    assert code in EXIT_CODES

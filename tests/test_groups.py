@@ -11,8 +11,6 @@ from mla_forge.groups import (
     GroupMap,
     abelian_label,
     automorphisms,
-    commutator,
-    conjugate,
     direct_product,
     endomorphisms,
     find_generators,
@@ -188,19 +186,19 @@ def test_verify_group_accepts_valid():
 def test_conjugate_commutator_abelian():
     g = make_cyclic(6)
     for x, y in product(range(6), repeat=2):
-        assert conjugate(g, x, y) == y
-        assert commutator(g, x, y) == 0
+        assert g.conj(x, y) == y
+        assert g.comm(x, y) == 0
 
 
 def test_d4_commutator_of_generators():
     g = make_dihedral(4)
     a, b = 4, 1
-    assert commutator(g, a, b) == 2  # b^2
+    assert g.comm(a, b) == 2  # b^2
 
 
 def test_s3_commutator_subgroup_has_order_three():
     g = make_dihedral(3)
-    comms = {commutator(g, x, y) for x in range(6) for y in range(6)}
+    comms = {g.comm(x, y) for x in range(6) for y in range(6)}
     assert subgroup_generated(g, comms).order == 3
 
 
@@ -245,9 +243,13 @@ def test_presets_check_the_order_bound_before_building():
         make_quaternion(17)
 
 
-def test_automorphism_bound():
+def test_tables_above_the_order_bound_are_rejected_before_checking():
+    n = 65
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
     with pytest.raises(BoundExceededError):
-        automorphisms(make_cyclic(9), bound=8)
+        verify_group(table)
+    with pytest.raises(BoundExceededError):
+        FiniteGroup.from_table("Z65", table)
 
 
 # -- subgroups -----------------------------------------------------------------
@@ -361,9 +363,9 @@ def test_endomorphisms_reject_nonabelian():
 @given(st.integers(min_value=0, max_value=15), st.integers(min_value=0, max_value=15), st.integers(min_value=0, max_value=15))
 def test_conjugation_is_action_property(x, y, g):
     grp = make_dihedral(8)
-    assert conjugate(grp, 0, g) == g
-    lhs = conjugate(grp, x, conjugate(grp, y, g))
-    rhs = conjugate(grp, grp.mul(x, y), g)
+    assert grp.conj(0, g) == g
+    lhs = grp.conj(x, grp.conj(y, g))
+    rhs = grp.conj(grp.mul(x, y), g)
     assert lhs == rhs
 
 

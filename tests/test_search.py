@@ -7,6 +7,7 @@ from mla_forge.brackets import (
     trivial_bracket,
     verify_mla,
 )
+from mla_forge.cli import parse_preset
 from mla_forge.construction import Action, check_gamma_identities
 from mla_forge.errors import BoundExceededError, ValidationError
 from mla_forge.groups import (
@@ -29,7 +30,7 @@ from mla_forge.search import (
     verify_coprime_determination,
 )
 
-from oracle import naive_bracket_tables
+from oracle import bijection_scan_automorphisms, naive_bracket_tables, structure_constant_tables
 
 
 def order_le_six_groups():
@@ -59,6 +60,44 @@ def test_enumerate_oracle_also_agrees_at_order_eight():
     for g in (make_dihedral(4), make_quaternion(2)):
         engine = [b.star for b in enumerate_brackets(g).items]
         assert engine == naive_bracket_tables(g), g.name
+
+
+@pytest.mark.parametrize("spec, p, count", [("Z2xZ2", 2, 4), ("Z3xZ3", 3, 9), ("Z2xZ2xZ2", 2, 120)])
+def test_enumerate_matches_structure_constant_oracle(spec, p, count):
+    g = parse_preset(spec)
+    oracle = structure_constant_tables(g, p)
+    assert len(oracle) == count
+    assert [b.star for b in enumerate_brackets(g).items] == oracle
+
+
+@pytest.mark.parametrize("spec", ["D3", "D4", "Q8", "Z2xZ2xZ2", "Z3xZ3"])
+def test_orbit_stabilizer_counts(spec):
+    """Under Aut x reversal every orbit of the raw set has size 2|Aut| /
+    |stabilizer|; the orbits partition the raw set, one per class."""
+    g = parse_preset(spec)
+    result = enumerate_brackets(g)
+    tables = {b.star for b in result.items}
+    autos = bijection_scan_automorphisms(g)
+    n = g.order
+
+    def image(f, t, reverse):
+        out = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                out[f[x]][f[y]] = f[t[y][x] if reverse else t[x][y]]
+        return tuple(tuple(row) for row in out)
+
+    orbits = []
+    for t in sorted(tables):
+        if any(t in orbit for orbit in orbits):
+            continue
+        images = [image(f, t, reverse) for f in autos for reverse in (False, True)]
+        orbit = set(images)
+        assert orbit <= tables
+        assert len(orbit) * images.count(t) == 2 * len(autos)
+        orbits.append(orbit)
+    assert sum(len(orbit) for orbit in orbits) == result.raw_count
+    assert len(orbits) == result.class_count
 
 
 def test_enumerate_counts():
