@@ -5,8 +5,7 @@ induction on split products, exhaustive enumeration and classification."""
 from .brackets import (
     LieBracket,
     MlaViolation,
-    bracket_equivalent,
-    bracket_equivalent_mod_reversal,
+    bracket_orbit,
     commutator_bracket,
     derived_subalgebra,
     end_mla,

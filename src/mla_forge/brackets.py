@@ -219,52 +219,6 @@ def is_ideal(bracket: LieBracket, sub: Union[Subgroup, Iterable[int]]) -> bool:
     return True
 
 
-def bracket_equivalent(first: LieBracket, second: LieBracket) -> Optional[GroupMap]:
-    """An automorphism f with f(x *1 y) = f(x) *2 f(y) for all x, y, or None."""
-    _require_same_group(first, second)
-    for phi in automorphisms(first.group):
-        if _intertwines(phi.images, first.star, second.star):
-            return phi
-    return None
-
-
-def bracket_equivalent_mod_reversal(first: LieBracket, second: LieBracket) -> Optional[tuple[GroupMap, bool]]:
-    """Like bracket_equivalent, but also allows swapping argument order.
-
-    Returns (map, reversed) where reversed says the map matches ``first``
-    against the reversal of ``second``. Structure counting uses this coarser
-    relation: a bracket and its reversal describe the same structure.
-    """
-    _require_same_group(first, second)
-    rev = reverse_bracket(second).star
-    for phi in automorphisms(first.group):
-        if _intertwines(phi.images, first.star, second.star):
-            return phi, False
-        if _intertwines(phi.images, first.star, rev):
-            return phi, True
-    return None
-
-
-def _require_same_group(first: LieBracket, second: LieBracket) -> None:
-    if first.group.cayley != second.group.cayley:
-        raise ValidationError("brackets live on different groups")
-
-
-def _intertwines(
-    images: tuple[int, ...],
-    star1: tuple[tuple[int, ...], ...],
-    star2: tuple[tuple[int, ...], ...],
-) -> bool:
-    n = len(images)
-    for x in range(n):
-        fx = images[x]
-        row = star1[x]
-        for y in range(n):
-            if images[row[y]] != star2[fx][images[y]]:
-                return False
-    return True
-
-
 def pushforward_table(
     images: tuple[int, ...], star: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[int, ...], ...]:
@@ -276,19 +230,20 @@ def pushforward_table(
     return tuple(tuple(images[star[pre[x]][pre[y]]] for y in range(n)) for x in range(n))
 
 
-def canonical_bracket_key(
-    bracket: LieBracket,
-    autos: Optional[Sequence[GroupMap]] = None,
-    include_reversal: bool = True,
-) -> tuple[tuple[int, ...], ...]:
-    """Lexicographically smallest table over the automorphism orbit, optionally
-    also over argument reversal. Equal keys mean equivalent brackets."""
+def bracket_orbit(
+    bracket: LieBracket, autos: Optional[Sequence[GroupMap]] = None
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The tables equivalent to ``bracket``: its image under every
+    automorphism, and the image of its argument reversal.
+
+    Two brackets on a group are the same structure exactly when one's table
+    is in the other's orbit. Images are yielded one at a time, with
+    repetitions, so a caller can test them without holding the orbit.
+    """
     if autos is None:
         autos = automorphisms(bracket.group)
-    tables = [bracket.star]
-    if include_reversal:
-        tables.append(reverse_bracket(bracket).star)
-    return min(pushforward_table(phi.images, t) for phi in autos for t in tables)
+    tables = (bracket.star, reverse_bracket(bracket).star)
+    return (pushforward_table(phi.images, t) for phi in autos for t in tables)
 
 
 def end_mla(group: FiniteGroup) -> tuple[FiniteGroup, LieBracket]:

@@ -32,6 +32,7 @@ from .construction import (
 from .errors import (
     BoundExceededError,
     ConditionsViolatedError,
+    InvalidGroupError,
     MlaForgeError,
     NotIdealError,
     ReconstructionMismatchError,
@@ -44,7 +45,6 @@ from .groups import (
     make_cyclic,
     make_dihedral,
     make_quaternion,
-    verify_group,
 )
 from .scenarios import catalog, run_scenarios
 from .search import DEFAULT_NODE_BUDGET, SearchConfig, enumerate_brackets
@@ -160,19 +160,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if _is_preset(args.group):
         group = parse_preset(args.group)
     else:
-        raw = json.loads(Path(args.group).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict) or "cayley" not in raw:
-            raise ValidationError("group document must be an object with a 'cayley' table")
-        table = raw["cayley"]
-        group_problems = verify_group(table, generators=raw.get("generators"))
-        if group_problems:
+        try:
+            group = io.load_group(args.group)
+        except InvalidGroupError as exc:
             doc = [
                 {"axiom": v.axiom, "witness": list(v.witness), "message": v.message}
-                for v in group_problems
+                for v in exc.violations
             ]
-            _emit(args, [v.message for v in group_problems], doc)
+            _emit(args, [v.message for v in exc.violations], doc)
             return EXIT_MATH
-        group = io.group_from_doc(raw)
 
     if args.bracket is None:
         _emit(args, ["group ok"], {"violations": []})

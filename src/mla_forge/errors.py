@@ -11,6 +11,17 @@ class ValidationError(MlaForgeError, ValueError):
     """An input object violates a structural invariant (bad table, bad map, ...)."""
 
 
+class InvalidGroupError(ValidationError):
+    """A Cayley table fails the group axioms.
+
+    Carries the violations ``verify_group`` found, so callers can report them.
+    """
+
+    def __init__(self, message: str, violations: list):
+        self.violations = violations
+        super().__init__(message)
+
+
 class BoundExceededError(MlaForgeError):
     """A configured size bound (group order, automorphism bound) was exceeded."""
 

@@ -8,7 +8,7 @@ from itertools import product
 from math import gcd, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import BoundExceededError, ValidationError
+from .errors import BoundExceededError, InvalidGroupError, ValidationError
 
 # Size limits, each defined and checked in one place.
 #
@@ -194,7 +194,7 @@ class FiniteGroup:
         problems = verify_group(rows, generators=gens)
         if problems:
             summary = "; ".join(v.message for v in problems[:4])
-            raise ValidationError(f"{name!r} is not a valid group: {summary}")
+            raise InvalidGroupError(f"{name!r} is not a valid group: {summary}", problems)
         identity = next(
             e for e in range(len(rows)) if all(rows[e][x] == x and rows[x][e] == x for x in range(len(rows)))
         )

@@ -10,8 +10,7 @@ from .errors import ValidationError
 
 from .brackets import (
     LieBracket,
-    bracket_equivalent_mod_reversal,
-    canonical_bracket_key,
+    bracket_orbit,
     commutator_bracket,
     derived_subalgebra,
     end_mla,
@@ -92,7 +91,7 @@ def _run_d4_enumeration(config: SearchConfig) -> ScenarioOutcome:
     cells = sorted(br.star[a][b] for br in res.items)
     by_class: dict[tuple, set[int]] = {}
     for br in res.items:
-        by_class.setdefault(canonical_bracket_key(br), set()).add(br.star[a][b])
+        by_class.setdefault(min(bracket_orbit(br)), set()).add(br.star[a][b])
     class_cells = sorted(tuple(sorted(v)) for v in by_class.values())
     expected = {
         "raw_count": 4,
@@ -159,15 +158,10 @@ def _run_s3_construction(config: SearchConfig) -> ScenarioOutcome:
                 brackets.append((gamma, induce_bracket(data, check=False)))
     nonzero = [(g, b) for g, b in brackets if not g.is_zero()]
     all_valid = all(not verify_mla(G, b) for _, b in brackets)
-    nonzero_equiv_comm = all(
-        bracket_equivalent_mod_reversal(b, comm) is not None for _, b in nonzero
-    )
+    comm_orbit = set(bracket_orbit(comm))
+    nonzero_equiv_comm = all(b.star in comm_orbit for _, b in nonzero)
     # structure classes: the trivial one plus the inequivalent nonzero ones
-    distinct: list[LieBracket] = []
-    for _, b in nonzero:
-        if all(bracket_equivalent_mod_reversal(b, d) is None for d in distinct):
-            distinct.append(b)
-    structure_classes = 1 + len(distinct)
+    structure_classes = 1 + len({min(bracket_orbit(b)) for _, b in nonzero})
     decomposed = decompose_bracket(action, comm)
     roundtrip = induced_star_table(decomposed) == comm.star
     expected = {

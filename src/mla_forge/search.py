@@ -3,7 +3,11 @@ and induced structures, with classification up to equivalence.
 
 Equivalence for counting: two brackets on the same group are one structure
 when an automorphism carries one to the other or to its argument reversal
-(y*x = (x*y)^-1 in any valid bracket, so reversal is a canonical involution).
+(y*x = (x*y)^-1 in any valid bracket, so reversal is a canonical involution),
+that is, when one's table lies in the other's ``brackets.bracket_orbit``.
+Classification sweeps the sorted tables once and marks each orbit as it
+goes, so it serves both closed sets (every bracket on a group) and sets
+that Aut does not preserve (induced brackets with a fixed split).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Optional, Sequence
 
 from .brackets import (
     LieBracket,
-    canonical_bracket_key,
+    bracket_orbit,
     end_mla,
     is_ideal,
     verify_mla,
@@ -227,14 +231,22 @@ class _StarTableSearch:
 def _classify(
     group: FiniteGroup, tables: Sequence[tuple[tuple[int, ...], ...]]
 ) -> tuple[list[tuple[tuple[int, ...], ...]], int]:
-    """Class representatives (lex-least member per class) and the class count."""
+    """Class representatives (lex-least member per class) and the class count.
+
+    ``tables`` must be sorted and distinct; it need not be closed under
+    Aut or reversal. The sweep makes each table not yet assigned a
+    representative and assigns every member of its orbit found in the set.
+    A smaller member of the same class would have been swept first, so
+    each representative is the least member of its class.
+    """
     autos = automorphisms(group)
-    buckets: dict[tuple, list] = {}
+    unassigned = set(tables)
+    reps = []
     for t in tables:
-        key = canonical_bracket_key(LieBracket(group, t), autos=autos)
-        buckets.setdefault(key, []).append(t)
-    reps = sorted(min(members) for members in buckets.values())
-    return reps, len(buckets)
+        if t in unassigned:
+            reps.append(t)
+            unassigned.difference_update(bracket_orbit(LieBracket(group, t), autos))
+    return reps, len(reps)
 
 
 def enumerate_brackets(group: FiniteGroup, config: Optional[SearchConfig] = None) -> EnumerationResult:

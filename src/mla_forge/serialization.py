@@ -58,18 +58,22 @@ def group_to_doc(group: FiniteGroup) -> dict:
 
 
 def group_from_doc(doc: Any) -> FiniteGroup:
+    """The group a document describes.
+
+    The table is checked first, so a table that is not a group raises
+    InvalidGroupError, with its violations, whatever else the document holds.
+    """
     if not isinstance(doc, dict):
         raise ValidationError("group document must be a JSON object")
     name = doc.get("name")
+    group = FiniteGroup.from_table(name, doc.get("cayley"), generators=doc.get("generators"))
     # a lone surrogate is a valid JSON escape but cannot be printed as UTF-8
     if not isinstance(name, str) or any("\ud800" <= c <= "\udfff" for c in name):
         raise ValidationError("group document needs a string 'name' of Unicode text")
-    cayley = _expect_table(doc, "cayley")
     order = doc.get("order")
-    if not isinstance(order, int) or isinstance(order, bool) or order != len(cayley):
-        raise ValidationError(f"declared order {order} does not match table size {len(cayley)}")
-    generators = doc.get("generators")
-    return FiniteGroup.from_table(name, cayley, generators=generators)
+    if not isinstance(order, int) or isinstance(order, bool) or order != group.order:
+        raise ValidationError(f"declared order {order} does not match table size {group.order}")
+    return group
 
 
 def load_group(path: Union[str, Path]) -> FiniteGroup:

@@ -1,11 +1,12 @@
 """Independent naive reference implementations used to cross-check the
 optimized engines. Deliberately unoptimized and structured differently:
 tables are built by recursive word expansion with no constraint propagation,
-and map searches scan the whole function space."""
+and map searches scan the function space (the bijection scan drops a partial
+map only once a product it fixes fails)."""
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 from mla_forge.brackets import verify_mla
 from mla_forge.groups import FiniteGroup
@@ -75,27 +76,61 @@ def naive_bracket_tables(group: FiniteGroup):
 
 
 def bijection_scan_automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
-    """All automorphisms by scanning every identity-fixing bijection."""
-    n = group.order
-    e = group.identity
-    rest = [x for x in range(n) if x != e]
+    """All automorphisms by scanning every identity-fixing bijection.
+
+    Elements are mapped one at a time in index order, and a partial
+    bijection is dropped as soon as it breaks a product x y = z whose three
+    elements it maps. Each product is checked when the last of its elements
+    is mapped, so every complete bijection left is an automorphism.
+    """
+    n, e, mul, inv = group.order, group.identity, group.cayley, group.inverse
+    images = [-1] * n
+    images[e] = e
+    used = [v == e for v in range(n)]
     out = []
-    for perm in permutations(rest):
-        images = [0] * n
-        images[e] = e
-        for slot, val in zip(rest, perm):
-            images[slot] = val
-        ok = True
+
+    def preserves(x: int) -> bool:
+        fx = images[x]
         for a in range(n):
-            for b in range(n):
-                if images[group.cayley[a][b]] != group.cayley[images[a]][images[b]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+            fa = images[a]
+            if fa < 0:
+                continue
+            for p, q, fp, fq in ((a, x, fa, fx), (x, a, fx, fa)):
+                fpq = images[mul[p][q]]
+                if fpq >= 0 and fpq != mul[fp][fq]:
+                    return False
+            fb = images[mul[inv[a]][x]]  # a b = x
+            if fb >= 0 and fx != mul[fa][fb]:
+                return False
+        return True
+
+    def scan(i: int) -> None:
+        if i == n:
             out.append(tuple(images))
+            return
+        if i == e:
+            scan(i + 1)
+            return
+        for v in range(n):
+            if not used[v]:
+                images[i], used[v] = v, True
+                if preserves(i):
+                    scan(i + 1)
+                images[i], used[v] = -1, False
+
+    scan(0)
     return sorted(out)
+
+
+def relabel_table(images, table, reverse=False):
+    """The table carried along the bijection ``images``, after swapping its
+    arguments when ``reverse`` is set."""
+    n = len(images)
+    out = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[images[x]][images[y]] = images[table[y][x] if reverse else table[x][y]]
+    return tuple(tuple(row) for row in out)
 
 
 def map_scan_endomorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:

@@ -4,18 +4,19 @@ from itertools import product
 import pytest
 
 from mla_forge.brackets import (
-    bracket_equivalent,
-    bracket_equivalent_mod_reversal,
+    bracket_orbit,
     commutator_bracket,
     derived_subalgebra,
     end_mla,
     is_ideal,
+    pushforward_table,
     reverse_bracket,
     trivial_bracket,
     verify_mla,
 )
 from mla_forge.errors import BoundExceededError, ValidationError
 from mla_forge.groups import (
+    automorphisms,
     direct_product,
     endomorphism_count,
     endomorphisms,
@@ -150,47 +151,37 @@ def test_is_ideal_rejects_non_normal():
 
 def test_equivalent_identical_brackets():
     g = make_dihedral(3)
-    m = bracket_equivalent(commutator_bracket(g), commutator_bracket(g))
-    assert m is not None
-    assert m.images == tuple(range(6))
+    for br in (trivial_bracket(g), commutator_bracket(g)):
+        assert br.star in set(bracket_orbit(br))
+    # the identity automorphism carries the commutator bracket to itself
+    comm = commutator_bracket(g)
+    assert pushforward_table(tuple(range(6)), comm.star) == comm.star
 
 
 def test_trivial_not_equivalent_to_commutator():
     g = make_dihedral(3)
-    assert bracket_equivalent(trivial_bracket(g), commutator_bracket(g)) is None
+    trivial, comm = trivial_bracket(g), commutator_bracket(g)
+    assert comm.star not in set(bracket_orbit(trivial))
+    assert trivial.star not in set(bracket_orbit(comm))
 
 
 def test_d4_seed_b_vs_b3_reversal_equivalence():
     # the two structures seeded a*b = b and a*b = b^3 are each other's
-    # reversal; no automorphism intertwines them covariantly, but the
+    # reversal; no automorphism carries one to the other, but the
     # automorphism b -> b^3 does once arguments are swapped
     from mla_forge.search import enumerate_brackets
 
     g = make_dihedral(4)
+    autos = automorphisms(g)
     items = enumerate_brackets(g).items
     by_cell = {br.star[4][1]: br for br in items}
     b1, b3 = by_cell[1], by_cell[3]
-    assert bracket_equivalent(b1, b3) is None
-    found = bracket_equivalent_mod_reversal(b1, b3)
-    assert found is not None
-    phi, reversed_flag = found
-    assert reversed_flag
-    rev = reverse_bracket(b3).star
-    assert all(
-        phi.images[b1.star[x][y]] == rev[phi.images[x]][phi.images[y]]
-        for x in range(8)
-        for y in range(8)
-    )
+    assert b3.star in set(bracket_orbit(b1, autos))
+    assert b3.star not in {pushforward_table(phi.images, b1.star) for phi in autos}
     assert reverse_bracket(b1).star == b3.star
     # the automorphism b -> b^3, a -> a also carries one to the other's reversal
-    from mla_forge.groups import automorphisms
-
-    flip = next(m for m in automorphisms(g) if m.images[1] == 3 and m.images[4] == 4)
-    assert all(
-        flip.images[b1.star[x][y]] == rev[flip.images[x]][flip.images[y]]
-        for x in range(8)
-        for y in range(8)
-    )
+    flip = next(m for m in autos if m.images[1] == 3 and m.images[4] == 4)
+    assert pushforward_table(flip.images, b1.star) == reverse_bracket(b3).star
 
 
 def test_equivalence_is_equivalence_relation():
@@ -198,21 +189,17 @@ def test_equivalence_is_equivalence_relation():
 
     g = make_dihedral(4)
     items = enumerate_brackets(g).items
+    orbit = {x.star: set(bracket_orbit(x)) for x in items}
     for x in items:
-        assert bracket_equivalent_mod_reversal(x, x) is not None
+        assert x.star in orbit[x.star]
     for x in items:
         for y in items:
-            assert (bracket_equivalent_mod_reversal(x, y) is None) == (
-                bracket_equivalent_mod_reversal(y, x) is None
-            )
+            assert (y.star in orbit[x.star]) == (x.star in orbit[y.star])
     for x in items:
         for y in items:
             for z in items:
-                xy = bracket_equivalent_mod_reversal(x, y) is not None
-                yz = bracket_equivalent_mod_reversal(y, z) is not None
-                xz = bracket_equivalent_mod_reversal(x, z) is not None
-                if xy and yz:
-                    assert xz
+                if y.star in orbit[x.star] and z.star in orbit[y.star]:
+                    assert z.star in orbit[x.star]
 
 
 def test_reversal_is_pointwise_inverse_on_valid_brackets():
@@ -222,11 +209,6 @@ def test_reversal_is_pointwise_inverse_on_valid_brackets():
     assert all(
         rev.star[x][y] == g.inv(br.star[x][y]) for x in range(6) for y in range(6)
     )
-
-
-def test_equivalent_requires_same_group():
-    with pytest.raises(ValidationError):
-        bracket_equivalent(trivial_bracket(make_cyclic(4)), trivial_bracket(make_cyclic(5)))
 
 
 # -- endomorphism structure ---------------------------------------------------------

@@ -73,6 +73,26 @@ def test_verify_group_file_with_violations(tmp_path, capsys):
     assert "not a permutation" in out
 
 
+def test_verify_group_file_checks_the_table_once(tmp_path, capsys, monkeypatch):
+    from mla_forge import cli, groups
+
+    calls = []
+    original = groups.verify_group
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    path = tmp_path / "d3.json"
+    io.save_group(make_dihedral(3), path)
+    for module in (groups, cli):
+        if getattr(module, "verify_group", None) is original:
+            monkeypatch.setattr(module, "verify_group", counting)
+    code, out, _ = run(capsys, "verify", "--group", str(path))
+    assert (code, out) == (0, "group ok\n")
+    assert len(calls) == 1
+
+
 def test_verify_malformed_json(tmp_path, capsys):
     path = tmp_path / "garbage.json"
     path.write_text("{oops")

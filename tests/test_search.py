@@ -2,6 +2,8 @@ import pytest
 
 from mla_forge import construction
 from mla_forge.brackets import (
+    LieBracket,
+    bracket_orbit,
     commutator_bracket,
     end_mla,
     trivial_bracket,
@@ -30,7 +32,12 @@ from mla_forge.search import (
     verify_coprime_determination,
 )
 
-from oracle import bijection_scan_automorphisms, naive_bracket_tables, structure_constant_tables
+from oracle import (
+    bijection_scan_automorphisms,
+    naive_bracket_tables,
+    relabel_table,
+    structure_constant_tables,
+)
 
 
 def order_le_six_groups():
@@ -78,26 +85,45 @@ def test_orbit_stabilizer_counts(spec):
     result = enumerate_brackets(g)
     tables = {b.star for b in result.items}
     autos = bijection_scan_automorphisms(g)
-    n = g.order
-
-    def image(f, t, reverse):
-        out = [[0] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(n):
-                out[f[x]][f[y]] = f[t[y][x] if reverse else t[x][y]]
-        return tuple(tuple(row) for row in out)
-
     orbits = []
     for t in sorted(tables):
         if any(t in orbit for orbit in orbits):
             continue
-        images = [image(f, t, reverse) for f in autos for reverse in (False, True)]
+        images = [relabel_table(f, t, reverse) for f in autos for reverse in (False, True)]
         orbit = set(images)
         assert orbit <= tables
         assert len(orbit) * images.count(t) == 2 * len(autos)
+        assert set(bracket_orbit(LieBracket(g, t))) == orbit
         orbits.append(orbit)
     assert sum(len(orbit) for orbit in orbits) == result.raw_count
     assert len(orbits) == result.class_count
+
+
+@pytest.mark.parametrize(
+    "H, K, inverting",
+    [(make_cyclic(3), make_dihedral(3), (3, 4, 5)), (make_cyclic(4), make_dihedral(4), ())],
+    ids=["Z3:D3", "Z4xD4"],
+)
+def test_induced_classes_match_oracle_partition(H, K, inverting):
+    """Induced sets are not closed under Aut(H x| K): the classes are the
+    orbits of Aut x reversal cut down to the set, each represented by its
+    least table."""
+    action = Action.by_inversion(H, K, inverting=inverting)
+    raw = enumerate_induced(H, K, action)
+    iso = enumerate_induced(H, K, action, SearchConfig(up_to_iso=True))
+    tables = {b.star for b in raw.items}
+    autos = bijection_scan_automorphisms(action.product_group)
+    classes, leaves_set = [], False
+    for t in sorted(tables):
+        if any(t in c for c in classes):
+            continue
+        orbit = {relabel_table(f, t, reverse) for f in autos for reverse in (False, True)}
+        leaves_set = leaves_set or not orbit <= tables
+        classes.append(orbit & tables)
+    assert leaves_set, "every orbit stays inside the induced set"
+    assert [b.star for b in iso.items] == [min(c) for c in classes]
+    assert raw.class_count == iso.class_count == len(classes)
+    assert raw.raw_count == iso.raw_count == len(tables)
 
 
 def test_enumerate_counts():
