@@ -43,6 +43,7 @@ from .groups import (
     FiniteGroup,
     GroupMap,
     Subgroup,
+    automorphism_generators,
     automorphisms,
     direct_product,
     endomorphisms,

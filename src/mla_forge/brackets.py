@@ -26,7 +26,7 @@ from .groups import (
     FiniteGroup,
     GroupMap,
     Subgroup,
-    automorphisms,
+    automorphism_generators,
     endomorphism_count,
     endomorphisms,
     int_table,
@@ -223,27 +223,54 @@ def pushforward_table(
     images: tuple[int, ...], star: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[int, ...], ...]:
     """Relabel a star table along a bijective image table."""
-    n = len(images)
-    pre = [0] * n
+    pre = [0] * len(images)
     for i, v in enumerate(images):
         pre[v] = i
-    return tuple(tuple(images[star[pre[x]][pre[y]]] for y in range(n)) for x in range(n))
+    return _relabel(images, pre, star)
+
+
+def _relabel(images: Sequence[int], pre: Sequence[int], star: _Table) -> _Table:
+    """star'[images[x]][images[y]] = images[star[x][y]], given ``pre``, the
+    inverse of ``images``."""
+    rows = [star[p] for p in pre]
+    return tuple(tuple(images[row[p]] for p in pre) for row in rows)
 
 
 def bracket_orbit(
     bracket: LieBracket, autos: Optional[Sequence[GroupMap]] = None
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The tables equivalent to ``bracket``: its image under every
-    automorphism, and the image of its argument reversal.
+    """The tables equivalent to ``bracket``, each yielded once: its orbit
+    under the automorphisms of its group and argument reversal.
 
     Two brackets on a group are the same structure exactly when one's table
-    is in the other's orbit. Images are yielded one at a time, with
-    repetitions, so a caller can test them without holding the orbit.
+    is in the other's orbit. ``autos`` is any generating set of Aut (the full
+    list qualifies); by default ``automorphism_generators``. Reversal is a
+    transpose and commutes with every relabeling, so Aut x <reversal> is a
+    group and closing {table} under the generators and reversal gives the
+    whole orbit, at |orbit| x (|autos| + 1) relabelings whatever |Aut| is.
     """
     if autos is None:
-        autos = automorphisms(bracket.group)
-    tables = (bracket.star, reverse_bracket(bracket).star)
-    return (pushforward_table(phi.images, t) for phi in autos for t in tables)
+        autos = automorphism_generators(bracket.group)
+    return _orbit_closure(bracket.star, [(phi.images, phi.inverse_map().images) for phi in autos])
+
+
+def _orbit_closure(
+    star: _Table, steps: list[tuple[tuple[int, ...], tuple[int, ...]]]
+) -> Iterator[_Table]:
+    """Depth-first closure of {star} under the transpose and the relabeling
+    along each (images, preimages) pair, yielding each table when first found."""
+    seen = {star}
+    stack = [star]
+    yield star
+    while stack:
+        table = stack.pop()
+        found = [tuple(zip(*table))]
+        found.extend(_relabel(images, pre, table) for images, pre in steps)
+        for t in found:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+                yield t
 
 
 def end_mla(group: FiniteGroup) -> tuple[FiniteGroup, LieBracket]:

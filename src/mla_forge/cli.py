@@ -109,9 +109,7 @@ def _split_action(spec: str) -> Action:
         raise ValidationError(f"split-product preset must look like A:B:sigma=FILE, got {spec!r}")
     H = parse_preset(parts[0])
     K = parse_preset(parts[1])
-    doc = json.loads(Path(parts[2][len("sigma="):]).read_text(encoding="utf-8"))
-    sigma = doc["sigma"] if isinstance(doc, dict) else doc
-    return Action.make(H, K, sigma)
+    return Action.make(H, K, io.load_sigma(parts[2][len("sigma="):]))
 
 
 def load_group_arg(value: str) -> FiniteGroup:

@@ -212,6 +212,35 @@ class ConstructionData:
     def product_group(self) -> FiniteGroup:
         return self.action.product_group
 
+    @cached_property
+    def induced_table(self) -> tuple[tuple[int, ...], ...]:
+        """The induction formula evaluated on every pair, built once."""
+        H, K = self.H, self.K
+        nH = H.order
+        mul_h, inv_h = H.cayley, H.inverse
+        sig = self.action.sigma
+        star_k = self.star_k.star
+        g = self.gamma.gamma
+        b = self.beta.beta
+        size = nH * K.order
+        table = [[0] * size for _ in range(size)]
+        for x in range(K.order):
+            gx = g[x]
+            bx = b[x]
+            for h in range(nH):
+                row = table[pair_index(h, x, nH)]
+                ih = inv_h[h]
+                for y in range(K.order):
+                    s = star_k[x][y]
+                    sig_s = sig[s]
+                    gy_ih = g[y][ih]
+                    for k in range(nH):
+                        t = mul_h[mul_h[h][k]][gx[k]]
+                        u = mul_h[mul_h[ih][inv_h[k]]][gy_ih]
+                        t = mul_h[mul_h[t][sig_s[u]]][bx[y]]
+                        row[pair_index(k, y, nH)] = pair_index(t, s, nH)
+        return tuple(tuple(r) for r in table)
+
 
 @dataclass(frozen=True)
 class GammaViolation:
@@ -303,32 +332,8 @@ def _report(results: dict[str, ConditionStatus]) -> ConditionReport:
 
 def induced_star_table(data: ConstructionData) -> tuple[tuple[int, ...], ...]:
     """Evaluate the induction formula on every pair; always defined, valid only
-    when the conditions hold."""
-    H, K = data.H, data.K
-    nH = H.order
-    mul_h, inv_h = H.cayley, H.inverse
-    sig = data.action.sigma
-    star_k = data.star_k.star
-    g = data.gamma.gamma
-    b = data.beta.beta
-    size = nH * K.order
-    table = [[0] * size for _ in range(size)]
-    for x in range(K.order):
-        gx = g[x]
-        bx = b[x]
-        for h in range(nH):
-            row = table[pair_index(h, x, nH)]
-            ih = inv_h[h]
-            for y in range(K.order):
-                s = star_k[x][y]
-                sig_s = sig[s]
-                gy_ih = g[y][ih]
-                for k in range(nH):
-                    t = mul_h[mul_h[h][k]][gx[k]]
-                    u = mul_h[mul_h[ih][inv_h[k]]][gy_ih]
-                    t = mul_h[mul_h[t][sig_s[u]]][bx[y]]
-                    row[pair_index(k, y, nH)] = pair_index(t, s, nH)
-    return tuple(tuple(r) for r in table)
+    when the conditions hold. Built once per ConstructionData."""
+    return data.induced_table
 
 
 def check_theorem_conditions(data: ConstructionData, short_circuit: bool = False) -> ConditionReport:

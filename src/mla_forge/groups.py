@@ -571,6 +571,37 @@ def automorphisms(group: FiniteGroup) -> list[GroupMap]:
     return [GroupMap(group, group, t) for t in sorted(_generator_maps(group, group, True))]
 
 
+def automorphism_generators(group: FiniteGroup) -> list[GroupMap]:
+    """A generating set of Aut(group), in the order of ``automorphisms``.
+
+    Chosen greedily from the sorted list: a map is kept when it lies outside
+    the subgroup that the maps kept before it generate. The identity is never
+    kept, so a group with no automorphism but the identity has none.
+    """
+    autos = automorphisms(group)
+    gens: list[tuple[int, ...]] = []
+    reached = {autos[0].images}
+    for phi in autos:
+        if len(reached) == len(autos):
+            break
+        if phi.images in reached:
+            continue
+        gens.append(phi.images)
+        # Dimino's step: the new subgroup is a union of cosets S r of the
+        # old subgroup S, and (S r) h = S (r h), so following each new
+        # coset's representative r by every kept map h finds every coset.
+        old = list(reached)
+        reps = [phi.images]
+        reached.update(tuple(m[v] for v in phi.images) for m in old)
+        for r in reps:
+            for h in gens:
+                rh = tuple(r[v] for v in h)
+                if rh not in reached:
+                    reps.append(rh)
+                    reached.update(tuple(m[v] for v in rh) for m in old)
+    return [GroupMap(group, group, g) for g in gens]
+
+
 def endomorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
     """All endomorphism tables of an abelian group, sorted.
 

@@ -7,7 +7,9 @@ when an automorphism carries one to the other or to its argument reversal
 that is, when one's table lies in the other's ``brackets.bracket_orbit``.
 Classification sweeps the sorted tables once and marks each orbit as it
 goes, so it serves both closed sets (every bracket on a group) and sets
-that Aut does not preserve (induced brackets with a fixed split).
+that Aut does not preserve (induced brackets with a fixed split). Each
+orbit is found by closure under a generating set of Aut and reversal, so
+its cost follows the orbit's size, not |Aut|.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .groups import (
     HARD_ORDER_CAP,
     FiniteGroup,
     Subgroup,
-    automorphisms,
+    automorphism_generators,
     endomorphisms,
     find_generators,
     generator_words,
@@ -239,13 +241,13 @@ def _classify(
     A smaller member of the same class would have been swept first, so
     each representative is the least member of its class.
     """
-    autos = automorphisms(group)
+    gens = automorphism_generators(group)
     unassigned = set(tables)
     reps = []
     for t in tables:
         if t in unassigned:
             reps.append(t)
-            unassigned.difference_update(bracket_orbit(LieBracket(group, t), autos))
+            unassigned.difference_update(bracket_orbit(LieBracket(group, t), gens))
     return reps, len(reps)
 
 

@@ -5,6 +5,7 @@ whitespace, so write -> read -> write is byte-identical.
 
   group         {"name": str, "order": n, "cayley": [[int]], "generators": [int]?}
   bracket       {"group": <group doc | path string>, "star": [[int]]}
+  sigma         {"sigma": [[int]]} or the bare table [[int]]
   construction  {"H": <group doc>, "K": <group doc>, "sigma": [[int]],
                  "starK": [[int]], "gamma": [[int]], "beta": [[int]]}
   report        {"C1": {"pass": bool, "witness": [int] | null}, ..., "C6": ...}
@@ -33,6 +34,8 @@ def _load_json(path: Union[str, Path]) -> Any:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -142,6 +145,16 @@ def construction_from_doc(doc: Any) -> ConstructionData:
     gamma = GammaMap.make(H, K, _expect_table(doc, "gamma"))
     beta = PairingMap.make(H, K, _expect_table(doc, "beta"))
     return ConstructionData.make(action, star_k, gamma, beta)
+
+
+def load_sigma(path: Union[str, Path]) -> Any:
+    """The action tables a sigma file holds, unchecked: ``Action.make`` checks them."""
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        return doc
+    if "sigma" not in doc:
+        raise ValidationError(f"{path} has no 'sigma' field")
+    return doc["sigma"]
 
 
 def load_construction(path: Union[str, Path]) -> ConstructionData:

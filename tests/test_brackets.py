@@ -1,9 +1,12 @@
 import tracemalloc
 from itertools import product
+from unittest import mock
 
 import pytest
 
+from mla_forge import brackets
 from mla_forge.brackets import (
+    LieBracket,
     bracket_orbit,
     commutator_bracket,
     derived_subalgebra,
@@ -16,6 +19,7 @@ from mla_forge.brackets import (
 )
 from mla_forge.errors import BoundExceededError, ValidationError
 from mla_forge.groups import (
+    automorphism_generators,
     automorphisms,
     direct_product,
     endomorphism_count,
@@ -26,6 +30,8 @@ from mla_forge.groups import (
     make_quaternion,
     subgroup_generated,
 )
+
+import oracle
 
 
 def small_catalog():
@@ -200,6 +206,41 @@ def test_equivalence_is_equivalence_relation():
             for z in items:
                 if y.star in orbit[x.star] and z.star in orbit[y.star]:
                     assert z.star in orbit[x.star]
+
+
+def test_orbit_under_a_large_automorphism_group():
+    """On Z2^4, |Aut| = |GL(4, 2)| = 20160. The bilinear bracket
+    [e1, e2] = e3 has 105 images: one per plane of F2^4 (35) and nonzero
+    value in it (3). bracket_orbit yields each once, at no more than
+    |orbit| x |generators| relabelings, and agrees with a scan of every
+    automorphism found apart from the library."""
+    g = make_cyclic(2)
+    for _ in range(3):
+        g = direct_product(g, make_cyclic(2))
+    # element b0 + 2 b1 + 4 b2 + 8 b3 is the vector (b0, b1, b2, b3)
+    star = [[4 * ((x & 1) * (y >> 1 & 1) ^ (x >> 1 & 1) * (y & 1)) for y in range(16)] for x in range(16)]
+    br = LieBracket.make(g, star)
+    assert not verify_mla(g, br)
+    gens = automorphism_generators(g)
+    with mock.patch.object(brackets, "_relabel", wraps=brackets._relabel) as relabel:
+        orbit = list(bracket_orbit(br, gens))
+    assert len(orbit) == len(set(orbit)) == 105
+    assert relabel.call_count <= len(orbit) * len(gens)
+    autos = oracle.bijection_scan_automorphisms(g)
+    assert len(autos) == 20160
+    images = {oracle.relabel_table(f, br.star, reverse) for f in autos for reverse in (False, True)}
+    assert set(orbit) == images
+
+
+def test_orbit_yields_each_table_once_with_the_full_aut_list():
+    from mla_forge.search import enumerate_brackets
+
+    g = make_dihedral(4)
+    autos = automorphisms(g)
+    for br in enumerate_brackets(g).items:
+        by_list = list(bracket_orbit(br, autos))
+        assert len(by_list) == len(set(by_list))
+        assert set(by_list) == set(bracket_orbit(br))
 
 
 def test_reversal_is_pointwise_inverse_on_valid_brackets():

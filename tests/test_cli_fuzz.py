@@ -1,6 +1,6 @@
-"""Fuzz the command line: whatever the presets, group files, budget variable
-and ``--ideal`` lists say, ``main`` returns one of the documented exit codes
-and lets no exception escape."""
+"""Fuzz the command line: whatever the presets, group files (JSON or raw
+bytes), sigma files, budget variable and ``--ideal`` lists say, ``main``
+returns one of the documented exit codes and lets no exception escape."""
 
 import contextlib
 import io as stdio
@@ -77,6 +77,31 @@ def test_any_group_document(workdir, command, doc):
     path = workdir / "group.json"
     path.write_text(json.dumps(doc))
     assert run(command[0], f"--group={path}", *command[1:]) in EXIT_CODES
+
+
+# Each command reads FILE as a group file or as a sigma file.
+FILE_COMMANDS = [
+    ("verify", "--group={}"),
+    ("enumerate", "--group={}", "--node-budget=50"),
+    ("enumerate", "--group=Z3:Z2:sigma={}", "--node-budget=50"),
+]
+FILE_IDS = ["verify-group", "enumerate-group", "enumerate-sigma"]
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS, ids=FILE_IDS)
+@FUZZ
+@given(data=st.binary(max_size=12))
+def test_any_file_bytes(workdir, command, data):
+    path = workdir / "raw.bin"
+    path.write_bytes(data)
+    assert run(*(arg.format(path) for arg in command)) in EXIT_CODES
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS, ids=FILE_IDS)
+def test_file_that_is_not_utf8_is_an_input_error(workdir, command):
+    path = workdir / "latin.bin"
+    path.write_bytes(b"\xff\xfe{}")
+    assert run(*(arg.format(path) for arg in command)) == 2
 
 
 @FUZZ

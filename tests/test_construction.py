@@ -525,3 +525,13 @@ def test_pairing_normalization_flag():
     z4, d4 = make_cyclic(4), make_dihedral(4)
     for m in enumerate_bilinear_pairings(d4, z4):
         assert m.is_normalized
+
+
+def test_induced_table_is_built_once_per_tuple():
+    act = s3_action()
+    fam = gamma_mult(act.H, act.K, (0, 1))
+    data = ConstructionData.make(act, trivial_bracket(act.K), fam, PairingMap.trivial(act.H, act.K))
+    assert check_theorem_conditions(data, short_circuit=True).passed
+    table = induced_star_table(data)
+    assert induced_star_table(data) is table
+    assert induce_bracket(data).star is table

@@ -10,6 +10,7 @@ from mla_forge.groups import (
     FiniteGroup,
     GroupMap,
     abelian_label,
+    automorphism_generators,
     automorphisms,
     direct_product,
     endomorphisms,
@@ -226,6 +227,35 @@ def test_automorphisms_form_group():
         assert m.inverse_map().images in tables
         for m2 in autos:
             assert m.compose(m2).images in tables
+
+
+@pytest.mark.parametrize(
+    "group",
+    [make_cyclic(2), make_cyclic(6), make_dihedral(3), make_dihedral(4), make_quaternion(2),
+     direct_product(make_cyclic(4), make_dihedral(4))],
+    ids=lambda g: g.name,
+)
+def test_automorphism_generators_generate_aut(group):
+    """Closing the generators under composition, by a search apart from the
+    library's, gives back every automorphism; each generator lies outside
+    what the ones before it generate, and the identity is never kept."""
+    autos = automorphisms(group)
+    gens = [m.images for m in automorphism_generators(group)]
+    identity = tuple(range(group.order))
+    assert identity not in gens
+    assert gens == sorted(gens)
+
+    def closure(maps):
+        reached, frontier = {identity}, [identity]
+        while frontier:
+            frontier = [y for y in {tuple(x[v] for v in g) for x in frontier for g in maps} if y not in reached]
+            reached.update(frontier)
+        return reached
+
+    assert closure(gens) == {m.images for m in autos}
+    for i, g in enumerate(gens):
+        assert g not in closure(gens[:i])
+    assert [m.images for m in automorphism_generators(group)] == gens
 
 
 def test_presets_check_the_order_bound_before_building():

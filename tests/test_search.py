@@ -23,6 +23,7 @@ from mla_forge.groups import (
 )
 from mla_forge.search import (
     SearchConfig,
+    _classify,
     enumerate_brackets,
     enumerate_gamma,
     enumerate_induced,
@@ -124,6 +125,25 @@ def test_induced_classes_match_oracle_partition(H, K, inverting):
     assert [b.star for b in iso.items] == [min(c) for c in classes]
     assert raw.class_count == iso.class_count == len(classes)
     assert raw.raw_count == iso.raw_count == len(tables)
+
+
+def test_classify_takes_the_least_table_of_the_set_not_of_the_orbit():
+    """A set that lacks an orbit's least table is represented, for that
+    orbit, by the least table the set does hold."""
+    g = make_dihedral(4)
+    tables = {b.star for b in enumerate_brackets(g).items}
+    autos = bijection_scan_automorphisms(g)
+    orbits = []
+    for t in sorted(tables):
+        if not any(t in orbit for orbit in orbits):
+            orbits.append({relabel_table(f, t, reverse) for f in autos for reverse in (False, True)})
+    cut = next(orbit for orbit in orbits if len(orbit) > 1)
+    subset = sorted(tables - {min(cut)})
+    reps, class_count = _classify(g, subset)
+    assert min(cut) not in reps
+    assert sorted(cut)[1] in reps
+    assert reps == sorted(min(orbit & set(subset)) for orbit in orbits)
+    assert class_count == len(orbits)
 
 
 def test_enumerate_counts():
