@@ -20,13 +20,11 @@ from .construction import (
     ConstructionData,
     GammaMap,
     PairingMap,
-    check_direct_conditions,
     check_gamma_identities,
     check_theorem_conditions,
     decompose_bracket,
     enumerate_bilinear_pairings,
     induce_bracket,
-    induce_bracket_direct,
     section_independence_check,
     semidirect_product,
     sigma_gamma_commute_check,

@@ -21,13 +21,10 @@ from .construction import (
     Action,
     ConstructionData,
     PairingMap,
-    check_direct_conditions,
     check_theorem_conditions,
     decompose_bracket,
     enumerate_bilinear_pairings,
     induce_bracket,
-    induce_bracket_direct,
-    induced_star_table,
     section_independence_check,
     semidirect_product,
     sigma_gamma_commute_check,
@@ -163,7 +160,7 @@ def _run_s3_construction(config: SearchConfig) -> ScenarioOutcome:
     # structure classes: the trivial one plus the inequivalent nonzero ones
     structure_classes = 1 + len({min(bracket_orbit(b)) for _, b in nonzero})
     decomposed = decompose_bracket(action, comm)
-    roundtrip = induced_star_table(decomposed) == comm.star
+    roundtrip = decomposed.induced_table == comm.star
     expected = {
         "gamma_families": 3,
         "beta_maps": 1,
@@ -262,8 +259,8 @@ def _run_z4xd4(config: SearchConfig) -> ScenarioOutcome:
         for gamma in gammas:
             for beta in bilinear:
                 data = ConstructionData.make(action, star_k, gamma, beta)
-                if check_direct_conditions(data).passed:
-                    bracket = induce_bracket_direct(data, check=False)
+                if check_theorem_conditions(data, short_circuit=True).passed:
+                    bracket = induce_bracket(data, check=False)
                     accepted.append(bracket)
                     if verify_mla(G, bracket):
                         all_valid = False

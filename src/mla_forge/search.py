@@ -35,7 +35,6 @@ from .construction import (
     check_theorem_conditions,
     decompose_bracket,
     enumerate_pairing_tables,
-    induced_star_table,
     semidirect_product,
     split_factor_subgroup,
 )
@@ -346,7 +345,7 @@ def enumerate_induced(
                 data = ConstructionData.make(action, star_k, gamma, beta)
                 report = check_theorem_conditions(data, short_circuit=True)
                 if report.passed:
-                    tables.append(induced_star_table(data))
+                    tables.append(data.induced_table)
     tables = sorted(set(tables))
     reps, class_count = _classify(G, tables)
     items = reps if config.up_to_iso else tables

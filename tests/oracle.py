@@ -237,6 +237,54 @@ def condition_witnesses(H: FiniteGroup, K: FiniteGroup, sigma, star_k, gamma, be
     return out
 
 
+def direct_conditions_hold(H: FiniteGroup, K: FiniteGroup, star_k, gamma, beta) -> bool:
+    """The paper's simplified C1..C6 for the trivial action, on the maps alone
+    (^z x = z x z^-1):
+
+      C1  beta vanishes on the border and the diagonal
+      C2  Gamma_{x y} = Gamma_x . Gamma_y   and
+          Gamma_{x*y}(h) = Gamma_x(Gamma_y(h)) Gamma_y(Gamma_x(h^-1))
+      C3  beta(x y, z) = beta(x, z) beta(y, z)
+      C4  beta(x, y z) = beta(x, y) beta(x, z)
+      C5  Gamma_{x*y}(l) Gamma_{y*z}(h) Gamma_{z*x}(k)
+          Gamma_z(beta(x,y)^-1) Gamma_x(beta(y,z)^-1) Gamma_y(beta(z,x)^-1)
+          beta(x*y, ^y z) beta(y*z, ^z x) beta(z*x, ^x y) = 1
+      C6  beta(^z x, ^z y) = beta(x, y)
+    """
+    mul_h, inv_h, eH = H.cayley, H.inverse, H.identity
+    mul_k, inv_k, eK = K.cayley, K.inverse, K.identity
+    rK, rH = range(K.order), range(H.order)
+
+    def prod(*values):
+        out = eH
+        for v in values:
+            out = mul_h[out][v]
+        return out
+
+    def conj(z, x):
+        return mul_k[mul_k[z][x]][inv_k[z]]
+
+    def bracket_term(x, y, z, h, k, l):
+        return prod(
+            gamma[star_k[x][y]][l], gamma[star_k[y][z]][h], gamma[star_k[z][x]][k],
+            gamma[z][inv_h[beta[x][y]]], gamma[x][inv_h[beta[y][z]]], gamma[y][inv_h[beta[z][x]]],
+            beta[star_k[x][y]][conj(y, z)], beta[star_k[y][z]][conj(z, x)], beta[star_k[z][x]][conj(x, y)],
+        )
+
+    return (
+        all(beta[x][eK] == eH and beta[eK][x] == eH and beta[x][x] == eH for x in rK)  # C1
+        and all(  # C2
+            gamma[mul_k[x][y]][h] == prod(gamma[x][h], gamma[y][h])
+            and gamma[star_k[x][y]][h] == prod(gamma[x][gamma[y][h]], gamma[y][gamma[x][inv_h[h]]])
+            for x, y, h in product(rK, rK, rH)
+        )
+        and all(beta[mul_k[x][y]][z] == prod(beta[x][z], beta[y][z]) for x, y, z in product(rK, repeat=3))  # C3
+        and all(beta[x][mul_k[y][z]] == prod(beta[x][y], beta[x][z]) for x, y, z in product(rK, repeat=3))  # C4
+        and all(bracket_term(*t) == eH for t in product(rK, rK, rK, rH, rH, rH))  # C5
+        and all(beta[conj(z, x)][conj(z, y)] == beta[x][y] for x, y, z in product(rK, repeat=3))  # C6
+    )
+
+
 def direct_induced_table(H: FiniteGroup, K: FiniteGroup, star_k, gamma, beta):
     """The induced table for the trivial action by the direct formula
     (h,x)*(k,y) = (Gamma_x(k) Gamma_y(h^-1) beta(x,y), x*y), with (h, x)

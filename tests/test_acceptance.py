@@ -25,7 +25,6 @@ from mla_forge.construction import (
     decompose_bracket,
     enumerate_bilinear_pairings,
     induce_bracket,
-    induced_star_table,
     section_independence_check,
     semidirect_product,
     sigma_gamma_commute_check,
@@ -145,7 +144,7 @@ def test_criterion_05_s3_construction_pipeline():
             assert comm.star in set(bracket_orbit(induced[fam.gamma]))
 
         data = decompose_bracket(action, comm)
-        assert induced_star_table(data) == comm.star
+        assert data.induced_table == comm.star
         assert data.star_k.is_trivial() and data.beta.is_trivial()
         assert not data.gamma.is_zero()
 

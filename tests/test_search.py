@@ -10,7 +10,7 @@ from mla_forge.brackets import (
     verify_mla,
 )
 from mla_forge.cli import parse_preset
-from mla_forge.construction import Action, check_gamma_identities
+from mla_forge.construction import Action, check_gamma_identities, split_factor_subgroup
 from mla_forge.errors import BoundExceededError, ValidationError
 from mla_forge.groups import (
     direct_product,
@@ -308,6 +308,34 @@ def test_enumerate_induced_builds_the_product_once(monkeypatch):
         res = enumerate_induced(H, K, Action.by_inversion(H, K, inverting=(1,)))
         assert res.raw_count == 3
         assert len(builds) == calls
+
+
+@pytest.mark.parametrize(
+    "h_spec, k_spec, inverting, tables, classes",
+    [
+        ("Z3", "D3", (3, 4, 5), 27, 6),
+        ("Z4", "Z2xZ2", (), 20, 5),
+        ("Z4", "Z2xZ2", (1, 3), 24, 10),
+        ("Z4", "D3", (3, 4, 5), 12, 7),
+        ("Z3", "D4", (4, 5, 6, 7), 12, 7),
+        ("Z6", "Z4", (1, 3), 6, 4),
+        ("Z5", "Z2xZ2", (1, 3), 10, 6),
+    ],
+    ids=["Z3:D3", "Z4xV4", "Z4:V4", "Z4:D3", "Z3:D4", "Z6:Z4", "Z5:V4"],
+)
+def test_induced_set_is_the_brackets_with_h_as_ideal(h_spec, k_spec, inverting, tables, classes):
+    """The paper's correspondence on products that are not coprime: the
+    induced brackets are exactly the brackets of H x| K with H as an ideal.
+    H is cyclic, so every such bracket is trivial on H, as the split
+    parametrization needs."""
+    H, K = parse_preset(h_spec), parse_preset(k_spec)
+    action = Action.by_inversion(H, K, inverting=inverting)
+    G = action.product_group
+    induced = enumerate_induced(H, K, action)
+    ideal = enumerate_brackets(G, SearchConfig(max_group_order=32, require_ideal=split_factor_subgroup(action, G)))
+    assert induced.exhausted and ideal.exhausted
+    assert [b.star for b in induced.items] == [b.star for b in ideal.items]
+    assert (induced.raw_count, induced.class_count) == (ideal.raw_count, ideal.class_count) == (tables, classes)
 
 
 def test_enumerated_induced_items_reverify():
