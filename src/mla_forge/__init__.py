@@ -23,7 +23,6 @@ from .construction import (
     check_gamma_identities,
     check_theorem_conditions,
     decompose_bracket,
-    enumerate_bilinear_pairings,
     induce_bracket,
     section_independence_check,
     semidirect_product,

@@ -42,6 +42,7 @@ from .groups import (
     MAX_GROUP_ORDER,
     FiniteGroup,
     direct_product,
+    find_generators,
     make_cyclic,
     make_dihedral,
     make_quaternion,
@@ -288,7 +289,7 @@ def _parse_ideal(text: str) -> tuple[int, ...]:
 def _describe_gamma(data) -> list[str]:
     H, K = data.H, data.K
     lines = []
-    for x in K.generator_set():
+    for x in find_generators(K):
         row = data.gamma.gamma[x]
         mult = _as_multiplication(H, row)
         desc = f"mult-by-{mult}" if mult is not None else str(row)
@@ -297,8 +298,9 @@ def _describe_gamma(data) -> list[str]:
 
 
 def _as_multiplication(H, row) -> Optional[int]:
-    """For cyclic H, describe an endomorphism table as multiplication by k."""
-    if H.generators != (1,):
+    """For H cyclic on the element 1, describe an endomorphism table as
+    multiplication by k."""
+    if find_generators(H) != (1,):
         return None
     k = row[1]
     if all(row[h] == (h * k) % H.order for h in range(H.order)):

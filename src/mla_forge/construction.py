@@ -21,6 +21,10 @@ A failing C3..C6 is reported with the first failing (x, y, z, h, k, l) in
 that loop order, x outermost. The product encodes (h, x) as h + |H| x, so the
 axiom scan runs in the order (x, h, y, k, z, l) instead; the witness is the
 smallest failing triple under the documented key.
+
+This module checks and builds; it enumerates nothing. The Gamma families
+and pairing tables to try are listed by ``search.enumerate_gamma`` and
+``search.enumerate_pairings``.
 """
 
 from __future__ import annotations
@@ -48,8 +52,6 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _check_order_bound,
-    find_generators,
-    generator_words,
     int_table,
     make_semidirect,
     pair_index,
@@ -546,87 +548,3 @@ def sigma_gamma_commute_check(action: Action, gamma: GammaMap) -> bool:
         if sig[x][g[z][h]] != g[z][sig[x][h]]:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# pairing enumeration
-
-
-def enumerate_bilinear_pairings(K: FiniteGroup, H: FiniteGroup) -> list[PairingMap]:
-    """All bilinear tables K x K -> H (beta(xy,z) = beta(x,z)beta(y,z) and
-    symmetrically) that are alternating (vanishing diagonal) and invariant
-    under simultaneous conjugation: the pairing tables of the trivial action."""
-    return enumerate_pairing_tables(Action.trivial(H, K), trivial_bracket(K))
-
-
-def enumerate_pairing_tables(action: Action, star_k: LieBracket) -> list[PairingMap]:
-    """Alternating pairing tables compatible with the induction conditions.
-
-    Setting h = k = l = 1 in the two-sided expansions C3, C4 and C6 leaves
-    constraints on beta alone:
-
-      T1  beta(x y, z) = sigma_x(beta(y, z)) sigma_{^x(y*z)}(beta(x, z))
-      T2  beta(x, y z) = beta(x, y) sigma_{(x*y) y}(beta(x, z))
-      T3  beta(^z x, ^z y) = sigma_z(beta(x, y))
-
-    For the trivial action these are plain bilinearity plus conjugation
-    invariance, whatever star_k is. Values on off-diagonal generator pairs
-    determine the table through T1/T2; every candidate is then checked
-    against all constraint instances and C1.
-    """
-    H, K = action.H, action.K
-    nH, nK = H.order, K.order
-    eH, eK = H.identity, K.identity
-    mul_h = H.cayley
-    mul_k, inv_k = K.cayley, K.inverse
-    conj_k = K.conj_table
-    sig = action.sigma
-    star = star_k.star
-    gens = find_generators(K)
-    word = generator_words(K.cayley, eK, gens)
-    cells = [(a, b) for a in gens for b in gens if a != b]
-
-    def build(seed: dict[tuple[int, int], int]) -> tuple[tuple[int, ...], ...]:
-        memo: dict[tuple[int, int], int] = dict(seed)
-
-        def beta(x: int, y: int) -> int:
-            if x == eK or y == eK:
-                return eH
-            got = memo.get((x, y))
-            if got is not None:
-                return got
-            if x == y and len(word[x]) == 1:
-                v = eH
-            elif len(word[x]) > 1:
-                s = word[x][0]
-                rest = mul_k[inv_k[s]][x]
-                v = mul_h[sig[s][beta(rest, y)]][sig[conj_k[s][star[rest][y]]][beta(s, y)]]
-            else:
-                s = word[y][0]
-                rest = mul_k[inv_k[s]][y]
-                v = mul_h[beta(x, s)][sig[mul_k[star[x][s]][s]][beta(x, rest)]]
-            memo[(x, y)] = v
-            return v
-
-        return tuple(tuple(beta(x, y) for y in range(nK)) for x in range(nK))
-
-    def acceptable(b: tuple[tuple[int, ...], ...]) -> bool:
-        if _c1_failure(b, eH, eK) is not None:
-            return False
-        for x, y, z in product(range(nK), repeat=3):
-            if b[mul_k[x][y]][z] != mul_h[sig[x][b[y][z]]][sig[conj_k[x][star[y][z]]][b[x][z]]]:
-                return False
-            if b[x][mul_k[y][z]] != mul_h[b[x][y]][sig[mul_k[star[x][y]][y]][b[x][z]]]:
-                return False
-            if b[conj_k[z][x]][conj_k[z][y]] != sig[z][b[x][y]]:
-                return False
-        return True
-
-    found = []
-    for values in product(range(nH), repeat=len(cells)):
-        seed = dict(zip(cells, values))
-        table = build(seed)
-        if acceptable(table):
-            found.append(table)
-    found = sorted(set(found))
-    return [PairingMap(H, K, t) for t in found]

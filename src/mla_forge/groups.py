@@ -124,36 +124,39 @@ def verify_group(
         if any(not (0 <= g < n) for g in gens):
             out.append(GroupViolation("generators", gens, "generator index out of range"))
         else:
-            reached = generator_words(cayley, identity, gens)
-            if len(reached) != n:
+            reached = 1 + len(generator_steps(cayley, identity, gens))
+            if reached != n:
                 out.append(
-                    GroupViolation(
-                        "generators", gens, f"generators reach only {len(reached)} of {n} elements"
-                    )
+                    GroupViolation("generators", gens, f"generators reach only {reached} of {n} elements")
                 )
     return out[:VIOLATION_CAP]
 
 
-def generator_words(
+def generator_steps(
     cayley: Sequence[Sequence[int]], identity: int, gens: Iterable[int]
-) -> dict[int, tuple[int, ...]]:
-    """A shortest word in ``gens`` for every element they reach from the
-    identity by right multiplication, in breadth-first order, so the element
-    of every word's prefix comes before it. In a finite group the keys are
-    the subgroup the generators generate."""
+) -> list[tuple[int, int, int]]:
+    """Breadth-first steps (y, x, g) with y = x*g and g in ``gens``: one step
+    for every element other than the identity that the generators reach from
+    it by right multiplication, and x is the identity or the y of an earlier
+    step. In a finite group the identity and the steps' y are the subgroup
+    the generators generate.
+
+    A map on that subgroup is fixed by its values on the generators when
+    each step fixes its value at y from those at x and g: homomorphisms
+    here, the endomorphism families and pairing tables in ``search``.
+    """
     gens = tuple(gens)
-    words = {identity: ()}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = cayley[x][g]
-                if y not in words:
-                    words[y] = words[x] + (g,)
-                    nxt.append(y)
-        frontier = nxt
-    return words
+    order = [identity]
+    seen = {identity}
+    steps = []
+    for x in order:  # grows while it is walked: the breadth-first queue
+        for g in gens:
+            y = cayley[x][g]
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+                steps.append((y, x, g))
+    return steps
 
 
 class FiniteGroup:
@@ -249,23 +252,19 @@ class FiniteGroup:
         """Sorted multiset of element orders; an isomorphism invariant."""
         return tuple(sorted(self.element_order(a) for a in range(self.order)))
 
-    def generator_set(self) -> tuple[int, ...]:
-        if self.generators:
-            return self.generators
-        return find_generators(self)
-
 
 def find_generators(group: FiniteGroup) -> tuple[int, ...]:
     """Greedy generating set: repeatedly add the first element outside the
-    closure so far. Deterministic, at most log2(order) generators."""
-    if group.order == 1:
-        return ()
+    closure so far. Deterministic, at most log2(order) generators.
+
+    The generator choice of every algorithm in the package; a group's
+    declared ``generators`` are metadata that no algorithm reads.
+    """
     gens: list[int] = []
     reached = {group.identity}
     while len(reached) < group.order:
-        nxt = next(x for x in range(group.order) if x not in reached)
-        gens.append(nxt)
-        reached = generator_words(group.cayley, group.identity, gens)
+        gens.append(next(x for x in range(group.order) if x not in reached))
+        reached = set(subgroup_generated(group, gens).members)
     return tuple(gens)
 
 
@@ -397,8 +396,8 @@ def _pair_product(
         hh = H.cayley[h][sigma[x][k]]
         xx = K.cayley[x][y]
         cayley[pair_index(h, x, nH)][pair_index(k, y, nH)] = pair_index(hh, xx, nH)
-    gens = tuple(pair_index(g, K.identity, nH) for g in H.generator_set()) + tuple(
-        pair_index(H.identity, g, nH) for g in K.generator_set()
+    gens = tuple(pair_index(g, K.identity, nH) for g in find_generators(H)) + tuple(
+        pair_index(H.identity, g, nH) for g in find_generators(K)
     )
     names = tuple(
         f"({H.element_name(h)},{K.element_name(x)})" for x in range(nK) for h in range(nH)
@@ -453,7 +452,8 @@ def subgroup_generated(group: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
     for s in seeds:
         if not (0 <= s < group.order):
             raise ValidationError(f"seed {s} out of range for {group.name}")
-    return Subgroup(group, tuple(sorted(generator_words(group.cayley, group.identity, seeds))))
+    steps = generator_steps(group.cayley, group.identity, seeds)
+    return Subgroup(group, tuple(sorted([group.identity] + [y for y, _, _ in steps])))
 
 
 # ---------------------------------------------------------------------------
@@ -507,36 +507,28 @@ class GroupMap:
 def _extend_from_generators(
     domain: FiniteGroup,
     codomain: FiniteGroup,
-    gens: Sequence[int],
-    images: Sequence[int],
+    order: Sequence[int],
+    image: dict[int, int],
 ) -> Optional[tuple[int, ...]]:
-    """Extend generator images to a full homomorphism table, or None.
+    """The homomorphism that sends each generator g to image[g], as an image
+    table, or None when there is none.
 
-    BFS over right multiplication defines the candidate on all of the domain;
-    a full pairwise check then accepts or rejects it.
+    ``order`` lists the domain in the order of its generator steps, the
+    identity first. Walking it, every product x g sets f(x g) = f(x) f(g)
+    where that is the product's step and is checked against it otherwise, so
+    the table is accepted iff f(x g) = f(x) f(g) for every x and generator g:
+    then f(x w) = f(x) f(w) for every word w by induction on its length.
     """
-    n = domain.order
-    val = [-1] * n
-    val[domain.identity] = codomain.identity
-    queue = [domain.identity]
     mul_d, mul_c = domain.cayley, codomain.cayley
-    while queue:
-        x = queue.pop()
-        for g, img in zip(gens, images):
-            y = mul_d[x][g]
-            w = mul_c[val[x]][img]
+    val = [-1] * domain.order
+    val[domain.identity] = codomain.identity
+    for x in order:
+        row, crow = mul_d[x], mul_c[val[x]]
+        for g, fg in image.items():
+            y, w = row[g], crow[fg]
             if val[y] == -1:
                 val[y] = w
-                queue.append(y)
             elif val[y] != w:
-                return None
-    if -1 in val:
-        return None
-    for a in range(n):
-        row, va = mul_d[a], val[a]
-        crow = mul_c[va]
-        for b in range(n):
-            if val[row[b]] != crow[val[b]]:
                 return None
     return tuple(val)
 
@@ -549,14 +541,15 @@ def _generator_maps(domain: FiniteGroup, codomain: FiniteGroup, bijective: bool)
     codomain elements whose order divides the generator's order (equals it
     when ``bijective``).
     """
-    gens = domain.generator_set()
+    gens = find_generators(domain)
+    order = [domain.identity] + [y for y, _, _ in generator_steps(domain.cayley, domain.identity, gens)]
     orders = [codomain.element_order(y) for y in range(codomain.order)]
     cand = []
     for g in gens:
         og = domain.element_order(g)
         cand.append([y for y, oy in enumerate(orders) if (oy == og if bijective else og % oy == 0)])
     for images in product(*cand):
-        ext = _extend_from_generators(domain, codomain, gens, images)
+        ext = _extend_from_generators(domain, codomain, order, dict(zip(gens, images)))
         if ext is not None and (not bijective or len(set(ext)) == domain.order == codomain.order):
             yield ext
 

@@ -23,7 +23,6 @@ from .construction import (
     PairingMap,
     check_theorem_conditions,
     decompose_bracket,
-    enumerate_bilinear_pairings,
     induce_bracket,
     section_independence_check,
     semidirect_product,
@@ -247,7 +246,7 @@ def _run_z4xd4(config: SearchConfig) -> ScenarioOutcome:
     G = semidirect_product(action)
     cases = z4xd4_case_brackets()
     homs = enumerate_gamma(H, K, action, trivial_bracket(K))
-    bilinear = enumerate_bilinear_pairings(K, H)
+    bilinear = enumerate_pairings(H, K, action, trivial_bracket(K))
     mla_homs_ii = enumerate_mla_homs(K, cases["II"], H)
 
     tuple_counts = {}

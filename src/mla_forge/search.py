@@ -1,6 +1,12 @@
 """Exhaustive enumeration engines for brackets, gamma families, pairing maps
 and induced structures, with classification up to equivalence.
 
+Gamma families and pairing tables are fixed by their values at generators
+of K: ``enumerate_gamma`` and ``enumerate_pairings`` range over those values
+and extend each choice along the breadth-first steps of
+``groups.generator_steps``, as the homomorphism searches of ``groups`` do,
+then keep the extensions that pass the full checks.
+
 Equivalence for counting: two brackets on the same group are one structure
 when an automorphism carries one to the other or to its argument reversal
 (y*x = (x*y)^-1 in any valid bracket, so reversal is a canonical involution),
@@ -31,10 +37,10 @@ from .construction import (
     ConstructionData,
     GammaMap,
     PairingMap,
+    _c1_failure,
     check_gamma_identities,
     check_theorem_conditions,
     decompose_bracket,
-    enumerate_pairing_tables,
     semidirect_product,
     split_factor_subgroup,
 )
@@ -46,7 +52,7 @@ from .groups import (
     automorphism_generators,
     endomorphisms,
     find_generators,
-    generator_words,
+    generator_steps,
     homomorphisms,
 )
 
@@ -99,7 +105,8 @@ class _StarTableSearch:
       from (x,y) known:            (^z x, ^z y) for all z (A5)
       from (x,y) known:            (y, x) = (x*y)^-1      (derived)
 
-    Diagonal and border cells are pre-filled. Every completed table is
+    Diagonal and border cells are pre-filled with the identity before any
+    other cell, so no later assignment reaches them. Every completed table is
     re-verified from scratch, so propagation only has to be sound, not
     complete.
     """
@@ -144,10 +151,6 @@ class _StarTableSearch:
         if cur == v:
             return True
         if cur != -1:
-            return False
-        if x == y and v != self.e:
-            return False
-        if (x == self.e or y == self.e) and v != self.e:
             return False
         if self.ideal is not None and (x in self.ideal or y in self.ideal) and v not in self.ideal:
             return False
@@ -194,11 +197,11 @@ class _StarTableSearch:
         return True
 
     def _next_cell(self, seeds: list[tuple[int, int]], idx: int) -> Optional[tuple[int, int]]:
-        while idx < len(seeds):
-            x, y = seeds[idx]
-            if self.star[x][y] == -1:
-                return x, y
-            idx += 1
+        """The cell to branch on: seeds[idx], which _dfs has advanced to an
+        empty seed cell, or after the seeds the first empty cell in
+        row-major order."""
+        if idx < len(seeds):
+            return seeds[idx]
         for x in range(self.n):
             row = self.star[x]
             for y in range(self.n):
@@ -278,32 +281,30 @@ def enumerate_brackets(group: FiniteGroup, config: Optional[SearchConfig] = None
     )
 
 
+def _check_parts(H: FiniteGroup, K: FiniteGroup, action: Action) -> None:
+    if action.H.cayley != H.cayley or action.K.cayley != K.cayley:
+        raise ValidationError("action does not match H and K")
+
+
 def enumerate_gamma(
     H: FiniteGroup, K: FiniteGroup, action: Action, star_k: LieBracket
 ) -> list[GammaMap]:
     """All endomorphism families passing check_gamma_identities, enumerated by
-    generator images over End(H) and closed under the product identity."""
-    if action.H.cayley != H.cayley or action.K.cayley != K.cayley:
-        raise ValidationError("action does not match H and K")
+    generator images over End(H) and extended along the generator steps of K
+    by G1, Gamma_{x g} = Gamma_x . sigma_x Gamma_g."""
+    _check_parts(H, K, action)
     endos = endomorphisms(H)
     gens = find_generators(K)
+    steps = generator_steps(K.cayley, K.identity, gens)
     zero = (H.identity,) * H.order
     mul_h = H.cayley
     sig = action.sigma
-    # y = x g for x the element of the prefix of y's word and g its last letter
-    steps = [
-        (y, K.cayley[y][K.inverse[w[-1]]], gens.index(w[-1]))
-        for y, w in generator_words(K.cayley, K.identity, gens).items()
-        if w
-    ]
     found = []
     for images in product(endos, repeat=len(gens)):
-        gamma: list[Optional[tuple[int, ...]]] = [None] * K.order
-        gamma[K.identity] = zero
-        for y, x, gi in steps:
-            gx = gamma[x]
-            gg = images[gi]
-            sx = sig[x]
+        image = dict(zip(gens, images))
+        gamma: list[tuple[int, ...]] = [zero] * K.order
+        for y, x, g in steps:
+            gx, gg, sx = gamma[x], image[g], sig[x]
             gamma[y] = tuple(mul_h[gx[h]][sx[gg[h]]] for h in range(H.order))
         candidate = GammaMap(H, K, tuple(gamma))
         if not check_gamma_identities(action, candidate, star_k, max_violations=1):
@@ -315,9 +316,62 @@ def enumerate_gamma(
 def enumerate_pairings(
     H: FiniteGroup, K: FiniteGroup, action: Action, star_k: LieBracket
 ) -> list[PairingMap]:
-    """Pairing maps compatible with the induction conditions; bilinear
-    conjugation-invariant maps when the action is trivial."""
-    return enumerate_pairing_tables(action, star_k)
+    """Alternating pairing tables compatible with the induction conditions.
+
+    Setting h = k = l = 1 in the two-sided expansions C3, C4 and C6 leaves
+    constraints on beta alone:
+
+      T1  beta(x y, z) = sigma_x(beta(y, z)) sigma_{^x(y*z)}(beta(x, z))
+      T2  beta(x, y z) = beta(x, y) sigma_{(x*y) y}(beta(x, z))
+      T3  beta(^z x, ^z y) = sigma_z(beta(x, y))
+
+    For the trivial action these are plain bilinearity plus conjugation
+    invariance, whatever star_k is. The values on off-diagonal generator
+    pairs, in product order, fix a table: T2 along the generator steps of K
+    fills the generator rows, then T1 along the same steps fills every other
+    row. Each table is kept when it satisfies C1 and every instance of
+    T1-T3; it holds its seed values, so distinct seeds give distinct tables.
+    """
+    _check_parts(H, K, action)
+    nH, nK = H.order, K.order
+    eH, eK = H.identity, K.identity
+    mul_h = H.cayley
+    mul_k = K.cayley
+    conj_k = K.conj_table
+    sig = action.sigma
+    star = star_k.star
+    gens = find_generators(K)
+    # the first steps, (g, 1, g) for each generator g, would restate the seeds
+    steps = generator_steps(mul_k, eK, gens)[len(gens):]
+    cells = [(a, b) for a in gens for b in gens if a != b]
+
+    def fill(values: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        b = [[eH] * nK for _ in range(nK)]
+        for (a, g), v in zip(cells, values):
+            b[a][g] = v
+        for a in gens:
+            row, sa = b[a], star[a]
+            for y, x, g in steps:
+                row[y] = mul_h[row[x]][sig[mul_k[sa[x]][x]][row[g]]]
+        for y, x, g in steps:
+            bx, bg, sx, cx, sg = b[x], b[g], sig[x], conj_k[x], star[g]
+            b[y] = [mul_h[sx[bg[z]]][sig[cx[sg[z]]][bx[z]]] for z in range(nK)]
+        return tuple(tuple(row) for row in b)
+
+    def acceptable(b: tuple[tuple[int, ...], ...]) -> bool:
+        if _c1_failure(b, eH, eK) is not None:
+            return False
+        for x, y, z in product(range(nK), repeat=3):
+            if b[mul_k[x][y]][z] != mul_h[sig[x][b[y][z]]][sig[conj_k[x][star[y][z]]][b[x][z]]]:
+                return False
+            if b[x][mul_k[y][z]] != mul_h[b[x][y]][sig[mul_k[star[x][y]][y]][b[x][z]]]:
+                return False
+            if b[conj_k[z][x]][conj_k[z][y]] != sig[z][b[x][y]]:
+                return False
+        return True
+
+    tables = (fill(values) for values in product(range(nH), repeat=len(cells)))
+    return [PairingMap(H, K, t) for t in sorted(t for t in tables if acceptable(t))]
 
 
 def enumerate_induced(

@@ -1,15 +1,15 @@
 """Independent naive reference implementations used to cross-check the
 optimized engines. Deliberately unoptimized and structured differently:
 tables are built by recursive word expansion with no constraint propagation,
-and map searches scan the function space (the bijection scan drops a partial
-map only once a product it fixes fails)."""
+and map and pairing searches scan the function space (the bijection scan
+drops a partial map only once a product it fixes fails)."""
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
 from mla_forge.brackets import verify_mla
-from mla_forge.groups import FiniteGroup
+from mla_forge.groups import FiniteGroup, find_generators
 
 
 def element_words(group: FiniteGroup, gens: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
@@ -61,7 +61,7 @@ def expand_table(group: FiniteGroup, gens, seed: dict[tuple[int, int], int]):
 def naive_bracket_tables(group: FiniteGroup):
     """Every valid bracket table, by trying all generator-pair seedings
     (diagonal pinned to the identity) and keeping the tables that verify."""
-    gens = group.generator_set()
+    gens = find_generators(group)
     if not gens:
         return [((group.identity,),)] if group.order == 1 else []
     cells = [(a, b) for a in gens for b in gens if a != b]
@@ -133,19 +133,52 @@ def relabel_table(images, table, reverse=False):
     return tuple(tuple(row) for row in out)
 
 
-def map_scan_endomorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
-    """All endomorphisms by scanning the full function space; only usable for
-    very small groups."""
-    n = group.order
+def map_scan_homomorphisms(domain: FiniteGroup, codomain: FiniteGroup) -> list[tuple[int, ...]]:
+    """All homomorphisms domain -> codomain by scanning the full function
+    space; only usable for very small groups."""
+    n = domain.order
     out = []
-    for images in product(range(n), repeat=n):
+    for images in product(range(codomain.order), repeat=n):
         ok = all(
-            images[group.cayley[a][b]] == group.cayley[images[a]][images[b]]
+            images[domain.cayley[a][b]] == codomain.cayley[images[a]][images[b]]
             for a in range(n)
             for b in range(n)
         )
         if ok:
             out.append(images)
+    return sorted(out)
+
+
+def scan_pairings(H: FiniteGroup, K: FiniteGroup, sigma, star_k) -> list[tuple[tuple[int, ...], ...]]:
+    """Every table K x K -> H that is the identity on the border and the
+    diagonal and satisfies, for all x, y, z in K (^z x = z x z^-1):
+
+      T1  beta(x y, z) = sigma_x(beta(y, z)) sigma_{^x(y*z)}(beta(x, z))
+      T2  beta(x, y z) = beta(x, y) sigma_{(x*y) y}(beta(x, z))
+      T3  beta(^z x, ^z y) = sigma_z(beta(x, y))
+
+    by scanning all values of the other cells; only usable when |H| to the
+    number of those cells is small."""
+    mul_h, eH = H.cayley, H.identity
+    mul_k, inv_k, eK = K.cayley, K.inverse, K.identity
+    rK = range(K.order)
+    free = [(x, y) for x in rK for y in rK if eK not in (x, y) and x != y]
+
+    def conj(z, x):
+        return mul_k[mul_k[z][x]][inv_k[z]]
+
+    def holds(beta, x, y, z):
+        t1 = beta[mul_k[x][y]][z] == mul_h[sigma[x][beta[y][z]]][sigma[conj(x, star_k[y][z])][beta[x][z]]]
+        t2 = beta[x][mul_k[y][z]] == mul_h[beta[x][y]][sigma[mul_k[star_k[x][y]][y]][beta[x][z]]]
+        t3 = beta[conj(z, x)][conj(z, y)] == sigma[z][beta[x][y]]
+        return t1 and t2 and t3
+
+    out = []
+    for values in product(range(H.order), repeat=len(free)):
+        cell = dict(zip(free, values))
+        beta = tuple(tuple(cell.get((x, y), eH) for y in rK) for x in rK)
+        if all(holds(beta, x, y, z) for x, y, z in product(rK, repeat=3)):
+            out.append(beta)
     return sorted(out)
 
 

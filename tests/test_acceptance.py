@@ -23,7 +23,6 @@ from mla_forge.construction import (
     check_gamma_identities,
     check_theorem_conditions,
     decompose_bracket,
-    enumerate_bilinear_pairings,
     induce_bracket,
     section_independence_check,
     semidirect_product,
@@ -177,7 +176,7 @@ def test_criterion_08_z4xd4_case_analysis():
 
         homs = enumerate_gamma(H, K, action, trivial_bracket(K))
         assert len(homs) == 4
-        bilinear = enumerate_bilinear_pairings(K, H)
+        bilinear = enumerate_pairings(H, K, Action.trivial(H, K), trivial_bracket(K))
         assert len(bilinear) == 2
 
         raw = enumerate_brackets(K).items

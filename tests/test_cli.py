@@ -12,7 +12,7 @@ from mla_forge.construction import (
     PairingMap,
     semidirect_product,
 )
-from mla_forge.groups import is_isomorphic, make_cyclic, make_dihedral, make_quaternion
+from mla_forge.groups import automorphisms, is_isomorphic, make_cyclic, make_dihedral, make_quaternion
 from mla_forge.scenarios import z4xd4_case_ii_bracket
 
 
@@ -215,6 +215,21 @@ def test_group_file_with_non_integer_generators_is_input_error(tmp_path, capsys,
     assert code == 2
     assert out == ""
     assert "generators" in err
+
+
+def test_declared_generators_do_not_steer_the_search(tmp_path, capsys):
+    """A group file's generators are metadata: naming the generators of Z2^3
+    four times over changes neither Aut nor the enumeration."""
+    doc = io.group_to_doc(parse_preset("Z2xZ2xZ2"))
+    del doc["generators"]
+    plain, repeated = tmp_path / "plain.json", tmp_path / "repeated.json"
+    plain.write_text(io.canonical_dumps(doc))
+    repeated.write_text(io.canonical_dumps({**doc, "generators": [1, 2, 4] * 4}))
+    auts = [m.images for m in automorphisms(io.load_group(plain))]
+    assert [m.images for m in automorphisms(io.load_group(repeated))] == auts
+    code, out, err = run(capsys, "enumerate", "--group", str(plain))
+    assert code == 0 and "raw_count: 120\nclass_count: 7\n" in out
+    assert run(capsys, "enumerate", "--group", str(repeated)) == (0, out, err)
 
 
 def test_enumerate_emits_item_files(tmp_path, capsys):

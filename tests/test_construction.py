@@ -20,7 +20,6 @@ from mla_forge.construction import (
     check_gamma_identities,
     check_theorem_conditions,
     decompose_bracket,
-    enumerate_bilinear_pairings,
     induce_bracket,
     section_independence_check,
     semidirect_product,
@@ -295,7 +294,7 @@ def direct_catalog():
     z4, d4 = make_cyclic(4), make_dihedral(4)
     act = Action.trivial(z4, d4)
     stars = enumerate_brackets(d4, SearchConfig()).items
-    betas = enumerate_bilinear_pairings(d4, z4)
+    betas = enumerate_pairings(z4, d4, Action.trivial(z4, d4), trivial_bracket(d4))
     gammas = [gamma_mult(z4, d4, vals) for vals in (
         (0,) * 8,
         (0, 0, 0, 0, 2, 2, 2, 2),  # gamma_a = 2, gamma_b = 0
@@ -354,7 +353,7 @@ def test_dn_lift_bracket_is_pure_k_component():
 def test_z4xd4_case_i_nontrivial_beta_bracket():
     z4, d4 = make_cyclic(4), make_dihedral(4)
     act = Action.trivial(z4, d4)
-    betas = enumerate_bilinear_pairings(d4, z4)
+    betas = enumerate_pairings(z4, d4, Action.trivial(z4, d4), trivial_bracket(d4))
     beta = next(b for b in betas if not b.is_trivial())
     assert beta.beta[4][1] == 2  # the nontrivial map has value 2 at (a, b)
     data = ConstructionData.make(act, trivial_bracket(d4), GammaMap.zero(z4, d4), beta)
@@ -507,13 +506,15 @@ def test_sigma_gamma_commute_requires_abelian_k():
 
 
 def test_bilinear_pairings_d4_to_z3_only_trivial():
-    maps = enumerate_bilinear_pairings(make_dihedral(4), make_cyclic(3))
+    d4, z3 = make_dihedral(4), make_cyclic(3)
+    maps = enumerate_pairings(z3, d4, Action.trivial(z3, d4), trivial_bracket(d4))
     assert len(maps) == 1
     assert maps[0].is_trivial()
 
 
 def test_bilinear_pairings_d4_to_z4_exactly_two():
-    maps = enumerate_bilinear_pairings(make_dihedral(4), make_cyclic(4))
+    d4, z4 = make_dihedral(4), make_cyclic(4)
+    maps = enumerate_pairings(z4, d4, Action.trivial(z4, d4), trivial_bracket(d4))
     assert len(maps) == 2
     nontrivial = [m for m in maps if not m.is_trivial()]
     assert len(nontrivial) == 1
@@ -521,7 +522,8 @@ def test_bilinear_pairings_d4_to_z4_exactly_two():
 
 
 def test_bilinear_pairings_d5_to_z5_only_trivial():
-    maps = enumerate_bilinear_pairings(make_dihedral(5), make_cyclic(5))
+    d5, z5 = make_dihedral(5), make_cyclic(5)
+    maps = enumerate_pairings(z5, d5, Action.trivial(z5, d5), trivial_bracket(d5))
     assert len(maps) == 1 and maps[0].is_trivial()
 
 
@@ -539,7 +541,7 @@ def test_pairings_general_action_s3_case():
 
 def test_pairing_normalization_flag():
     z4, d4 = make_cyclic(4), make_dihedral(4)
-    for m in enumerate_bilinear_pairings(d4, z4):
+    for m in enumerate_pairings(z4, d4, Action.trivial(z4, d4), trivial_bracket(d4)):
         assert m.is_normalized
 
 

@@ -15,6 +15,7 @@ from mla_forge.groups import (
     direct_product,
     endomorphisms,
     find_generators,
+    homomorphisms,
     identify_small_group,
     invariant_factors,
     is_isomorphic,
@@ -26,7 +27,7 @@ from mla_forge.groups import (
     verify_group,
 )
 
-from oracle import bijection_scan_automorphisms, map_scan_endomorphisms
+from oracle import bijection_scan_automorphisms, map_scan_homomorphisms
 
 
 def inversion_action(H, K):
@@ -378,7 +379,22 @@ def test_endomorphisms_klein_match_map_scan():
     v4 = direct_product(make_cyclic(2), make_cyclic(2))
     endos = endomorphisms(v4)
     assert len(endos) == 16
-    assert endos == map_scan_endomorphisms(v4)
+    assert endos == map_scan_homomorphisms(v4, v4)
+
+
+@pytest.mark.parametrize(
+    "domain, codomain",
+    [
+        (direct_product(make_cyclic(2), make_cyclic(2)), make_dihedral(4)),
+        (make_dihedral(3), make_dihedral(3)),
+        (make_cyclic(4), make_quaternion(2)),
+        (make_dihedral(3), direct_product(make_cyclic(2), make_cyclic(2))),
+    ],
+    ids=["V4-D4", "D3-D3", "Z4-Q8", "D3-V4"],
+)
+def test_homomorphisms_match_map_scan(domain, codomain):
+    homs = [m.images for m in homomorphisms(domain, codomain)]
+    assert homs == map_scan_homomorphisms(domain, codomain)
 
 
 def test_endomorphisms_reject_nonabelian():

@@ -37,8 +37,11 @@ from oracle import (
     bijection_scan_automorphisms,
     naive_bracket_tables,
     relabel_table,
+    scan_pairings,
     structure_constant_tables,
 )
+
+V4 = direct_product(make_cyclic(2), make_cyclic(2))
 
 
 def order_le_six_groups():
@@ -265,6 +268,33 @@ def test_enumerate_pairings_coprime_quaternion():
     z5, q8 = make_cyclic(5), make_quaternion(2)
     maps = enumerate_pairings(z5, q8, Action.trivial(z5, q8), trivial_bracket(q8))
     assert len(maps) == 1 and maps[0].is_trivial()
+
+
+@pytest.mark.parametrize(
+    "H, K, action",
+    [
+        (make_cyclic(2), V4, Action.trivial(make_cyclic(2), V4)),
+        (make_cyclic(4), V4, Action.trivial(make_cyclic(4), V4)),
+        (V4, V4, Action.trivial(V4, V4)),
+        (make_cyclic(4), V4, Action.by_inversion(make_cyclic(4), V4, (1, 3))),
+        (make_cyclic(2), make_cyclic(4), Action.trivial(make_cyclic(2), make_cyclic(4))),
+    ],
+    ids=["Z2-V4", "Z4-V4", "V4-V4", "Z4-V4-inverting", "Z2-Z4"],
+)
+def test_enumerate_pairings_match_table_scan(H, K, action):
+    for star_k in enumerate_brackets(K).items:
+        found = [p.beta for p in enumerate_pairings(H, K, action, star_k)]
+        assert found == scan_pairings(H, K, action.sigma, star_k.star)
+
+
+@pytest.mark.parametrize("enumerate_maps", [enumerate_gamma, enumerate_pairings])
+@pytest.mark.parametrize("wrong", ["H", "K"])
+def test_map_enumeration_rejects_groups_other_than_the_actions(enumerate_maps, wrong):
+    z2, z4 = make_cyclic(2), make_cyclic(4)
+    action = Action.trivial(z4, z2)
+    H, K = (z2, z2) if wrong == "H" else (z4, z4)
+    with pytest.raises(ValidationError, match="action does not match H and K"):
+        enumerate_maps(H, K, action, trivial_bracket(K))
 
 
 # -- induced enumeration --------------------------------------------------------------
