@@ -120,7 +120,7 @@ def load_group_arg(value: str) -> FiniteGroup:
 
 
 def _search_config(args: argparse.Namespace) -> SearchConfig:
-    budget = getattr(args, "node_budget", None)
+    budget = args.node_budget
     if budget is None:
         env = os.environ.get(BUDGET_ENV)
         try:
@@ -204,7 +204,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     group = load_group_arg(args.group)
     config = _search_config(args)
     result = enumerate_brackets(group, config)
-    doc = io.enumeration_to_doc(result, include_items=args.format == "json")
+    doc = io.enumeration_to_doc(result)
     lines = [
         f"group: {group.name} (order {group.order})",
         f"raw_count: {result.raw_count}",
@@ -367,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--node-budget", type=int, default=None, dest="node_budget")
 
     p = sub.add_parser("verify", help="verify a group, a bracket, or construction data")
     p.add_argument("--group")
@@ -382,6 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=int, default=SearchConfig.max_group_order, dest="max_order")
     p.add_argument("--emit", help="directory for the enumerated bracket files")
     common(p)
+    p.add_argument("--node-budget", type=int, default=None, dest="node_budget")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("induce", help="build the bracket induced by a construction file")
@@ -402,6 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", help="run a single scenario by name")
     p.add_argument("--list", action="store_true", help="list scenario names without running")
     common(p)
+    p.add_argument("--node-budget", type=int, default=None, dest="node_budget")
     p.set_defaults(func=cmd_scenarios)
     return parser
 

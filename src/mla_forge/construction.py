@@ -458,17 +458,11 @@ def decompose_bracket(action: Action, bracket: LieBracket) -> ConstructionData:
             sk_row.append(v // nH)
         star_k_rows.append(sk_row)
         beta_rows.append(b_row)
-    gamma_rows = []
-    for x in range(K.order):
-        row = []
-        for k in range(nH):
-            v = star[pair_index(eH, x, nH)][pair_index(k, eK, nH)]
-            if v // nH != eK:
-                raise ReconstructionMismatchError(
-                    f"(1,{x})*({k},1) leaves H; outside the split parametrization"
-                )
-            row.append(v % nH)
-        gamma_rows.append(row)
+    # H is an ideal, so every (1,x)*(k,1) lies in H
+    gamma_rows = [
+        [star[pair_index(eH, x, nH)][pair_index(k, eK, nH)] % nH for k in range(nH)]
+        for x in range(K.order)
+    ]
     try:
         data = ConstructionData.make(
             action,

@@ -1,8 +1,14 @@
 """Exhaustive enumeration engines for brackets, gamma families, pairing maps
 and induced structures, with classification up to equivalence.
 
+Brackets are enumerated by ``_StarTableSearch``: it branches only on the
+cells of generator pairs a < b and propagates by A2, A5 and the reversal
+alone; its docstring proves that no A3 rule and no other branch cell is
+needed.
+
 Gamma families and pairing tables are fixed by their values at generators
-of K: ``enumerate_gamma`` and ``enumerate_pairings`` range over those values
+of K (for pairings, at generator pairs a < b; the reversal gives (b, a)):
+``enumerate_gamma`` and ``enumerate_pairings`` range over those values
 and extend each choice along the breadth-first steps of
 ``groups.generator_steps``, as the homomorphism searches of ``groups`` do,
 then keep the extensions that pass the full checks.
@@ -21,7 +27,7 @@ its cost follows the orbit's size, not |Aut|.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 from typing import Optional, Sequence
 
@@ -96,19 +102,30 @@ class _BudgetExhausted(Exception):
 class _StarTableSearch:
     """Backtracking over star-table cells.
 
-    Seed cells are the off-diagonal generator pairs in lexicographic order;
-    assigning a cell propagates forced values through the closure rules
-    derived from the axioms:
+    Seed cells are the generator pairs (a, b) with a before b in
+    ``find_generators``, in lexicographic order; assigning a cell propagates
+    forced values through three rules derived from the axioms:
 
       from (x,y) and (x,z) known:  (x, yz) and (x, zy)    (A2)
-      from (y,z) and (x,z) known:  (xy, z) and (yx, z)    (A3)
       from (x,y) known:            (^z x, ^z y) for all z (A5)
-      from (x,y) known:            (y, x) = (x*y)^-1      (derived)
+      from (x,y) known:            (y, x) = (x*y)^-1      (reversal)
 
-    Diagonal and border cells are pre-filled with the identity before any
-    other cell, so no later assignment reaches them. Every completed table is
-    re-verified from scratch, so propagation only has to be sound, not
-    complete.
+    ``_set`` writes a cell and its reverse in one step, so (x,y) is empty
+    exactly when (y,x) is. Diagonal and border cells are pre-filled with the
+    identity first; that cannot conflict, since A2 and A5 force only identity
+    values from identity cells, and every subgroup contains the identity.
+
+    No A3 rule: for (x,y) = v and (x2,y) = w, A3 forces (x2 x, y) = ^x2 v . w
+    and (x x2, y) = ^x w . v, the inverses of what A2 forces on (y, x2 x)
+    and (y, x x2) from the reverse cells (y,x) = v^-1 and (y,x2) = w^-1, so
+    the reversal sets the same values. Propagation runs to a fixpoint, whose
+    cells and conflicts do not depend on the order the rules fire in.
+
+    No branch beyond the seeds: once they are set, A2 fills each generator
+    row over the products of generators, all of G; the reversal fills each
+    generator column, and A2 then every row. Each leaf is a full table and
+    is re-verified from scratch by ``verify_mla``, so propagation only has
+    to be sound, not complete.
     """
 
     def __init__(self, group: FiniteGroup, config: SearchConfig):
@@ -130,39 +147,32 @@ class _StarTableSearch:
         self.exhausted = True
 
     def run(self) -> None:
-        gens = find_generators(self.group)
-        seeds = [(a, b) for a in gens for b in gens if a != b]
-        if not self._seed_base_cells():
-            return
+        seeds = list(combinations(find_generators(self.group), 2))
+        self._seed_base_cells()
         try:
             self._dfs(seeds, 0)
         except _BudgetExhausted:
             self.exhausted = False
 
-    def _seed_base_cells(self) -> bool:
-        n, e = self.n, self.e
-        for x in range(n):
-            if not (self._set(x, x, e) and self._set(x, e, e) and self._set(e, x, e)):
-                return False
-        return self._propagate()
+    def _seed_base_cells(self) -> None:
+        e = self.e
+        for x in range(self.n):
+            self._set(x, x, e)
+            self._set(x, e, e)
+        self._propagate()
 
     def _set(self, x: int, y: int, v: int) -> bool:
+        """Assign (x,y) = v and (y,x) = v^-1, or check them if already set."""
         cur = self.star[x][y]
-        if cur == v:
-            return True
         if cur != -1:
-            return False
+            return cur == v
         if self.ideal is not None and (x in self.ideal or y in self.ideal) and v not in self.ideal:
             return False
         self.star[x][y] = v
         self.trail.append((x, y))
-        iv = self.inv[v]
         if x != y:
-            cur_r = self.star[y][x]
-            if cur_r == -1:
-                return self._set(y, x, iv)
-            if cur_r != iv:
-                return False
+            self.star[y][x] = self.inv[v]
+            self.trail.append((y, x))
         return True
 
     def _propagate(self) -> bool:
@@ -185,40 +195,17 @@ class _StarTableSearch:
                         return False
                     if not self._set(x, mul[y2][y], mul[w][conj[y2][v]]):
                         return False
-            mxcol = mul[x]
-            cx = conj[x]
-            for x2 in range(n):
-                w = star[x2][y]
-                if w != -1:
-                    if not self._set(mul[x2][x], y, mul[conj[x2][v]][w]):
-                        return False
-                    if not self._set(mxcol[x2], y, mul[cx[w]][v]):
-                        return False
         return True
-
-    def _next_cell(self, seeds: list[tuple[int, int]], idx: int) -> Optional[tuple[int, int]]:
-        """The cell to branch on: seeds[idx], which _dfs has advanced to an
-        empty seed cell, or after the seeds the first empty cell in
-        row-major order."""
-        if idx < len(seeds):
-            return seeds[idx]
-        for x in range(self.n):
-            row = self.star[x]
-            for y in range(self.n):
-                if row[y] == -1:
-                    return x, y
-        return None
 
     def _dfs(self, seeds: list[tuple[int, int]], idx: int) -> None:
         while idx < len(seeds) and self.star[seeds[idx][0]][seeds[idx][1]] != -1:
             idx += 1
-        cell = self._next_cell(seeds, idx)
-        if cell is None:
+        if idx == len(seeds):
             table = tuple(tuple(row) for row in self.star)
             if not verify_mla(self.group, table, max_violations=1):
                 self.results.append(table)
             return
-        x, y = cell
+        x, y = seeds[idx]
         for v in range(self.n):
             self.nodes += 1
             if self.nodes > self.budget:
@@ -326,29 +313,38 @@ def enumerate_pairings(
       T3  beta(^z x, ^z y) = sigma_z(beta(x, y))
 
     For the trivial action these are plain bilinearity plus conjugation
-    invariance, whatever star_k is. The values on off-diagonal generator
-    pairs, in product order, fix a table: T2 along the generator steps of K
-    fills the generator rows, then T1 along the same steps fills every other
-    row. Each table is kept when it satisfies C1 and every instance of
-    T1-T3; it holds its seed values, so distinct seeds give distinct tables.
+    invariance, whatever star_k is. The values on the generator pairs (a, b)
+    with a before b in ``find_generators``, in product order, fix a table.
+    Every table passing C1, T1 and T2 obeys the reversal
+
+      beta(y, x) = sigma_{(x*y)^-1}(beta(x, y))^-1
+
+    (T1 at (x, y, xy), with beta(y, xy) = beta(y, x) and
+    beta(x, xy) = sigma_x(beta(x, y)) from T2 and C1, and y*xy = y*x in K);
+    it is the H-part of y*x = (x*y)^-1 at (1,x), (1,y) in H x| K. The
+    reversal fills (b, a), T2 along the generator steps of K fills the
+    generator rows, then T1 along the same steps fills every other row.
+    Each table is kept when it satisfies C1 and every instance of T1-T3; it
+    holds its seed values, so distinct seeds give distinct tables.
     """
     _check_parts(H, K, action)
     nH, nK = H.order, K.order
     eH, eK = H.identity, K.identity
-    mul_h = H.cayley
-    mul_k = K.cayley
+    mul_h, inv_h = H.cayley, H.inverse
+    mul_k, inv_k = K.cayley, K.inverse
     conj_k = K.conj_table
     sig = action.sigma
     star = star_k.star
     gens = find_generators(K)
     # the first steps, (g, 1, g) for each generator g, would restate the seeds
     steps = generator_steps(mul_k, eK, gens)[len(gens):]
-    cells = [(a, b) for a in gens for b in gens if a != b]
+    cells = list(combinations(gens, 2))
 
     def fill(values: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         b = [[eH] * nK for _ in range(nK)]
         for (a, g), v in zip(cells, values):
             b[a][g] = v
+            b[g][a] = inv_h[sig[inv_k[star[a][g]]][v]]
         for a in gens:
             row, sa = b[a], star[a]
             for y, x, g in steps:

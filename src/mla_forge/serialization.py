@@ -180,14 +180,10 @@ def condition_report_to_doc(report: ConditionReport) -> dict:
     return doc
 
 
-def enumeration_to_doc(result: EnumerationResult, include_items: bool = True) -> dict:
-    doc: dict[str, Any] = {
+def enumeration_to_doc(result: EnumerationResult) -> dict:
+    return {
         "raw_count": result.raw_count,
         "class_count": result.class_count,
         "exhausted": result.exhausted,
+        "items": [bracket_to_doc(b) for b in result.items],
     }
-    if include_items:
-        doc["items"] = [bracket_to_doc(b) for b in result.items]
-    else:
-        doc["items"] = []
-    return doc

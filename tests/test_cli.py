@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mla_forge
 from mla_forge import serialization as io
 from mla_forge.brackets import commutator_bracket, trivial_bracket
 from mla_forge.cli import main, parse_preset
@@ -157,6 +162,22 @@ def test_enumerate_budget_exhaustion_exit_code(capsys):
     code, out, _ = run(capsys, "enumerate", "--group", "D4", "--node-budget", "2", "--format", "json")
     assert code == 3
     assert json.loads(out)["exhausted"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--group", "D3"],
+        ["induce", "--data", "data.json"],
+        ["decompose", "--group", "Z4xD4", "--bracket", "bracket.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_node_budget_is_an_option_of_the_searching_commands_only(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--node-budget", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --node-budget 5" in capsys.readouterr().err
 
 
 def test_enumerate_budget_env_var(capsys, monkeypatch):
@@ -362,6 +383,23 @@ def test_scenarios_list(capsys):
     assert code == 0
     assert "s3-enumeration" in out
     assert "z4xd4-cases" in out
+
+
+def test_python_dash_m_prints_what_main_prints(capsys):
+    """``python -m mla_forge`` runs the command through ``__main__`` and
+    ``entrypoint``, with main's output and exit code."""
+    src = str(Path(mla_forge.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mla_forge", "scenarios", "--list"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    code, out, _ = run(capsys, "scenarios", "--list")
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
 
 
 def test_scenarios_single(capsys):

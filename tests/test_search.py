@@ -1,6 +1,6 @@
 import pytest
 
-from mla_forge import construction
+from mla_forge import construction, search
 from mla_forge.brackets import (
     LieBracket,
     bracket_orbit,
@@ -204,6 +204,29 @@ def test_require_ideal_monotonic():
     assert tight.raw_count >= 1  # the trivial bracket always satisfies the cell constraint
 
 
+@pytest.mark.parametrize(
+    "spec, ideal",
+    [("D4", None), ("Q8", None), ("Z2xZ2xZ2", None), ("Z2xD4", None), ("Z2xD4", {1})],
+    ids=["D4", "Q8", "Z2xZ2xZ2", "Z2xD4", "Z2xD4-ideal"],
+)
+def test_every_leaf_is_a_full_table(monkeypatch, spec, ideal):
+    """The search branches on the generator pairs only: once they are set,
+    propagation has filled every cell before the leaf check sees the table."""
+    g = parse_preset(spec)
+    ideal_sub = subgroup_generated(g, ideal) if ideal else None
+    config = SearchConfig(max_group_order=16, require_ideal=ideal_sub)
+    leaves = []
+
+    def checked_verify(group, table, **kwargs):
+        assert all(v != -1 for row in table for v in row)
+        leaves.append(table)
+        return verify_mla(group, table, **kwargs)
+
+    monkeypatch.setattr(search, "verify_mla", checked_verify)
+    result = enumerate_brackets(g, config)
+    assert result.exhausted and len(leaves) >= result.raw_count > 0
+
+
 def test_budget_exhaustion_flags_partial_result():
     g = make_dihedral(4)
     res = enumerate_brackets(g, SearchConfig(node_budget=3))
@@ -268,6 +291,17 @@ def test_enumerate_pairings_coprime_quaternion():
     z5, q8 = make_cyclic(5), make_quaternion(2)
     maps = enumerate_pairings(z5, q8, Action.trivial(z5, q8), trivial_bracket(q8))
     assert len(maps) == 1 and maps[0].is_trivial()
+
+
+def test_enumerate_pairings_z8_over_z2_cubed():
+    """For the trivial action the tables are the alternating bilinear maps,
+    Hom(Lambda^2 Z2^3, Z8), one per choice of beta(a, b) in {0, 4} on the
+    three generator pairs a < b."""
+    H, K = make_cyclic(8), parse_preset("Z2xZ2xZ2")
+    maps = enumerate_pairings(H, K, Action.trivial(H, K), trivial_bracket(K))
+    assert len(maps) == 8
+    for m in maps:
+        assert all(m.beta[y][x] == -m.beta[x][y] % 8 for x in range(8) for y in range(8))
 
 
 @pytest.mark.parametrize(
