@@ -38,6 +38,8 @@ from .brackets import (
     AXIOM_SCANS,
     DEFAULT_VIOLATION_CAP,
     LieBracket,
+    axiom_holds,
+    check_violation_cap,
     is_ideal,
     trivial_bracket,
     verify_mla,
@@ -273,8 +275,10 @@ def check_gamma_identities(
       G1  Gamma_{x y}(h)   = Gamma_x(h) sigma_x(Gamma_y(h))
       G2  Gamma_{x*y}(sigma_y(h)) = Gamma_x(Gamma_y(h)) Gamma_{x y x^-1}(Gamma_x(h^-1))
 
-    Empty list = pass; this is exactly condition C2.
+    Empty list = pass; this is exactly condition C2. ``max_violations`` must
+    be an int >= 1.
     """
+    check_violation_cap(max_violations)
     H, K = action.H, action.K
     if gamma.H.cayley != H.cayley or star_k.group.cayley != K.cayley:
         raise ValidationError("gamma/star_k do not match the action")
@@ -346,8 +350,11 @@ def check_theorem_conditions(data: ConstructionData, short_circuit: bool = False
     with ``short_circuit`` later conditions are skipped after a failure).
 
     C1 and C2 are checked on the maps, C3..C6 by the axiom scans of brackets
-    on the induced table. Witnesses are the first failing tuples in loop
-    order: (x,) for C1, (x, y, h) for C2 and (x, y, z, h, k, l) for C3..C6.
+    on the induced table. C3..C6 pass or fail by the scan on the axiom's
+    reduced range, which is exact (brackets module docstring); only a
+    failing condition runs the full scan, for its witness. Witnesses are the
+    first failing tuples in loop order: (x,) for C1, (x, y, h) for C2 and
+    (x, y, z, h, k, l) for C3..C6.
     For the trivial action C3, C4 and C6 reduce to bilinearity and conjugation
     invariance of beta; tests/oracle.py (direct_conditions_hold) transcribes
     that simplified form as a cross-check.
@@ -362,7 +369,9 @@ def check_theorem_conditions(data: ConstructionData, short_circuit: bool = False
         else:
             if table is None:
                 table = data.induced_table
-            witness = _axiom_witness(data, table, CONDITION_AXIOMS[name])
+            axiom = CONDITION_AXIOMS[name]
+            holds = axiom_holds(data.action.product_group, table, axiom)
+            witness = None if holds else _axiom_witness(data, table, axiom)
         results[name] = _status_from(witness)
         if witness is not None and short_circuit:
             break

@@ -236,6 +236,16 @@ class FiniteGroup:
         return tuple(tuple(mul[mul[z][x]][inv[z]] for x in range(self.order)) for z in range(self.order))
 
     @cached_property
+    def _greedy_generators(self) -> tuple[int, ...]:
+        """The generators :func:`find_generators` returns, computed on first use."""
+        gens: list[int] = []
+        reached = {self.identity}
+        while len(reached) < self.order:
+            gens.append(next(x for x in range(self.order) if x not in reached))
+            reached = set(subgroup_generated(self, gens).members)
+        return tuple(gens)
+
+    @cached_property
     def is_abelian(self) -> bool:
         c = self.cayley
         return all(c[a][b] == c[b][a] for a in range(self.order) for b in range(self.order))
@@ -255,17 +265,13 @@ class FiniteGroup:
 
 def find_generators(group: FiniteGroup) -> tuple[int, ...]:
     """Greedy generating set: repeatedly add the first element outside the
-    closure so far. Deterministic, at most log2(order) generators.
+    closure so far. Deterministic, at most log2(order) generators, computed
+    once per group.
 
     The generator choice of every algorithm in the package; a group's
     declared ``generators`` are metadata that no algorithm reads.
     """
-    gens: list[int] = []
-    reached = {group.identity}
-    while len(reached) < group.order:
-        gens.append(next(x for x in range(group.order) if x not in reached))
-        reached = set(subgroup_generated(group, gens).members)
-    return tuple(gens)
+    return group._greedy_generators
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,38 @@ def expand_table(group: FiniteGroup, gens, seed: dict[tuple[int, int], int]):
     return tuple(tuple(star(x, y) for y in range(group.order)) for x in range(group.order))
 
 
+def axiom_violations(group: FiniteGroup, table) -> list[tuple[str, tuple[int, ...], int, int]]:
+    """Every violation of A1..A5, as (axiom, witness, left, right), by the
+    definitions over every element and triple: axioms in order A1..A5,
+    witnesses in lexicographic order (the order ``verify_mla`` documents).
+    No reduced ranges, no precomputed tables."""
+    n, e = group.order, group.identity
+    mul, inv = group.mul, group.inv
+
+    def conj(u, v):  # ^u v = u v u^-1
+        return mul(mul(u, v), inv(u))
+
+    def star(a, b):
+        return table[a][b]
+
+    sides = {
+        "A2": lambda x, y, z: (star(x, mul(y, z)), mul(star(x, y), conj(y, star(x, z)))),
+        "A3": lambda x, y, z: (star(mul(x, y), z), mul(conj(x, star(y, z)), star(x, z))),
+        "A4": lambda x, y, z: (
+            mul(mul(star(star(x, y), conj(y, z)), star(star(y, z), conj(z, x))), star(star(z, x), conj(x, y))),
+            e,
+        ),
+        "A5": lambda x, y, z: (conj(z, star(x, y)), star(conj(z, x), conj(z, y))),
+    }
+    out = [("A1", (x,), star(x, x), e) for x in range(n) if star(x, x) != e]
+    for axiom, both in sides.items():
+        for x, y, z in product(range(n), repeat=3):
+            left, right = both(x, y, z)
+            if left != right:
+                out.append((axiom, (x, y, z), left, right))
+    return out
+
+
 def naive_bracket_tables(group: FiniteGroup):
     """Every valid bracket table, by trying all generator-pair seedings
     (diagonal pinned to the identity) and keeping the tables that verify."""

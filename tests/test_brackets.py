@@ -1,10 +1,11 @@
+import functools
 import tracemalloc
 from itertools import product
 from unittest import mock
 
 import pytest
 
-from mla_forge import brackets
+from mla_forge import brackets, search
 from mla_forge.brackets import (
     LieBracket,
     bracket_orbit,
@@ -24,12 +25,14 @@ from mla_forge.groups import (
     direct_product,
     endomorphism_count,
     endomorphisms,
+    find_generators,
     identify_small_group,
     make_cyclic,
     make_dihedral,
     make_quaternion,
     subgroup_generated,
 )
+from mla_forge.search import SearchConfig, enumerate_brackets
 
 import oracle
 
@@ -99,6 +102,140 @@ def test_violation_cap():
     g = make_cyclic(6)
     assert len(verify_mla(g, g.cayley, max_violations=3)) == 3
     assert len(verify_mla(g, g.cayley, max_violations=16)) == 16
+
+
+@pytest.mark.parametrize("cap", [0, -5, 2.5, True, False, "16", None])
+def test_violation_cap_must_be_a_positive_int(cap):
+    g = make_dihedral(3)
+    with pytest.raises(ValidationError, match="max_violations"):
+        verify_mla(g, [[0]], max_violations=cap)  # checked before the table's shape
+
+
+@pytest.mark.parametrize("value", [-1, 6])
+def test_star_values_outside_the_group_are_rejected(value):
+    g = make_dihedral(3)
+    table = [list(r) for r in trivial_bracket(g).star]
+    table[2][4] = value
+    with pytest.raises(ValidationError, match="star values"):
+        verify_mla(g, table)
+
+
+def _rejected_leaves(group, every):
+    """Every ``every``-th table the star-table search rejects at a leaf."""
+    rejected = []
+
+    def leaf_check(g, table, **kwargs):
+        violations = verify_mla(g, table, **kwargs)
+        if violations:
+            rejected.append(table)
+        return violations
+
+    with mock.patch.object(search, "verify_mla", leaf_check):
+        enumerate_brackets(group, SearchConfig(max_group_order=16))
+    return rejected[::every]
+
+
+def _one_cell_corruptions(group, table):
+    n = group.order
+    for x, y in product(range(n), repeat=2):
+        rows = [list(r) for r in table]
+        rows[x][y] = (rows[x][y] + 1) % n
+        yield tuple(tuple(r) for r in rows)
+
+
+def reduced_range_catalog():
+    """(group, table) pairs on which verify_mla decides A2, A3 and A5 on
+    generators and A4 on one rotation per triple.
+
+    - Leaves the search rejects on Z2^3 and Z2 x Q8: each fails A4 only.
+    - Every one-cell corruption of valid tables on Z4, D3, D4 and Q8.
+      Corrupting (x, e), e the identity, for x != e keeps A1 and breaks A2
+      first at (x, e, e), outside the generators in z; A2 reads only row x,
+      so when x is not a generator A2 holds at every generator x.
+    - The commutator table with the identity's row replaced by y -> y^-1:
+      that row is still a crossed homomorphism, so A1 and A2 hold, and A3
+      fails first at x = e, not a generator.
+    - Tables expanded from generator-pair seeds on D4 and Q8 that fail A3
+      only at z outside the generators (and fail A1 and A2 too).
+    """
+    z2 = make_cyclic(2)
+    out = []
+    for group in (direct_product(z2, direct_product(z2, z2)), direct_product(z2, make_quaternion(2))):
+        out.extend((group, t) for t in _rejected_leaves(group, every=4))
+    d3, d4, q8 = make_dihedral(3), make_dihedral(4), make_quaternion(2)
+    valid = [(make_cyclic(4), trivial_bracket(make_cyclic(4)).star)]
+    valid += [(g, b.star) for g in (d3, d4, q8) for b in (trivial_bracket(g), commutator_bracket(g))]
+    for group, table in valid:
+        out.extend((group, t) for t in _one_cell_corruptions(group, table))
+    for group in (d3, d4):
+        rows = list(commutator_bracket(group).star)
+        rows[group.identity] = group.inverse
+        out.append((group, tuple(rows)))
+    for group, ab, ba in ((d4, 5, 1), (q8, 4, 3)):
+        a, b = find_generators(group)
+        seed = {(a, a): group.identity, (b, b): group.identity, (a, b): ab, (b, a): ba}
+        out.append((group, oracle.expand_table(group, (a, b), seed)))
+    return out
+
+
+@functools.cache
+def _catalog_with_oracle():
+    return [(g, t, oracle.axiom_violations(g, t)) for g, t in reduced_range_catalog()]
+
+
+def test_verify_mla_matches_the_axiom_oracle():
+    """Equal lists for caps 1, 16 and one past the violation count."""
+    for group, table, expected in _catalog_with_oracle():
+        for cap in (1, 16, len(expected) + 1):
+            got = verify_mla(group, table, max_violations=cap)
+            assert [(v.axiom, v.witness, v.left, v.right) for v in got] == expected[:cap]
+
+
+def test_reduced_ranges_decide_each_axiom():
+    """Each axiom's reduced scan fails exactly when the axiom does, whatever
+    the other axioms do: check_theorem_conditions decides C3-C6 this way,
+    each on its own."""
+    for group, table, expected in _catalog_with_oracle():
+        failing = {a for a in brackets.AXIOM_NAMES if not brackets.axiom_holds(group, table, a)}
+        assert failing == {v[0] for v in expected}
+
+
+def test_reduced_range_catalog_reaches_each_case():
+    """The catalog meets each way a reduced range could go wrong: a first
+    witness outside the reduced range, so the full scan must supply it (A2,
+    A3, A5); failures that generators in another argument would miss (A2 in
+    x, A3 in z); and A4-only failures.
+
+    No catalog table passes A1-A4 and fails A5, so verify_mla reaches A5's
+    violations only behind an earlier failing axiom."""
+    seen = set()
+    for group, table, expected in _catalog_with_oracle():
+        if not expected:
+            continue
+        gens = find_generators(group)
+        axiom, witness = expected[0][:2]
+        failed = {v[0] for v in expected}
+        if failed == {"A4"}:
+            seen.add("A4 only")
+        if axiom == "A2" and witness[2] not in gens:
+            seen.add("A2 first witness off the generators")
+        if axiom == "A2" and all(v[1][0] not in gens for v in expected if v[0] == "A2"):
+            seen.add("A2 holds at every generator x")
+        if axiom == "A3" and witness[0] not in gens:
+            seen.add("A3 first witness off the generators")
+        if "A3" in failed and all(v[1][2] not in gens for v in expected if v[0] == "A3"):
+            seen.add("A3 fails only off the generators in z")
+        first_a5 = next((v[1] for v in expected if v[0] == "A5"), None)
+        if first_a5 is not None and first_a5[2] not in gens:
+            seen.add("A5 first witness off the generators")
+    assert seen == {
+        "A4 only",
+        "A2 first witness off the generators",
+        "A2 holds at every generator x",
+        "A3 first witness off the generators",
+        "A3 fails only off the generators in z",
+        "A5 first witness off the generators",
+    }
 
 
 def test_border_cells_forced_by_a1_a2():

@@ -123,6 +123,14 @@ def test_gamma_identity_family_catalog_for_s3():
         assert check_gamma_identities(act, fam, star_k) == [], m
 
 
+@pytest.mark.parametrize("cap", [0, -5, 2.5, True, False, "16", None])
+def test_gamma_violation_cap_must_be_a_positive_int(cap):
+    H, K = make_cyclic(3), make_cyclic(2)
+    act = Action.trivial(H, K)
+    with pytest.raises(ValidationError, match="max_violations"):
+        check_gamma_identities(act, GammaMap.zero(H, K), trivial_bracket(K), max_violations=cap)
+
+
 def test_gamma_inversion_fails_for_trivial_action():
     H, K = make_cyclic(3), make_cyclic(2)
     act = Action.trivial(H, K)

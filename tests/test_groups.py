@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mla_forge import groups
 from mla_forge.errors import BoundExceededError, ValidationError
 from mla_forge.groups import (
     FiniteGroup,
@@ -419,3 +420,11 @@ def test_find_generators_generate():
     for g in preset_catalog():
         gens = find_generators(g)
         assert subgroup_generated(g, gens).order == g.order
+
+
+def test_find_generators_is_computed_once_per_group(monkeypatch):
+    g = make_dihedral(6)
+    first = find_generators(g)
+    monkeypatch.setattr(groups, "subgroup_generated", None)  # a second computation would fail
+    assert find_generators(g) is first
+    assert first == (1, 6)
