@@ -11,7 +11,7 @@ A bracket on G is a table star[x][y] subject to (writing ^u v = u v u^-1):
 
 The all-identity table and the commutator table always qualify. Every valid
 bracket also satisfies the derived identities x*1 = 1*x = 1 and
-y*x = (x*y)^-1, which the search and propagation code relies on.
+y*x = (x*y)^-1, which the search relies on.
 
 Each axiom scan also runs on a reduced range, and a table of group elements
 passes the reduced scan exactly when it passes the full one, whatever the

@@ -143,7 +143,8 @@ def generator_steps(
 
     A map on that subgroup is fixed by its values on the generators when
     each step fixes its value at y from those at x and g: homomorphisms
-    here, the endomorphism families and pairing tables in ``search``.
+    here, the endomorphism families, bracket tables and pairing tables in
+    ``search``.
     """
     gens = tuple(gens)
     order = [identity]
@@ -515,23 +516,31 @@ def _extend_from_generators(
     codomain: FiniteGroup,
     order: Sequence[int],
     image: dict[int, int],
+    twist: Optional[Sequence[Sequence[int]]] = None,
 ) -> Optional[tuple[int, ...]]:
-    """The homomorphism that sends each generator g to image[g], as an image
-    table, or None when there is none.
+    """The map f with f(g) = image[g] on each generator g and
+    f(x g) = f(x) twist[x](f(g)) for every x and generator g, as an image
+    table, or None when there is none. ``twist[x]`` permutes the codomain;
+    without it f is a homomorphism, with conjugation (twist[x] = ^x) a
+    crossed homomorphism, which is a bracket row by A2.
 
     ``order`` lists the domain in the order of its generator steps, the
-    identity first. Walking it, every product x g sets f(x g) = f(x) f(g)
-    where that is the product's step and is checked against it otherwise, so
-    the table is accepted iff f(x g) = f(x) f(g) for every x and generator g:
-    then f(x w) = f(x) f(w) for every word w by induction on its length.
+    identity first. Walking it, each product x g sets f(x g) if it is unset
+    and is checked against it otherwise, so the table is accepted iff the
+    rule holds for every x and generator g; for a homomorphism or a crossed
+    homomorphism it then holds for every product x w, by induction on the
+    length of the word w.
     """
     mul_d, mul_c = domain.cayley, codomain.cayley
     val = [-1] * domain.order
     val[domain.identity] = codomain.identity
+    for g, fg in image.items():
+        val[g] = fg
     for x in order:
         row, crow = mul_d[x], mul_c[val[x]]
+        act = twist[x] if twist is not None else None
         for g, fg in image.items():
-            y, w = row[g], crow[fg]
+            y, w = row[g], crow[fg if act is None else act[fg]]
             if val[y] == -1:
                 val[y] = w
             elif val[y] != w:

@@ -21,7 +21,6 @@ from .construction import (
     Action,
     ConstructionData,
     PairingMap,
-    check_theorem_conditions,
     decompose_bracket,
     induce_bracket,
     section_independence_check,
@@ -42,6 +41,7 @@ from .search import (
     enumerate_induced,
     enumerate_mla_homs,
     enumerate_pairings,
+    enumerate_tuples,
     tau,
     verify_coprime_determination,
 )
@@ -145,13 +145,7 @@ def _run_s3_construction(config: SearchConfig) -> ScenarioOutcome:
     betas = enumerate_pairings(H, K, action, star_k)
     comm = commutator_bracket(G)
 
-    brackets = []
-    for gamma in gammas:
-        for beta in betas:
-            data = ConstructionData.make(action, star_k, gamma, beta)
-            report = check_theorem_conditions(data)
-            if report.passed:
-                brackets.append((gamma, induce_bracket(data, check=False)))
+    brackets = [(data.gamma, induce_bracket(data, check=False)) for data in enumerate_tuples(action, star_k)]
     nonzero = [(g, b) for g, b in brackets if not g.is_zero()]
     all_valid = all(not verify_mla(G, b) for _, b in brackets)
     comm_orbit = set(bracket_orbit(comm))
@@ -253,16 +247,9 @@ def _run_z4xd4(config: SearchConfig) -> ScenarioOutcome:
     labels: dict[str, list[str]] = {}
     all_valid = True
     for case, star_k in cases.items():
-        gammas = enumerate_gamma(H, K, action, star_k)
-        accepted = []
-        for gamma in gammas:
-            for beta in bilinear:
-                data = ConstructionData.make(action, star_k, gamma, beta)
-                if check_theorem_conditions(data, short_circuit=True).passed:
-                    bracket = induce_bracket(data, check=False)
-                    accepted.append(bracket)
-                    if verify_mla(G, bracket):
-                        all_valid = False
+        accepted = [induce_bracket(data, check=False) for data in enumerate_tuples(action, star_k)]
+        if any(verify_mla(G, bracket) for bracket in accepted):
+            all_valid = False
         tuple_counts[case] = len(accepted)
         case_labels = set()
         for bracket in accepted:

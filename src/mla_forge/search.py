@@ -1,17 +1,14 @@
 """Exhaustive enumeration engines for brackets, gamma families, pairing maps
 and induced structures, with classification up to equivalence.
 
-Brackets are enumerated by ``_StarTableSearch``: it branches only on the
-cells of generator pairs a < b and propagates by A2, A5 and the reversal
-alone; its docstring proves that no A3 rule and no other branch cell is
-needed.
-
-Gamma families and pairing tables are fixed by their values at generators
-of K (for pairings, at generator pairs a < b; the reversal gives (b, a)):
-``enumerate_gamma`` and ``enumerate_pairings`` range over those values
-and extend each choice along the breadth-first steps of
-``groups.generator_steps``, as the homomorphism searches of ``groups`` do,
-then keep the extensions that pass the full checks.
+Every table here is fixed by its values at generators. Each engine ranges
+over those values, extends each choice along the steps of
+``groups.generator_steps`` and checks the result in full:
+``_StarTableSearch`` (brackets, seeded on generator pairs a < b),
+``enumerate_gamma`` (Gamma at the generators of K) and
+``enumerate_pairings`` (beta on generator pairs a < b). The generator rows
+of brackets and pairings are extended by the homomorphism kernel,
+``groups._extend_from_generators``, twisted to A2 and to T2.
 
 Equivalence for counting: two brackets on the same group are one structure
 when an automorphism carries one to the other or to its argument reversal
@@ -55,6 +52,7 @@ from .groups import (
     HARD_ORDER_CAP,
     FiniteGroup,
     Subgroup,
+    _extend_from_generators,
     automorphism_generators,
     endomorphisms,
     find_generators,
@@ -100,123 +98,109 @@ class _BudgetExhausted(Exception):
 
 
 class _StarTableSearch:
-    """Backtracking over star-table cells.
+    """Depth-first walk over the seeds: the cells (a, b) of generator pairs
+    with a before b in ``find_generators``, in lexicographic order, each
+    tried at every value. Every tried value is one node of the budget.
 
-    Seed cells are the generator pairs (a, b) with a before b in
-    ``find_generators``, in lexicographic order; assigning a cell propagates
-    forced values through three rules derived from the axioms:
+    A1 (a*a = 1) and the reversal (b*a = (a*b)^-1) give a generator row's
+    other values at the generators. Once the seeds have set all of them, the
+    row a*y is extended along the generator steps as a crossed homomorphism,
+    a*(x g) = (a*x) ^x(a*g) (A2), and rejected when it does not close, when
+    ^z(a*y) = a * ^z y fails for a generator z with ^z a = a (A5), or when
+    one of its cells breaks the ``require_ideal`` rule (x or y in the ideal
+    puts x*y in it). At the leaf every generator row is set; the others are
+    filled by A3 along the steps, (x g)*z = ^x(g*z) (x*z), and checked
+    against the ideal rule, and the table is checked by ``verify_mla``.
 
-      from (x,y) and (x,z) known:  (x, yz) and (x, zy)    (A2)
-      from (x,y) known:            (^z x, ^z y) for all z (A5)
-      from (x,y) known:            (y, x) = (x*y)^-1      (reversal)
-
-    ``_set`` writes a cell and its reverse in one step, so (x,y) is empty
-    exactly when (y,x) is. Diagonal and border cells are pre-filled with the
-    identity first; that cannot conflict, since A2 and A5 force only identity
-    values from identity cells, and every subgroup contains the identity.
-
-    No A3 rule: for (x,y) = v and (x2,y) = w, A3 forces (x2 x, y) = ^x2 v . w
-    and (x x2, y) = ^x w . v, the inverses of what A2 forces on (y, x2 x)
-    and (y, x x2) from the reverse cells (y,x) = v^-1 and (y,x2) = w^-1, so
-    the reversal sets the same values. Propagation runs to a fixpoint, whose
-    cells and conflicts do not depend on the order the rules fire in.
-
-    No branch beyond the seeds: once they are set, A2 fills each generator
-    row over the products of generators, all of G; the reversal fills each
-    generator column, and A2 then every row. Each leaf is a full table and
-    is re-verified from scratch by ``verify_mla``, so propagation only has
-    to be sound, not complete.
+    Every valid table is reached: it holds its seed values, and they fix it,
+    since its generator rows are the crossed homomorphisms with its values
+    at the generators and A3 builds every other row from the generator rows.
+    Each prune on the way is one instance of A2, A5 or the ideal rule, which
+    the table satisfies, so no valid table is pruned. Every table kept
+    passed ``verify_mla`` and the ideal rule on every cell, and distinct
+    seed values give distinct tables.
     """
 
     def __init__(self, group: FiniteGroup, config: SearchConfig):
         self.group = group
-        self.n = group.order
-        self.mul = group.cayley
-        self.inv = group.inverse
-        self.conj = group.conj_table
-        self.e = group.identity
         self.budget = config.node_budget
         self.nodes = 0
         self.ideal = (
             frozenset(config.require_ideal.members) if config.require_ideal is not None else None
         )
-        self.star = [[-1] * self.n for _ in range(self.n)]
-        self.trail: list[tuple[int, int]] = []
-        self.processed = 0
         self.results: list[tuple[tuple[int, ...], ...]] = []
         self.exhausted = True
+        gens = find_generators(group)
+        steps = generator_steps(group.cayley, group.identity, gens)
+        self.gens = gens
+        self.order = [group.identity] + [y for y, _, _ in steps]
+        # the first steps, (g, 1, g) for each generator g, are the generator rows
+        self.row_steps = steps[len(gens):]
+        self.seeds = list(combinations(gens, 2))
+        # rows_after[m]: the generator rows whose values at the generators
+        # the first m seeds complete
+        self.rows_after: list[list[int]] = [[] for _ in range(len(self.seeds) + 1)]
+        for a in gens:
+            self.rows_after[max((m + 1 for m, s in enumerate(self.seeds) if a in s), default=0)].append(a)
+        conj, fixed = group.conj_table, group.conj_table[group.identity]
+        # a central z adds no condition
+        self.a5 = {a: [conj[z] for z in gens if conj[z][a] == a and conj[z] != fixed] for a in gens}
+        self.cell = {(a, a): group.identity for a in gens}
+        self.rows: dict[int, tuple[int, ...]] = {}
 
     def run(self) -> None:
-        seeds = list(combinations(find_generators(self.group), 2))
-        self._seed_base_cells()
         try:
-            self._dfs(seeds, 0)
+            self._dfs(0)
         except _BudgetExhausted:
             self.exhausted = False
 
-    def _seed_base_cells(self) -> None:
-        e = self.e
-        for x in range(self.n):
-            self._set(x, x, e)
-            self._set(x, e, e)
-        self._propagate()
-
-    def _set(self, x: int, y: int, v: int) -> bool:
-        """Assign (x,y) = v and (y,x) = v^-1, or check them if already set."""
-        cur = self.star[x][y]
-        if cur != -1:
-            return cur == v
-        if self.ideal is not None and (x in self.ideal or y in self.ideal) and v not in self.ideal:
-            return False
-        self.star[x][y] = v
-        self.trail.append((x, y))
-        if x != y:
-            self.star[y][x] = self.inv[v]
-            self.trail.append((y, x))
-        return True
-
-    def _propagate(self) -> bool:
-        mul, conj, star, n = self.mul, self.conj, self.star, self.n
-        while self.processed < len(self.trail):
-            x, y = self.trail[self.processed]
-            self.processed += 1
-            v = star[x][y]
-            for z in range(n):
-                cz = conj[z]
-                if not self._set(cz[x], cz[y], cz[v]):
-                    return False
-            row = star[x]
-            my = mul[y]
-            cy = conj[y]
-            for y2 in range(n):
-                w = row[y2]
-                if w != -1:
-                    if not self._set(x, my[y2], mul[v][cy[w]]):
-                        return False
-                    if not self._set(x, mul[y2][y], mul[w][conj[y2][v]]):
-                        return False
-        return True
-
-    def _dfs(self, seeds: list[tuple[int, int]], idx: int) -> None:
-        while idx < len(seeds) and self.star[seeds[idx][0]][seeds[idx][1]] != -1:
-            idx += 1
-        if idx == len(seeds):
-            table = tuple(tuple(row) for row in self.star)
-            if not verify_mla(self.group, table, max_violations=1):
-                self.results.append(table)
+    def _dfs(self, m: int) -> None:
+        if not all(self._complete_row(a) for a in self.rows_after[m]):
             return
-        x, y = seeds[idx]
-        for v in range(self.n):
+        if m == len(self.seeds):
+            self._leaf()
+            return
+        a, b = self.seeds[m]
+        inv = self.group.inverse
+        for v in range(self.group.order):
             self.nodes += 1
             if self.nodes > self.budget:
                 raise _BudgetExhausted
-            mark = len(self.trail)
-            if self._set(x, y, v) and self._propagate():
-                self._dfs(seeds, idx)
-            while len(self.trail) > mark:
-                a, b = self.trail.pop()
-                self.star[a][b] = -1
-            self.processed = mark
+            self.cell[a, b] = v
+            self.cell[b, a] = inv[v]
+            self._dfs(m + 1)
+
+    def _complete_row(self, a: int) -> bool:
+        group = self.group
+        image = {g: self.cell[a, g] for g in self.gens}
+        row = _extend_from_generators(group, group, self.order, image, group.conj_table)
+        if row is None or not self._in_ideal(a, row):
+            return False
+        if any(c[row[y]] != row[c[y]] for c in self.a5[a] for y in range(group.order)):
+            return False
+        self.rows[a] = row
+        return True
+
+    def _in_ideal(self, x: int, row: tuple[int, ...]) -> bool:
+        """Whether row x keeps the ideal rule: x or y in the ideal puts x*y in it."""
+        ideal = self.ideal
+        return ideal is None or all(row[y] in ideal for y in (range(len(row)) if x in ideal else ideal))
+
+    def _leaf(self) -> None:
+        group = self.group
+        mul, conj, e, n = group.cayley, group.conj_table, group.identity, group.order
+        star: list[tuple[int, ...]] = [()] * n
+        star[e] = (e,) * n
+        for a, row in self.rows.items():
+            star[a] = row
+        for y, x, g in self.row_steps:
+            rx, rg, cx = star[x], star[g], conj[x]
+            star[y] = tuple(mul[cx[rg[z]]][rx[z]] for z in range(n))
+            if not self._in_ideal(y, star[y]):
+                return
+        table = tuple(star)
+        if not verify_mla(group, table, max_violations=1):
+            self.results.append(table)
 
 
 def _classify(
@@ -323,9 +307,10 @@ def enumerate_pairings(
     beta(x, xy) = sigma_x(beta(x, y)) from T2 and C1, and y*xy = y*x in K);
     it is the H-part of y*x = (x*y)^-1 at (1,x), (1,y) in H x| K. The
     reversal fills (b, a), T2 along the generator steps of K fills the
-    generator rows, then T1 along the same steps fills every other row.
-    Each table is kept when it satisfies C1 and every instance of T1-T3; it
-    holds its seed values, so distinct seeds give distinct tables.
+    generator rows, then T1 along the same steps fills every other row. A
+    generator row that does not close breaks T2, so its seeds are dropped.
+    Each other table is kept when it satisfies C1 and every instance of
+    T1-T3; it holds its seed values, so distinct seeds give distinct tables.
     """
     _check_parts(H, K, action)
     nH, nK = H.order, K.order
@@ -336,19 +321,23 @@ def enumerate_pairings(
     sig = action.sigma
     star = star_k.star
     gens = find_generators(K)
-    # the first steps, (g, 1, g) for each generator g, would restate the seeds
-    steps = generator_steps(mul_k, eK, gens)[len(gens):]
+    steps = generator_steps(mul_k, eK, gens)
+    order = [eK] + [y for y, _, _ in steps]
+    # the first steps, (g, 1, g) for each generator g, are the generator rows
+    steps = steps[len(gens):]
     cells = list(combinations(gens, 2))
+    twists = {a: [sig[mul_k[star[a][x]][x]] for x in range(nK)] for a in gens}
 
-    def fill(values: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    def fill(values: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], ...]]:
         b = [[eH] * nK for _ in range(nK)]
         for (a, g), v in zip(cells, values):
             b[a][g] = v
             b[g][a] = inv_h[sig[inv_k[star[a][g]]][v]]
         for a in gens:
-            row, sa = b[a], star[a]
-            for y, x, g in steps:
-                row[y] = mul_h[row[x]][sig[mul_k[sa[x]][x]][row[g]]]
+            row = _extend_from_generators(K, H, order, {g: b[a][g] for g in gens}, twists[a])
+            if row is None:
+                return None
+            b[a] = row
         for y, x, g in steps:
             bx, bg, sx, cx, sg = b[x], b[g], sig[x], conj_k[x], star[g]
             b[y] = [mul_h[sx[bg[z]]][sig[cx[sg[z]]][bx[z]]] for z in range(nK)]
@@ -367,7 +356,25 @@ def enumerate_pairings(
         return True
 
     tables = (fill(values) for values in product(range(nH), repeat=len(cells)))
-    return [PairingMap(H, K, t) for t in sorted(t for t in tables if acceptable(t))]
+    return [PairingMap(H, K, t) for t in sorted(t for t in tables if t is not None and acceptable(t))]
+
+
+def enumerate_tuples(action: Action, star_k: LieBracket) -> list[ConstructionData]:
+    """The tuples (star_k, Gamma, beta) on the action that pass C1-C6, in the
+    order of ``enumerate_gamma``, then of ``enumerate_pairings``.
+
+    star_k is verified once, by the one ``ConstructionData.make`` here; the
+    tuples share it and differ only in Gamma and beta.
+    """
+    H, K = action.H, action.K
+    base = ConstructionData.make(action, star_k, GammaMap.zero(H, K), PairingMap.trivial(H, K))
+    betas = enumerate_pairings(H, K, action, star_k)
+    tuples = (
+        replace(base, gamma=gamma, beta=beta)
+        for gamma in enumerate_gamma(H, K, action, star_k)
+        for beta in betas
+    )
+    return [data for data in tuples if check_theorem_conditions(data, short_circuit=True).passed]
 
 
 def enumerate_induced(
@@ -385,18 +392,9 @@ def enumerate_induced(
     config = config or SearchConfig()
     inner = replace(config, up_to_iso=False, require_ideal=None)
     base = enumerate_brackets(K, inner)
+    _check_parts(H, K, action)
     G = semidirect_product(action)
-    tables = []
-    for star_k in base.items:
-        gammas = enumerate_gamma(H, K, action, star_k)
-        betas = enumerate_pairings(H, K, action, star_k)
-        for gamma in gammas:
-            for beta in betas:
-                data = ConstructionData.make(action, star_k, gamma, beta)
-                report = check_theorem_conditions(data, short_circuit=True)
-                if report.passed:
-                    tables.append(data.induced_table)
-    tables = sorted(set(tables))
+    tables = sorted({data.induced_table for star_k in base.items for data in enumerate_tuples(action, star_k)})
     reps, class_count = _classify(G, tables)
     items = reps if config.up_to_iso else tables
     return EnumerationResult(

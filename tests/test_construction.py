@@ -282,6 +282,31 @@ def test_short_circuit_report_is_truncated_full_report():
     assert {"C2", "C6", "C3", "C4"} <= first_failures
 
 
+def test_smallest_tuple_failing_c3_to_c6():
+    """Z3 x| V4 with elements 1 and 2 inverting, star_K(1, 2) = 1 and Gamma,
+    beta zero passes C1 and C2 and fails each of C3-C6; short-circuited, it
+    stops at C6, the first of them in evaluation order. The C6 witness is
+    conjugation by (1, 0), an element of H."""
+    H, K = make_cyclic(3), direct_product(make_cyclic(2), make_cyclic(2))
+    act = Action.by_inversion(H, K, inverting=(1, 2))
+    star_k = LieBracket.make(K, [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]])
+    data = ConstructionData.make(act, star_k, GammaMap.zero(H, K), PairingMap.trivial(H, K))
+    witnesses = {
+        "C1": None,
+        "C2": None,
+        "C3": (1, 0, 2, 0, 1, 0),
+        "C4": (1, 1, 2, 1, 0, 0),
+        "C5": (1, 2, 2, 0, 1, 0),
+        "C6": (1, 3, 0, 0, 0, 1),
+    }
+    full = check_theorem_conditions(data)
+    assert {name: st.witness for name, st in full.statuses} == witnesses
+    assert witnesses == oracle.condition_witnesses(H, K, act.sigma, star_k.star, data.gamma.gamma, data.beta.beta)
+    short = check_theorem_conditions(data, short_circuit=True)
+    assert short.first_failure() == ("C6", full.status("C6"))
+    assert [name for name, st in short.statuses if st.passed is not None] == ["C1", "C2", "C6"]
+
+
 def test_short_circuit_skips_later_conditions():
     H, K = make_cyclic(3), make_cyclic(2)
     act = Action.trivial(H, K)

@@ -206,15 +206,25 @@ def test_require_ideal_monotonic():
 
 @pytest.mark.parametrize(
     "spec, ideal",
-    [("D4", None), ("Q8", None), ("Z2xZ2xZ2", None), ("Z2xD4", None), ("Z2xD4", {1})],
-    ids=["D4", "Q8", "Z2xZ2xZ2", "Z2xD4", "Z2xD4-ideal"],
+    [
+        ("D4", None),
+        ("Q8", None),
+        ("Z2xZ2xZ2", None),
+        ("Z2xD4", None),
+        ("Z2xD4", {1}),
+        ("Z2xZ2xZ2", {1}),
+        ("Z2xZ2xD3", None),
+        ("Z2xZ2xZ4", None),
+    ],
+    ids=["D4", "Q8", "Z2xZ2xZ2", "Z2xD4", "Z2xD4-ideal", "Z2xZ2xZ2-ideal", "Z2xZ2xD3", "Z2xZ2xZ4"],
 )
 def test_every_leaf_is_a_full_table(monkeypatch, spec, ideal):
     """The search branches on the generator pairs only: once they are set,
-    propagation has filled every cell before the leaf check sees the table."""
+    the generator rows have been extended along the generator steps, and
+    A3 fills every other row before the leaf check sees the table."""
     g = parse_preset(spec)
     ideal_sub = subgroup_generated(g, ideal) if ideal else None
-    config = SearchConfig(max_group_order=16, require_ideal=ideal_sub)
+    config = SearchConfig(max_group_order=24, require_ideal=ideal_sub)
     leaves = []
 
     def checked_verify(group, table, **kwargs):
@@ -225,6 +235,28 @@ def test_every_leaf_is_a_full_table(monkeypatch, spec, ideal):
     monkeypatch.setattr(search, "verify_mla", checked_verify)
     result = enumerate_brackets(g, config)
     assert result.exhausted and len(leaves) >= result.raw_count > 0
+
+
+@pytest.mark.parametrize(
+    "spec, raw, classes", [("Z2xZ2xD3", 84, 14), ("Z2xZ2xZ4", 144, 15)], ids=["Z2xZ2xD3", "Z2xZ2xZ4"]
+)
+def test_counts_with_three_and_four_generators(spec, raw, classes):
+    """Z2xZ2xD3 has four generators, and the A5 prune cuts its search;
+    Z2xZ2xZ4 is abelian, so A5 prunes nothing there. The orbits of the class
+    representatives partition the raw set."""
+    g = parse_preset(spec)
+    result = enumerate_brackets(g, SearchConfig(max_group_order=24, up_to_iso=True))
+    assert result.exhausted
+    assert (result.raw_count, result.class_count) == (raw, classes)
+    assert sum(len(set(bracket_orbit(b))) for b in result.items) == raw
+
+
+def test_require_ideal_with_three_generators():
+    g = parse_preset("Z2xZ2xZ2")
+    ideal = subgroup_generated(g, {1})
+    result = enumerate_brackets(g, SearchConfig(require_ideal=ideal))
+    assert result.exhausted and result.raw_count == 20
+    assert all(b.star[x][y] in ideal for b in result.items for x in ideal.members for y in range(8))
 
 
 def test_budget_exhaustion_flags_partial_result():
