@@ -265,7 +265,11 @@ def derived_subalgebra(bracket: LieBracket) -> Subgroup:
 def is_ideal(bracket: LieBracket, sub: Union[Subgroup, Iterable[int]]) -> bool:
     """True iff sub is normal and closed under bracketing with all of G."""
     group = bracket.group
+    if isinstance(sub, Subgroup) and sub.parent.cayley != group.cayley:
+        raise ValidationError("subgroup is not a subgroup of the bracket's group")
     members = sub.members if isinstance(sub, Subgroup) else tuple(sorted(set(sub)))
+    if any(not (0 <= s < group.order) for s in members):
+        raise ValidationError("subset has elements outside the bracket's group")
     subgroup = sub if isinstance(sub, Subgroup) else Subgroup(group, members)
     if not subgroup.is_normal:
         return False

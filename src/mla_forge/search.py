@@ -313,6 +313,8 @@ def enumerate_pairings(
     T1-T3; it holds its seed values, so distinct seeds give distinct tables.
     """
     _check_parts(H, K, action)
+    if star_k.group.cayley != K.cayley:
+        raise ValidationError("star_k is not a bracket on K")
     nH, nK = H.order, K.order
     eH, eK = H.identity, K.identity
     mul_h, inv_h = H.cayley, H.inverse

@@ -9,7 +9,9 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from mla_forge.brackets import verify_mla
-from mla_forge.groups import FiniteGroup, find_generators
+from mla_forge.construction import semidirect_product
+from mla_forge.errors import ValidationError
+from mla_forge.groups import FiniteGroup, find_generators, pair_index
 
 
 def element_words(group: FiniteGroup, gens: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
@@ -181,6 +183,20 @@ def map_scan_homomorphisms(domain: FiniteGroup, codomain: FiniteGroup) -> list[t
     return sorted(out)
 
 
+def pairing_conditions_hold(H: FiniteGroup, K: FiniteGroup, sigma, star_k, beta, x, y, z) -> bool:
+    """T1, T2 and T3 of ``scan_pairings`` at the triple (x, y, z) of K."""
+    mul_h = H.cayley
+    mul_k, inv_k = K.cayley, K.inverse
+
+    def conj(z, x):
+        return mul_k[mul_k[z][x]][inv_k[z]]
+
+    t1 = beta[mul_k[x][y]][z] == mul_h[sigma[x][beta[y][z]]][sigma[conj(x, star_k[y][z])][beta[x][z]]]
+    t2 = beta[x][mul_k[y][z]] == mul_h[beta[x][y]][sigma[mul_k[star_k[x][y]][y]][beta[x][z]]]
+    t3 = beta[conj(z, x)][conj(z, y)] == sigma[z][beta[x][y]]
+    return t1 and t2 and t3
+
+
 def scan_pairings(H: FiniteGroup, K: FiniteGroup, sigma, star_k) -> list[tuple[tuple[int, ...], ...]]:
     """Every table K x K -> H that is the identity on the border and the
     diagonal and satisfies, for all x, y, z in K (^z x = z x z^-1):
@@ -191,25 +207,14 @@ def scan_pairings(H: FiniteGroup, K: FiniteGroup, sigma, star_k) -> list[tuple[t
 
     by scanning all values of the other cells; only usable when |H| to the
     number of those cells is small."""
-    mul_h, eH = H.cayley, H.identity
-    mul_k, inv_k, eK = K.cayley, K.inverse, K.identity
+    eH, eK = H.identity, K.identity
     rK = range(K.order)
     free = [(x, y) for x in rK for y in rK if eK not in (x, y) and x != y]
-
-    def conj(z, x):
-        return mul_k[mul_k[z][x]][inv_k[z]]
-
-    def holds(beta, x, y, z):
-        t1 = beta[mul_k[x][y]][z] == mul_h[sigma[x][beta[y][z]]][sigma[conj(x, star_k[y][z])][beta[x][z]]]
-        t2 = beta[x][mul_k[y][z]] == mul_h[beta[x][y]][sigma[mul_k[star_k[x][y]][y]][beta[x][z]]]
-        t3 = beta[conj(z, x)][conj(z, y)] == sigma[z][beta[x][y]]
-        return t1 and t2 and t3
-
     out = []
     for values in product(range(H.order), repeat=len(free)):
         cell = dict(zip(free, values))
         beta = tuple(tuple(cell.get((x, y), eH) for y in rK) for x in rK)
-        if all(holds(beta, x, y, z) for x, y, z in product(rK, repeat=3)):
+        if all(pairing_conditions_hold(H, K, sigma, star_k, beta, x, y, z) for x, y, z in product(rK, repeat=3)):
             out.append(beta)
     return sorted(out)
 
@@ -419,3 +424,55 @@ def structure_constant_tables(group: FiniteGroup, p: int):
             table = tuple(tuple(elem[bracket(coords[x], coords[y])] for y in range(n)) for x in range(n))
             tables.add(table)
     return sorted(tables)
+
+
+def section_scan_independence(action, bracket) -> bool:
+    """Recompute the conjugation action and bracket family against every
+    section x -> (g(x), x) with g(identity) = identity, one section at a
+    time; true iff all sections give the canonical values. The loop runs over
+    all |H|^(|K|-1) sections."""
+    H, K = action.H, action.K
+    nH = H.order
+    G = semidirect_product(action)
+    if bracket.group.cayley != G.cayley:
+        raise ValidationError("bracket does not live on the product of the given action")
+    mul, inv = G.cayley, G.inverse
+    star = bracket.star
+    eH, eK = H.identity, K.identity
+    sig = action.sigma
+    canon_gamma = []
+    for x in range(K.order):
+        row = []
+        for k in range(nH):
+            v = star[pair_index(eH, x, nH)][pair_index(k, eK, nH)]
+            if v // nH != eK:
+                return False
+            row.append(v % nH)
+        canon_gamma.append(row)
+    others = [x for x in range(K.order) if x != eK]
+    h_elems = [pair_index(k, eK, nH) for k in range(nH)]
+    for assignment in product(range(nH), repeat=len(others)):
+        g = [eH] * K.order
+        for pos, x in enumerate(others):
+            g[x] = assignment[pos]
+        ok = True
+        for x in range(K.order):
+            t_x = pair_index(g[x], x, nH)
+            t_inv = inv[t_x]
+            row_mul = mul[t_x]
+            srow = star[t_x]
+            sig_x = sig[x]
+            cg_x = canon_gamma[x]
+            for k in range(nH):
+                he = h_elems[k]
+                if mul[row_mul[he]][t_inv] != pair_index(sig_x[k], eK, nH):
+                    ok = False
+                    break
+                if srow[he] != pair_index(cg_x[k], eK, nH):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if not ok:
+            return False
+    return True

@@ -289,6 +289,20 @@ def test_is_ideal_rejects_non_normal():
     assert not is_ideal(commutator_bracket(g), refl)
 
 
+@pytest.mark.parametrize(
+    "sub",
+    [
+        subgroup_generated(make_cyclic(16), {4}),
+        subgroup_generated(make_cyclic(8), {2}),
+        [0, 9],
+    ],
+    ids=["subgroup-of-Z16", "subgroup-of-Z8", "index-out-of-range"],
+)
+def test_is_ideal_rejects_a_subset_outside_the_group(sub):
+    with pytest.raises(ValidationError):
+        is_ideal(commutator_bracket(make_dihedral(4)), sub)
+
+
 # -- equivalence ------------------------------------------------------------------
 
 

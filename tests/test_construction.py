@@ -40,8 +40,15 @@ from mla_forge.groups import (
     identify_small_group,
     make_cyclic,
     make_dihedral,
+    pair_index,
 )
-from mla_forge.search import SearchConfig, enumerate_brackets, enumerate_gamma, enumerate_pairings
+from mla_forge.search import (
+    SearchConfig,
+    enumerate_brackets,
+    enumerate_gamma,
+    enumerate_induced,
+    enumerate_pairings,
+)
 
 import oracle
 
@@ -139,6 +146,13 @@ def test_gamma_inversion_fails_for_trivial_action():
     assert viol
     assert viol[0].identity == "G1"
     assert viol[0].witness == (1, 1, 1)
+
+
+def test_gamma_identities_reject_a_family_indexed_by_another_k():
+    H = make_cyclic(3)
+    act = Action.trivial(H, make_cyclic(2))
+    with pytest.raises(ValidationError, match="do not match the action"):
+        check_gamma_identities(act, GammaMap.zero(H, make_dihedral(3)), trivial_bracket(act.K))
 
 
 # -- theorem conditions -----------------------------------------------------------
@@ -505,6 +519,63 @@ def test_section_independence_direct_trivial():
     assert section_independence_check(act, trivial_bracket(G))
 
 
+def test_section_independence_matches_the_section_loop():
+    """On the induced, trivial and commutator brackets of seven products, and
+    on copies with 1-3 cells of the columns of H changed, the check over lifts
+    agrees with the loop over every section."""
+    z2, z3, z4 = make_cyclic(2), make_cyclic(3), make_cyclic(4)
+    v4 = direct_product(z2, z2)
+    actions = [
+        s3_action(),
+        Action.trivial(z3, z2),
+        Action.by_inversion(z4, z2, inverting=(1,)),
+        Action.by_inversion(z3, v4, inverting=(1, 2)),
+        Action.trivial(z2, make_dihedral(3)),
+        Action.trivial(z4, v4),
+        Action.make(v4, z2, [[0, 1, 2, 3], [0, 2, 1, 3]]),  # coordinate swap
+    ]
+    rng = random.Random(12)
+    outcomes = []
+    for act in actions:
+        G = act.product_group
+        nH = act.H.order
+        h_columns = [k + nH * act.K.identity for k in range(nH)]
+        induced = enumerate_induced(act.H, act.K, act).items[-1]
+        for base in (induced, trivial_bracket(G), commutator_bracket(G)):
+            tables = [base.star]
+            for _ in range(15):
+                rows = [list(r) for r in base.star]
+                for _ in range(rng.randint(1, 3)):
+                    r, c = rng.randrange(G.order), rng.choice(h_columns)
+                    rows[r][c] = rng.choice([v for v in range(G.order) if v != rows[r][c]])
+                tables.append(tuple(tuple(r) for r in rows))
+            for table in tables:
+                bracket = LieBracket(G, table)
+                expected = oracle.section_scan_independence(act, bracket)
+                assert section_independence_check(act, bracket) == expected
+                outcomes.append(expected)
+    assert len(outcomes) >= 300
+    assert outcomes.count(True) >= 50 and outcomes.count(False) >= 50
+
+
+@pytest.mark.parametrize("n", [8, 5], ids=["Z8xD4", "Z5xD5"])
+def test_section_independence_past_the_section_loop(n):
+    """8^7 and 5^9 sections: the loop over them takes tens of seconds."""
+    H, K = make_cyclic(n), make_dihedral(4 if n == 8 else 5)
+    act = Action.trivial(H, K)
+    star_k = trivial_bracket(K)
+    gamma = enumerate_gamma(H, K, act, star_k)[-1]
+    data = ConstructionData.make(act, star_k, gamma, PairingMap.trivial(H, K))
+    bracket = induce_bracket(data, check=False)
+    assert section_independence_check(act, bracket)
+    nH, eK = H.order, K.identity
+    last = nH * K.order - 1  # the lift (h, x) with the largest h and x
+    column = pair_index(1, eK, nH)
+    rows = [list(r) for r in bracket.star]
+    rows[last][column] = pair_index((rows[last][column] + 1) % nH, eK, nH)
+    assert not section_independence_check(act, LieBracket(bracket.group, rows))
+
+
 def test_sigma_gamma_commute_trivial_action():
     z4, z2 = make_cyclic(4), make_cyclic(2)
     act = Action.trivial(z4, z2)
@@ -533,6 +604,13 @@ def test_sigma_gamma_commute_requires_abelian_k():
     act = Action.trivial(z4, d3)
     with pytest.raises(ValidationError):
         sigma_gamma_commute_check(act, GammaMap.zero(z4, d3))
+
+
+def test_sigma_gamma_commute_rejects_a_family_of_another_action():
+    z2, z3 = make_cyclic(2), make_cyclic(3)
+    act = Action.trivial(z3, direct_product(z2, z2))
+    with pytest.raises(ValidationError, match="does not match the action"):
+        sigma_gamma_commute_check(act, GammaMap.zero(z3, z2))
 
 
 # -- pairing enumeration ---------------------------------------------------------------

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from mla_forge import construction, search
@@ -15,6 +17,7 @@ from mla_forge.errors import BoundExceededError, ValidationError
 from mla_forge.groups import (
     direct_product,
     endomorphisms,
+    find_generators,
     homomorphisms,
     make_cyclic,
     make_dihedral,
@@ -35,7 +38,9 @@ from mla_forge.search import (
 
 from oracle import (
     bijection_scan_automorphisms,
+    expand_table,
     naive_bracket_tables,
+    pairing_conditions_hold,
     relabel_table,
     scan_pairings,
     structure_constant_tables,
@@ -361,6 +366,48 @@ def test_map_enumeration_rejects_groups_other_than_the_actions(enumerate_maps, w
     H, K = (z2, z2) if wrong == "H" else (z4, z4)
     with pytest.raises(ValidationError, match="action does not match H and K"):
         enumerate_maps(H, K, action, trivial_bracket(K))
+
+
+@pytest.mark.parametrize("inverting, c1_rejections", [(1, 2), (2, 0)], ids=["C1", "T1"])
+def test_enumerate_pairings_rejects_fills_that_break_c1_or_t1(monkeypatch, inverting, c1_rejections):
+    """H = Z3 and K = Z2^3 on generators 1, 2, 4, with star_K = 3 on every
+    generator pair and the generators other than ``inverting`` acting
+    trivially. Three seeds close their generator rows. When generator 1
+    inverts, the fills of (0, 0, 1) and (0, 0, 2) break C1 (and T1); when
+    generator 2 inverts, those of (0, 1, 0) and (0, 2, 0) pass C1 and break
+    T1 at (1, 1, 6). Only the zero table is kept."""
+    H, K = make_cyclic(3), parse_preset("Z2xZ2xZ2")
+    gens = find_generators(K)
+    assert gens == (1, 2, 4)
+    seed = {(a, b): K.identity if a == b else 3 for a in gens for b in gens}
+    star_k = LieBracket(K, expand_table(K, gens, seed))
+    assert verify_mla(K, star_k) == []
+    kernel = subgroup_generated(K, [g for g in gens if g != inverting])
+    action = Action.by_inversion(H, K, [x for x in range(K.order) if x not in kernel])
+    rejected = []
+
+    def c1_failure(*args):
+        x = construction._c1_failure(*args)
+        if x is not None:
+            rejected.append(x)
+        return x
+
+    monkeypatch.setattr(search, "_c1_failure", c1_failure)
+    maps = enumerate_pairings(H, K, action, star_k)
+    assert len(maps) == 1 and maps[0].is_trivial()
+    assert len(rejected) == c1_rejections
+    for m in maps:
+        b = m.beta
+        assert all(b[x][K.identity] == b[K.identity][x] == b[x][x] == H.identity for x in range(K.order))
+        for x, y, z in product(range(K.order), repeat=3):
+            assert pairing_conditions_hold(H, K, action.sigma, star_k.star, b, x, y, z)
+
+
+@pytest.mark.parametrize("enumerate_maps", [enumerate_gamma, enumerate_pairings])
+def test_map_enumeration_rejects_a_bracket_on_another_group(enumerate_maps):
+    H, K = make_cyclic(3), make_cyclic(2)
+    with pytest.raises(ValidationError):
+        enumerate_maps(H, K, Action.trivial(H, K), commutator_bracket(make_dihedral(3)))
 
 
 # -- induced enumeration --------------------------------------------------------------
