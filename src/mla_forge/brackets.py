@@ -60,6 +60,7 @@ from .groups import (
     endomorphism_count,
     endomorphisms,
     find_generators,
+    int_row,
     int_table,
     subgroup_generated,
 )
@@ -263,21 +264,22 @@ def derived_subalgebra(bracket: LieBracket) -> Subgroup:
 
 
 def is_ideal(bracket: LieBracket, sub: Union[Subgroup, Iterable[int]]) -> bool:
-    """True iff sub is normal and closed under bracketing with all of G."""
+    """True iff sub is normal and closed under bracketing with all of G.
+
+    A list that is not a subgroup of G, or a Subgroup of another group,
+    raises ValidationError.
+    """
     group = bracket.group
     if isinstance(sub, Subgroup) and sub.parent.cayley != group.cayley:
         raise ValidationError("subgroup is not a subgroup of the bracket's group")
-    members = sub.members if isinstance(sub, Subgroup) else tuple(sorted(set(sub)))
-    if any(not (0 <= s < group.order) for s in members):
-        raise ValidationError("subset has elements outside the bracket's group")
-    subgroup = sub if isinstance(sub, Subgroup) else Subgroup(group, members)
+    subgroup = sub if isinstance(sub, Subgroup) else Subgroup(group, tuple(sorted(set(int_row(sub, "subset")))))
     if not subgroup.is_normal:
         return False
-    mem = frozenset(members)
+    mem = frozenset(subgroup.members)
     star = bracket.star
     for g in range(group.order):
         row = star[g]
-        for s in members:
+        for s in subgroup.members:
             if row[s] not in mem or star[s][g] not in mem:
                 return False
     return True

@@ -74,6 +74,18 @@ def verify_group(
     the table is a group and, if generators were supplied, that they generate
     it. Entries and generators that are not integers, and tables above
     MAX_GROUP_ORDER, are input errors and raise instead.
+
+    Associativity is decided by Light's test (Clifford & Preston, *The
+    Algebraic Theory of Semigroups* I, 1961, §1.2). Let Z be the set of z
+    with (x y) z = x (y z) for every x and y. A two-sided identity e is in Z,
+    since (x y) e = x y = x (y e). Z is closed under products: for z1, z2 in
+    Z, (x y)(z1 z2) = ((x y) z1) z2 = (x (y z1)) z2 = x ((y z1) z2)
+    = x (y (z1 z2)). So when the table has a two-sided identity, the triples
+    with z in S suffice, where S is a set from which right multiplication
+    reaches every element (:func:`_greedy_reach_set`): that is |S|·n² steps,
+    |S| <= log2(n) on a group, instead of n³. Without an identity, or when
+    some triple with z in S fails, the full (x, y, z) scan runs, so the list
+    of violations is that of the full scan for every table.
     """
     cayley = int_table(cayley, "cayley")
     gens = int_row(generators, "generators") if generators is not None else None
@@ -112,13 +124,14 @@ def verify_group(
                 if len(out) >= VIOLATION_CAP:
                     return out[:VIOLATION_CAP]
 
-    for x, y, z in product(range(n), repeat=3):
-        if cayley[cayley[x][y]][z] != cayley[x][cayley[y][z]]:
-            out.append(
-                GroupViolation("associativity", (x, y, z), f"(x*y)*z != x*(y*z) at ({x},{y},{z})")
-            )
-            if len(out) >= VIOLATION_CAP:
-                return out[:VIOLATION_CAP]
+    if identity is None or not all(_associative_at(cayley, z) for z in _greedy_reach_set(cayley, identity)):
+        for x, y, z in product(range(n), repeat=3):
+            if cayley[cayley[x][y]][z] != cayley[x][cayley[y][z]]:
+                out.append(
+                    GroupViolation("associativity", (x, y, z), f"(x*y)*z != x*(y*z) at ({x},{y},{z})")
+                )
+                if len(out) >= VIOLATION_CAP:
+                    return out[:VIOLATION_CAP]
 
     if gens is not None and not out and identity is not None:
         if any(not (0 <= g < n) for g in gens):
@@ -130,6 +143,13 @@ def verify_group(
                     GroupViolation("generators", gens, f"generators reach only {reached} of {n} elements")
                 )
     return out[:VIOLATION_CAP]
+
+
+def _associative_at(cayley: Sequence[Sequence[int]], z: int) -> bool:
+    """(x y) z = x (y z) for every x and y: with row = cayley[x], col[x y] is
+    (x y) z and row[col[y]] is x (y z)."""
+    col = [row[z] for row in cayley]
+    return all(col[xy] == row[yz] for row in cayley for xy, yz in zip(row, col))
 
 
 def generator_steps(
@@ -158,6 +178,23 @@ def generator_steps(
                 order.append(y)
                 steps.append((y, x, g))
     return steps
+
+
+def _greedy_reach_set(cayley: Sequence[Sequence[int]], identity: int) -> tuple[int, ...]:
+    """Elements S, added greedily: the first element that right
+    multiplication by S does not yet reach from ``identity``, a two-sided
+    identity of the table, until it reaches every element (``generator_steps``
+    has n - 1 steps). Each added element is reached, as identity * s = s, so
+    this ends on any such table. On a group S generates it, and each element
+    added at least doubles the subgroup reached, so |S| <= log2(n).
+    """
+    n = len(cayley)
+    gens: list[int] = []
+    reached = {identity}
+    while len(reached) < n:
+        gens.append(next(x for x in range(n) if x not in reached))
+        reached = {identity, *(y for y, _, _ in generator_steps(cayley, identity, gens))}
+    return tuple(gens)
 
 
 class FiniteGroup:
@@ -203,9 +240,14 @@ class FiniteGroup:
             e for e in range(len(rows)) if all(rows[e][x] == x and rows[x][e] == x for x in range(len(rows)))
         )
         inverse = tuple(row.index(identity) for row in rows)
-        names = tuple(element_names) if element_names is not None else None
+        try:
+            names = tuple(element_names) if element_names is not None else None
+        except TypeError:
+            raise ValidationError("element_names must be a list of strings")
         if names is not None and len(names) != len(rows):
             raise ValidationError("element_names length does not match group order")
+        if names is not None and not all(isinstance(s, str) for s in names):
+            raise ValidationError("element_names must be a list of strings")
         return cls(name, rows, identity, inverse, gens, names)
 
     def __repr__(self) -> str:
@@ -239,12 +281,7 @@ class FiniteGroup:
     @cached_property
     def _greedy_generators(self) -> tuple[int, ...]:
         """The generators :func:`find_generators` returns, computed on first use."""
-        gens: list[int] = []
-        reached = {self.identity}
-        while len(reached) < self.order:
-            gens.append(next(x for x in range(self.order) if x not in reached))
-            reached = set(subgroup_generated(self, gens).members)
-        return tuple(gens)
+        return _greedy_reach_set(self.cayley, self.identity)
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -418,10 +455,32 @@ def _pair_product(
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup of ``parent`` as a sorted tuple of element indices."""
+    """A subgroup of ``parent`` as a sorted tuple of element indices.
+
+    The members are checked on construction: in range, sorted and distinct,
+    the identity among them, and closed under products (a finite set closed
+    under products is a subgroup), in O(m²) for m members.
+    """
 
     parent: FiniteGroup
     members: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        G, members = self.parent, int_row(self.members, "subgroup members")
+        object.__setattr__(self, "members", members)
+        for s in members:
+            if not (0 <= s < G.order):
+                raise ValidationError(f"subgroup member {s} out of range for {G.name}")
+        if list(members) != sorted(set(members)):
+            raise ValidationError("subgroup members must be sorted and distinct")
+        mem = self._member_set
+        if G.identity not in mem:
+            raise ValidationError("subgroup members must include the identity")
+        for a in members:
+            row = G.cayley[a]
+            for b in members:
+                if row[b] not in mem:
+                    raise ValidationError(f"subgroup members are not closed under products: {a}*{b} = {row[b]}")
 
     def __contains__(self, x: int) -> bool:
         return x in self._member_set
@@ -455,7 +514,7 @@ def subgroup_generated(group: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
     Closing under products with the seeds suffices in a finite group, where
     inverses are positive powers.
     """
-    seeds = set(seeds)
+    seeds = set(int_row(seeds, "seeds"))
     for s in seeds:
         if not (0 <= s < group.order):
             raise ValidationError(f"seed {s} out of range for {group.name}")

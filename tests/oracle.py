@@ -7,11 +7,22 @@ drops a partial map only once a product it fixes fails)."""
 from __future__ import annotations
 
 from itertools import combinations, product
+from typing import Optional, Sequence
 
 from mla_forge.brackets import verify_mla
 from mla_forge.construction import semidirect_product
 from mla_forge.errors import ValidationError
-from mla_forge.groups import FiniteGroup, find_generators, pair_index
+from mla_forge.groups import (
+    VIOLATION_CAP,
+    FiniteGroup,
+    GroupViolation,
+    _check_order_bound,
+    find_generators,
+    generator_steps,
+    int_row,
+    int_table,
+    pair_index,
+)
 
 
 def element_words(group: FiniteGroup, gens: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
@@ -476,3 +487,74 @@ def section_scan_independence(action, bracket) -> bool:
         if not ok:
             return False
     return True
+
+
+def full_scan_group_violations(
+    cayley: Sequence[Sequence[int]], generators: Optional[Sequence[int]] = None
+) -> list[GroupViolation]:
+    """``groups.verify_group`` as it was before associativity was decided by
+    Light's test: the same checks, with associativity scanned over every
+    (x, y, z). Kept as the reference the reduced scan is compared with.
+
+    Check the group axioms on a candidate Cayley table.
+
+    Returns every violation found (up to VIOLATION_CAP); an empty list means
+    the table is a group and, if generators were supplied, that they generate
+    it. Entries and generators that are not integers, and tables above
+    MAX_GROUP_ORDER, are input errors and raise instead.
+    """
+    cayley = int_table(cayley, "cayley")
+    gens = int_row(generators, "generators") if generators is not None else None
+    _check_order_bound(len(cayley))
+    out: list[GroupViolation] = []
+    n = len(cayley)
+    if n == 0:
+        return [GroupViolation("shape", (), "table is empty")]
+    for i, row in enumerate(cayley):
+        if len(row) != n:
+            return [GroupViolation("shape", (i,), f"row {i} has length {len(row)}, expected {n}")]
+        for j, v in enumerate(row):
+            if not (0 <= v < n):
+                return [GroupViolation("shape", (i, j), f"entry [{i}][{j}]={v!r} out of range 0..{n - 1}")]
+
+    for i in range(n):
+        if len(set(cayley[i])) != n:
+            out.append(GroupViolation("latin-row", (i,), f"row {i} is not a permutation"))
+        if len({cayley[x][i] for x in range(n)}) != n:
+            out.append(GroupViolation("latin-column", (i,), f"column {i} is not a permutation"))
+        if len(out) >= VIOLATION_CAP:
+            return out[:VIOLATION_CAP]
+
+    identity = None
+    for e in range(n):
+        if all(cayley[e][x] == x and cayley[x][e] == x for x in range(n)):
+            identity = e
+            break
+    if identity is None:
+        out.append(GroupViolation("identity", (), "no two-sided identity element"))
+
+    if identity is not None:
+        for x in range(n):
+            if not any(cayley[x][y] == identity and cayley[y][x] == identity for y in range(n)):
+                out.append(GroupViolation("inverse", (x,), f"element {x} has no two-sided inverse"))
+                if len(out) >= VIOLATION_CAP:
+                    return out[:VIOLATION_CAP]
+
+    for x, y, z in product(range(n), repeat=3):
+        if cayley[cayley[x][y]][z] != cayley[x][cayley[y][z]]:
+            out.append(
+                GroupViolation("associativity", (x, y, z), f"(x*y)*z != x*(y*z) at ({x},{y},{z})")
+            )
+            if len(out) >= VIOLATION_CAP:
+                return out[:VIOLATION_CAP]
+
+    if gens is not None and not out and identity is not None:
+        if any(not (0 <= g < n) for g in gens):
+            out.append(GroupViolation("generators", gens, "generator index out of range"))
+        else:
+            reached = 1 + len(generator_steps(cayley, identity, gens))
+            if reached != n:
+                out.append(
+                    GroupViolation("generators", gens, f"generators reach only {reached} of {n} elements")
+                )
+    return out[:VIOLATION_CAP]

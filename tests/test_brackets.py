@@ -295,12 +295,20 @@ def test_is_ideal_rejects_non_normal():
         subgroup_generated(make_cyclic(16), {4}),
         subgroup_generated(make_cyclic(8), {2}),
         [0, 9],
+        ["a", 1],
+        [0, 1.0],
     ],
-    ids=["subgroup-of-Z16", "subgroup-of-Z8", "index-out-of-range"],
+    ids=["subgroup-of-Z16", "subgroup-of-Z8", "index-out-of-range", "not-an-integer", "float"],
 )
 def test_is_ideal_rejects_a_subset_outside_the_group(sub):
     with pytest.raises(ValidationError):
         is_ideal(commutator_bracket(make_dihedral(4)), sub)
+
+
+def test_is_ideal_rejects_a_list_that_is_not_a_subgroup():
+    # {1, r, r^3} is not closed: r r = r^2
+    with pytest.raises(ValidationError):
+        is_ideal(trivial_bracket(make_dihedral(4)), [0, 1, 3])
 
 
 # -- equivalence ------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from itertools import product
 
@@ -6,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mla_forge import groups
+from mla_forge.cli import parse_preset
 from mla_forge.errors import BoundExceededError, ValidationError
 from mla_forge.groups import (
+    VIOLATION_CAP,
     FiniteGroup,
     GroupMap,
+    Subgroup,
     abelian_label,
     automorphism_generators,
     automorphisms,
@@ -28,7 +32,7 @@ from mla_forge.groups import (
     verify_group,
 )
 
-from oracle import bijection_scan_automorphisms, map_scan_homomorphisms
+from oracle import bijection_scan_automorphisms, full_scan_group_violations, map_scan_homomorphisms
 
 
 def inversion_action(H, K):
@@ -156,6 +160,12 @@ def test_semidirect_rejects_nonabelian_h():
         make_semidirect(H, K, trivial)
 
 
+@pytest.mark.parametrize("names", [[1, 2, 3, 4], 4, ["0", "1", "2", None]], ids=["ints", "not-a-list", "none"])
+def test_from_table_rejects_element_names_that_are_not_strings(names):
+    with pytest.raises(ValidationError, match="element_names"):
+        FiniteGroup.from_table("Z4", make_cyclic(4).cayley, element_names=names)
+
+
 # -- verify_group on broken tables ---------------------------------------------
 
 
@@ -181,6 +191,186 @@ def test_verify_group_broken_associativity_reports_triple():
 
 def test_verify_group_accepts_valid():
     assert verify_group(make_cyclic(4).cayley) == []
+
+
+# -- verify_group against the full-scan oracle -----------------------------------
+
+
+def inverting_product(H, K, kernel_seeds):
+    """H x| K with the elements outside the subgroup that ``kernel_seeds``
+    generate acting by inversion (a homomorphism K -> Z2 when that subgroup
+    has index 2)."""
+    kernel = set(subgroup_generated(K, kernel_seeds).members)
+    sigma = [list(range(H.order)) if x in kernel else list(H.inverse) for x in range(K.order)]
+    return make_semidirect(H, K, sigma)
+
+
+def pinned_groups():
+    """Every preset and product the tests build, by name."""
+    z, v4 = make_cyclic, direct_product(make_cyclic(2), make_cyclic(2))
+    out = {f"Z{n}": z(n) for n in (1, 2, 3, 4, 5, 6, 8, 12, 16, 64)}
+    out.update({f"D{n}": make_dihedral(n) for n in (2, 3, 4, 5, 6, 8)})
+    out.update({f"Q{4 * n}": make_quaternion(n) for n in (1, 2, 3, 4)})
+    for spec in (
+        "Z2xZ2", "Z2xZ4", "Z2xZ6", "Z3xZ2", "Z3xZ3", "Z2xZ2xZ2", "Z2xZ2xZ4", "Z2xZ2xZ2xZ2",
+        "Z2xQ8", "Z2xD4", "Z3xD3", "Z2xZ2xD3", "Z4xD4", "Z4xZ4", "Z5xD5", "Z8xD4",
+    ):
+        out[spec] = parse_preset(spec)
+    out["Z3:Z2"] = inverting_product(z(3), z(2), ())
+    out["Z8:Z2"] = inverting_product(z(8), z(2), ())
+    out["Z5:Z4"] = make_semidirect(z(5), z(4), [[(pow(2, x, 5) * h) % 5 for h in range(5)] for x in range(4)])
+    out["V4:Z2"] = make_semidirect(v4, z(2), [[0, 1, 2, 3], [0, 2, 1, 3]])
+    out["Z3:V4"] = inverting_product(z(3), v4, (3,))
+    out["Z3:D3"] = inverting_product(z(3), make_dihedral(3), (1,))
+    out["Z4:D4"] = inverting_product(z(4), make_dihedral(4), (1,))
+    out["Z5:D3"] = inverting_product(z(5), make_dihedral(3), (1,))
+    return out
+
+
+GENERATOR_PINS = {
+    "Z1": (), "Z2": (1,), "Z3": (1,), "Z4": (1,), "Z5": (1,), "Z6": (1,), "Z8": (1,),
+    "Z12": (1,), "Z16": (1,), "Z64": (1,),
+    "D2": (1, 2), "D3": (1, 3), "D4": (1, 4), "D5": (1, 5), "D6": (1, 6), "D8": (1, 8),
+    "Q4": (1, 2), "Q8": (1, 4), "Q12": (1, 6), "Q16": (1, 8),
+    "Z2xZ2": (1, 2), "Z2xZ4": (1, 2), "Z2xZ6": (1, 2), "Z3xZ2": (1, 3), "Z3xZ3": (1, 3),
+    "Z2xZ2xZ2": (1, 2, 4), "Z2xZ2xZ4": (1, 2, 4), "Z2xZ2xZ2xZ2": (1, 2, 4, 8),
+    "Z2xQ8": (1, 2, 8), "Z2xD4": (1, 2, 8), "Z3xD3": (1, 3, 9), "Z2xZ2xD3": (1, 2, 4, 12),
+    "Z4xD4": (1, 4, 16), "Z4xZ4": (1, 4), "Z5xD5": (1, 5, 25), "Z8xD4": (1, 8, 32),
+    "Z3:Z2": (1, 3), "Z8:Z2": (1, 8), "Z5:Z4": (1, 5), "V4:Z2": (1, 2, 4),
+    "Z3:V4": (1, 3, 6), "Z3:D3": (1, 3, 9), "Z4:D4": (1, 4, 16), "Z5:D3": (1, 5, 15),
+}
+
+
+def test_find_generators_is_pinned_on_every_group_the_tests_build():
+    assert {name: find_generators(g) for name, g in pinned_groups().items()} == GENERATOR_PINS
+
+
+def relabeled(table, perm):
+    """The table of the isomorphic copy in which element x is named perm[x]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[perm[x]][perm[y]] = perm[table[x][y]]
+    return out
+
+
+def intercalate_switches(group, rng, count):
+    """Latin tables that keep the group's identity two-sided and every inverse:
+    a 2x2 subsquare of the table, with rows r1, r2, columns c1, c2 and values
+    u, v all other than the identity, gets u and v swapped. Then the elements
+    are renamed by a random permutation, so the identity is not always 0."""
+    t, e, n = group.cayley, group.identity, group.order
+    spots = []
+    for r1, r2, c1 in product(range(n), repeat=3):
+        c2 = t[group.inverse[r2]][t[r1][c1]]  # r2 c2 = r1 c1
+        if r1 < r2 and c1 < c2 and e not in (r1, r2, c1, t[r1][c1], t[r1][c2]) and t[r1][c2] == t[r2][c1]:
+            spots.append((r1, r2, c1, c2))
+    out = []
+    for r1, r2, c1, c2 in rng.sample(spots, min(count, len(spots))):
+        table = [list(row) for row in t]
+        table[r1][c1], table[r1][c2] = table[r1][c2], table[r1][c1]
+        table[r2][c1], table[r2][c2] = table[r2][c2], table[r2][c1]
+        out.append(relabeled(table, rng.sample(range(n), n)))
+    return out
+
+
+def random_loop(n, rng):
+    """A latin table with a two-sided identity, the other cells filled by a
+    randomized backtracking search, its elements renamed at random."""
+    table = [list(range(n))] + [[x] + [-1] * (n - 1) for x in range(1, n)]
+    cells = list(product(range(1, n), repeat=2))
+
+    def fill(i):
+        if i == len(cells):
+            return True
+        x, y = cells[i]
+        free = [v for v in range(n) if v not in table[x] and all(row[y] != v for row in table)]
+        for v in rng.sample(free, len(free)):
+            table[x][y] = v
+            if fill(i + 1):
+                return True
+        table[x][y] = -1
+        return False
+
+    assert fill(0)
+    return relabeled(table, rng.sample(range(n), n))
+
+
+def oracle_catalog():
+    """(kind, table, generators) triples for the comparison with the oracle."""
+    rng = random.Random(13)
+    groups = pinned_groups()
+    cases = []
+    for g in groups.values():
+        cases += [("group", g.cayley, None), ("group", g.cayley, g.generators)]
+        cases += [("group", g.cayley, (g.identity,)), ("group", g.cayley, (g.order,))]
+    for g in (g for g in groups.values() if g.order <= 32):
+        for _ in range(14):
+            table = [list(row) for row in g.cayley]
+            for _ in range(rng.randint(1, 3)):
+                table[rng.randrange(g.order)][rng.randrange(g.order)] = rng.randrange(g.order)
+            cases.append(("corruption", table, None))
+    for name in ("Z6", "Z8", "D3", "D4", "Q8", "Z2xZ4", "Z2xZ2xZ2", "Z12", "D6", "Z4xZ4", "Z2xD4", "V4:Z2"):
+        cases += [("switch", t, None) for t in intercalate_switches(groups[name], rng, 15)]
+    cases += [("loop", random_loop(rng.randint(4, 7), rng), None) for _ in range(80)]
+    for _ in range(100):
+        n = rng.randint(2, 12)
+        alpha, beta = rng.sample(range(n), n), rng.sample(range(n), n)
+        cases.append(("isotope", [[(alpha[x] + beta[y]) % n for y in range(n)] for x in range(n)], None))
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:
+            e = rng.randrange(n)
+            for x in range(n):
+                table[e][x] = table[x][e] = x
+        cases.append(("random", table, None))
+    return cases
+
+
+def test_verify_group_matches_the_full_scan_oracle():
+    cases = oracle_catalog()
+    assert len(cases) >= 1000
+    kinds = {}
+    for kind, table, gens in cases:
+        got, want = verify_group(table, gens), full_scan_group_violations(table, gens)
+        assert [(v.axiom, v.witness, v.message) for v in got] == [
+            (v.axiom, v.witness, v.message) for v in want
+        ], (kind, table, gens)
+        axioms = {v.axiom for v in want}
+        tags = kinds.setdefault(kind, {"tables": 0, "failing": 0, "associativity only": 0, "at cap": 0})
+        tags["tables"] += 1
+        tags["failing"] += bool(want)
+        tags["associativity only"] += axioms == {"associativity"}
+        tags["at cap"] += len(want) == VIOLATION_CAP and want[-1].axiom == "associativity"
+    # the catalog reaches every path: latin tables with an identity that fail
+    # associativity alone (the reduced scan fails, the full scan runs), and
+    # associativity lists cut at VIOLATION_CAP
+    assert kinds["switch"]["associativity only"] >= 100
+    assert kinds["loop"]["failing"] >= 40
+    assert kinds["switch"]["at cap"] >= 10
+    assert kinds["corruption"]["at cap"] >= 10
+    assert kinds["group"]["failing"] == 2 * len(GENERATOR_PINS) - 1  # Z1 has no element of index 1
+    assert kinds["isotope"]["failing"] >= 50
+    assert kinds["random"]["tables"] == 150
+
+
+@st.composite
+def tables_with_an_identity(draw):
+    """A table of order at most 5 whose row and column e are the identity's."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    e = draw(st.integers(min_value=0, max_value=n - 1))
+    table = [draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n)) for _ in range(n)]
+    for x in range(n):
+        table[e][x] = table[x][e] = x
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_with_an_identity())
+def test_verify_group_equals_the_full_scan_oracle_on_tables_with_an_identity(table):
+    assert verify_group(table) == full_scan_group_violations(table)
 
 
 # -- conjugation and commutators -------------------------------------------------
@@ -311,6 +501,37 @@ def test_subgroup_generated_idempotent_property(seeds):
     assert subgroup_generated(g, s.members).members == s.members
 
 
+@pytest.mark.parametrize(
+    "members",
+    [(0, 1, 1, 9), (0, 8), (-1, 0), (1, 0), (0, 1, 1), (1, 2, 3), (0, 1), (0, 1, 3), (0, 2.0)],
+    ids=[
+        "out-of-range-and-repeated",
+        "out-of-range",
+        "negative",
+        "unsorted",
+        "repeated",
+        "no-identity",
+        "not-closed",
+        "not-closed-with-inverse",
+        "not-an-integer",
+    ],
+)
+def test_subgroup_rejects_members_that_are_not_a_subgroup(members):
+    with pytest.raises(ValidationError):
+        Subgroup(make_dihedral(4), members)
+
+
+@pytest.mark.parametrize("seeds", [[1.0], ["a"], [9], 3], ids=["float", "str", "out-of-range", "not-a-list"])
+def test_subgroup_generated_rejects_seeds_that_are_not_elements(seeds):
+    with pytest.raises(ValidationError):
+        subgroup_generated(make_dihedral(4), seeds)
+
+
+def test_subgroup_takes_its_members_as_a_tuple():
+    s = Subgroup(make_dihedral(4), [0, 1, 2, 3])
+    assert s.members == (0, 1, 2, 3) and s.is_normal
+
+
 def test_subgroup_as_group_roundtrip():
     g = make_dihedral(3)
     s = subgroup_generated(g, {1})
@@ -425,6 +646,6 @@ def test_find_generators_generate():
 def test_find_generators_is_computed_once_per_group(monkeypatch):
     g = make_dihedral(6)
     first = find_generators(g)
-    monkeypatch.setattr(groups, "subgroup_generated", None)  # a second computation would fail
+    monkeypatch.setattr(groups, "_greedy_reach_set", None)  # a second computation would fail
     assert find_generators(g) is first
     assert first == (1, 6)
