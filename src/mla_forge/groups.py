@@ -87,19 +87,26 @@ def verify_group(
     some triple with z in S fails, the full (x, y, z) scan runs, so the list
     of violations is that of the full scan for every table.
     """
-    cayley = int_table(cayley, "cayley")
+    rows = int_table(cayley, "cayley")
     gens = int_row(generators, "generators") if generators is not None else None
+    return _group_violations(rows, gens)[0]
+
+
+def _group_violations(
+    cayley: tuple[tuple[int, ...], ...], gens: Optional[tuple[int, ...]]
+) -> tuple[list[GroupViolation], Optional[int]]:
+    """:func:`verify_group` on integer entries, with the identity found or None."""
     _check_order_bound(len(cayley))
     out: list[GroupViolation] = []
     n = len(cayley)
     if n == 0:
-        return [GroupViolation("shape", (), "table is empty")]
+        return [GroupViolation("shape", (), "table is empty")], None
     for i, row in enumerate(cayley):
         if len(row) != n:
-            return [GroupViolation("shape", (i,), f"row {i} has length {len(row)}, expected {n}")]
+            return [GroupViolation("shape", (i,), f"row {i} has length {len(row)}, expected {n}")], None
         for j, v in enumerate(row):
             if not (0 <= v < n):
-                return [GroupViolation("shape", (i, j), f"entry [{i}][{j}]={v!r} out of range 0..{n - 1}")]
+                return [GroupViolation("shape", (i, j), f"entry [{i}][{j}]={v!r} out of range 0..{n - 1}")], None
 
     for i in range(n):
         if len(set(cayley[i])) != n:
@@ -107,7 +114,7 @@ def verify_group(
         if len({cayley[x][i] for x in range(n)}) != n:
             out.append(GroupViolation("latin-column", (i,), f"column {i} is not a permutation"))
         if len(out) >= VIOLATION_CAP:
-            return out[:VIOLATION_CAP]
+            return out[:VIOLATION_CAP], None
 
     identity = None
     for e in range(n):
@@ -122,7 +129,7 @@ def verify_group(
             if not any(cayley[x][y] == identity and cayley[y][x] == identity for y in range(n)):
                 out.append(GroupViolation("inverse", (x,), f"element {x} has no two-sided inverse"))
                 if len(out) >= VIOLATION_CAP:
-                    return out[:VIOLATION_CAP]
+                    return out[:VIOLATION_CAP], identity
 
     if identity is None or not all(_associative_at(cayley, z) for z in _greedy_reach_set(cayley, identity)):
         for x, y, z in product(range(n), repeat=3):
@@ -131,7 +138,7 @@ def verify_group(
                     GroupViolation("associativity", (x, y, z), f"(x*y)*z != x*(y*z) at ({x},{y},{z})")
                 )
                 if len(out) >= VIOLATION_CAP:
-                    return out[:VIOLATION_CAP]
+                    return out[:VIOLATION_CAP], identity
 
     if gens is not None and not out and identity is not None:
         if any(not (0 <= g < n) for g in gens):
@@ -142,7 +149,7 @@ def verify_group(
                 out.append(
                     GroupViolation("generators", gens, f"generators reach only {reached} of {n} elements")
                 )
-    return out[:VIOLATION_CAP]
+    return out[:VIOLATION_CAP], identity
 
 
 def _associative_at(cayley: Sequence[Sequence[int]], z: int) -> bool:
@@ -232,13 +239,10 @@ class FiniteGroup:
     ) -> "FiniteGroup":
         rows = int_table(cayley, "cayley")
         gens = int_row(generators, "generators") if generators is not None else None
-        problems = verify_group(rows, generators=gens)
+        problems, identity = _group_violations(rows, gens)
         if problems:
             summary = "; ".join(v.message for v in problems[:4])
             raise InvalidGroupError(f"{name!r} is not a valid group: {summary}", problems)
-        identity = next(
-            e for e in range(len(rows)) if all(rows[e][x] == x and rows[x][e] == x for x in range(len(rows)))
-        )
         inverse = tuple(row.index(identity) for row in rows)
         try:
             names = tuple(element_names) if element_names is not None else None

@@ -1,14 +1,11 @@
 """Exhaustive enumeration engines for brackets, gamma families, pairing maps
 and induced structures, with classification up to equivalence.
 
-Every table here is fixed by its values at generators. Each engine ranges
-over those values, extends each choice along the steps of
-``groups.generator_steps`` and checks the result in full:
-``_StarTableSearch`` (brackets, seeded on generator pairs a < b),
-``enumerate_gamma`` (Gamma at the generators of K) and
-``enumerate_pairings`` (beta on generator pairs a < b). The generator rows
-of brackets and pairings are extended by the homomorphism kernel,
-``groups._extend_from_generators``, twisted to A2 and to T2.
+Every table here is fixed by its values at generators. One seed walk,
+``_SeedWalk``, finds both brackets and pairing tables from their values on
+the generator pairs a < b; ``enumerate_gamma`` ranges over Gamma at the
+generators of K. Each extends its values along ``groups.generator_steps``
+and checks the result in full.
 
 Equivalence for counting: two brackets on the same group are one structure
 when an automorphism carries one to the other or to its argument reversal
@@ -40,7 +37,6 @@ from .construction import (
     ConstructionData,
     GammaMap,
     PairingMap,
-    _c1_failure,
     check_gamma_identities,
     check_theorem_conditions,
     decompose_bracket,
@@ -97,42 +93,32 @@ class _BudgetExhausted(Exception):
     pass
 
 
-class _StarTableSearch:
-    """Depth-first walk over the seeds: the cells (a, b) of generator pairs
-    with a before b in ``find_generators``, in lexicographic order, each
-    tried at every value. Every tried value is one node of the budget.
-
-    A1 (a*a = 1) and the reversal (b*a = (a*b)^-1) give a generator row's
-    other values at the generators. Once the seeds have set all of them, the
-    row a*y is extended along the generator steps as a crossed homomorphism,
-    a*(x g) = (a*x) ^x(a*g) (A2), and rejected when it does not close, when
-    ^z(a*y) = a * ^z y fails for a generator z with ^z a = a (A5), or when
-    one of its cells breaks the ``require_ideal`` rule (x or y in the ideal
-    puts x*y in it). At the leaf every generator row is set; the others are
-    filled by A3 along the steps, (x g)*z = ^x(g*z) (x*z), and checked
-    against the ideal rule, and the table is checked by ``verify_mla``.
+class _SeedWalk:
+    """Depth-first walk over the seeds of a table on ``group`` with entries
+    in ``values``: the cells (a, b) of generator pairs with a before b in
+    ``find_generators``, in lexicographic order, each tried at every value
+    (one node of the budget each). The diagonal holds the identity, and v
+    at (a, b) puts reverse[a, b][v] at (b, a). Once the seeds set a
+    generator row's values at the generators, the row is extended along the
+    steps by a(x g) = a(x) . twists[a][x](a(g)) (``_extend_from_generators``)
+    and dropped when it does not close or ``_keep_row`` rejects it. At the
+    leaf ``_step`` fills each other row y = x g from the rows x and g, and
+    the table is kept when ``_accept`` passes it. Subclasses set these rules.
 
     Every valid table is reached: it holds its seed values, and they fix it,
-    since its generator rows are the crossed homomorphisms with its values
-    at the generators and A3 builds every other row from the generator rows.
-    Each prune on the way is one instance of A2, A5 or the ideal rule, which
-    the table satisfies, so no valid table is pruned. Every table kept
-    passed ``verify_mla`` and the ideal rule on every cell, and distinct
-    seed values give distinct tables.
+    since its generator rows follow from their values at the generators by
+    the twisted rule and ``_step`` builds every other row from those. Each
+    prune is an instance of a rule the table satisfies, so no valid table
+    is pruned. Distinct seed values give distinct tables.
     """
 
-    def __init__(self, group: FiniteGroup, config: SearchConfig):
-        self.group = group
-        self.budget = config.node_budget
+    def __init__(self, group: FiniteGroup, values: FiniteGroup, budget: float):
+        self.group, self.values, self.budget = group, values, budget
         self.nodes = 0
-        self.ideal = (
-            frozenset(config.require_ideal.members) if config.require_ideal is not None else None
-        )
         self.results: list[tuple[tuple[int, ...], ...]] = []
         self.exhausted = True
-        gens = find_generators(group)
+        self.gens = gens = find_generators(group)
         steps = generator_steps(group.cayley, group.identity, gens)
-        self.gens = gens
         self.order = [group.identity] + [y for y, _, _ in steps]
         # the first steps, (g, 1, g) for each generator g, are the generator rows
         self.row_steps = steps[len(gens):]
@@ -142,10 +128,7 @@ class _StarTableSearch:
         self.rows_after: list[list[int]] = [[] for _ in range(len(self.seeds) + 1)]
         for a in gens:
             self.rows_after[max((m + 1 for m, s in enumerate(self.seeds) if a in s), default=0)].append(a)
-        conj, fixed = group.conj_table, group.conj_table[group.identity]
-        # a central z adds no condition
-        self.a5 = {a: [conj[z] for z in gens if conj[z][a] == a and conj[z] != fixed] for a in gens}
-        self.cell = {(a, a): group.identity for a in gens}
+        self.cell = {(a, a): values.identity for a in gens}
         self.rows: dict[int, tuple[int, ...]] = {}
 
     def run(self) -> None:
@@ -161,46 +144,70 @@ class _StarTableSearch:
             self._leaf()
             return
         a, b = self.seeds[m]
-        inv = self.group.inverse
-        for v in range(self.group.order):
+        for v in range(self.values.order):
             self.nodes += 1
             if self.nodes > self.budget:
                 raise _BudgetExhausted
             self.cell[a, b] = v
-            self.cell[b, a] = inv[v]
+            self.cell[b, a] = self.reverse[a, b][v]
             self._dfs(m + 1)
 
     def _complete_row(self, a: int) -> bool:
-        group = self.group
         image = {g: self.cell[a, g] for g in self.gens}
-        row = _extend_from_generators(group, group, self.order, image, group.conj_table)
-        if row is None or not self._in_ideal(a, row):
-            return False
-        if any(c[row[y]] != row[c[y]] for c in self.a5[a] for y in range(group.order)):
+        row = _extend_from_generators(self.group, self.values, self.order, image, self.twists[a])
+        if row is None or not self._keep_row(a, row):
             return False
         self.rows[a] = row
         return True
 
+    def _leaf(self) -> None:
+        n = self.group.order
+        table = [self.rows.get(y, ()) for y in range(n)]
+        table[self.group.identity] = (self.values.identity,) * n
+        for y, x, g in self.row_steps:
+            table[y] = self._step(x, g, table[x], table[g])
+        done = tuple(table)
+        if self._accept(done):
+            self.results.append(done)
+
+    def _keep_row(self, a: int, row: tuple[int, ...]) -> bool:
+        return True
+
+
+class _StarTableSearch(_SeedWalk):
+    """Brackets on a group: the reversal b*a = (a*b)^-1 of any valid bracket;
+    generator rows twisted by conjugation, a*(x g) = (a*x) ^x(a*g) (A2), and
+    dropped when ^z(a*y) = a * ^z y fails for a generator z with ^z a = a
+    (A5) or a cell breaks the ``require_ideal`` rule (x or y in the ideal
+    puts x*y in it); A3 on the other rows, (x g)*z = ^x(g*z) (x*z); a table
+    is kept when every row keeps the ideal rule and ``verify_mla`` passes.
+    """
+
+    def __init__(self, group: FiniteGroup, config: SearchConfig):
+        super().__init__(group, group, config.node_budget)
+        self.ideal = (
+            frozenset(config.require_ideal.members) if config.require_ideal is not None else None
+        )
+        conj, fixed = group.conj_table, group.conj_table[group.identity]
+        self.reverse = dict.fromkeys(self.seeds, group.inverse)
+        self.twists = dict.fromkeys(self.gens, conj)
+        # a central z adds no condition
+        self.a5 = {a: [conj[z] for z in self.gens if conj[z][a] == a and conj[z] != fixed] for a in self.gens}
+
+    def _step(self, x: int, g: int, rx: tuple[int, ...], rg: tuple[int, ...]) -> tuple[int, ...]:
+        mul, cx = self.group.cayley, self.group.conj_table[x]
+        return tuple(mul[cx[rg[z]]][rx[z]] for z in range(self.group.order))
+
+    def _keep_row(self, a: int, row: tuple[int, ...]) -> bool:
+        return self._in_ideal(a, row) and all(c[row[y]] == row[c[y]] for c in self.a5[a] for y in range(len(row)))
+
     def _in_ideal(self, x: int, row: tuple[int, ...]) -> bool:
-        """Whether row x keeps the ideal rule: x or y in the ideal puts x*y in it."""
         ideal = self.ideal
         return ideal is None or all(row[y] in ideal for y in (range(len(row)) if x in ideal else ideal))
 
-    def _leaf(self) -> None:
-        group = self.group
-        mul, conj, e, n = group.cayley, group.conj_table, group.identity, group.order
-        star: list[tuple[int, ...]] = [()] * n
-        star[e] = (e,) * n
-        for a, row in self.rows.items():
-            star[a] = row
-        for y, x, g in self.row_steps:
-            rx, rg, cx = star[x], star[g], conj[x]
-            star[y] = tuple(mul[cx[rg[z]]][rx[z]] for z in range(n))
-            if not self._in_ideal(y, star[y]):
-                return
-        table = tuple(star)
-        if not verify_mla(group, table, max_violations=1):
-            self.results.append(table)
+    def _accept(self, table: tuple[tuple[int, ...], ...]) -> bool:
+        ideal_kept = all(self._in_ideal(x, row) for x, row in enumerate(table))
+        return ideal_kept and not verify_mla(self.group, table, max_violations=1)
 
 
 def _classify(
@@ -284,6 +291,29 @@ def enumerate_gamma(
     return found
 
 
+class _PairingWalk(_SeedWalk):
+    def __init__(self, action: Action, star_k: LieBracket):
+        super().__init__(action.K, action.H, float("inf"))
+        K, inv_h = action.K, action.H.inverse
+        self.sig, self.star = sig, star = action.sigma, star_k.star
+        self.reverse = {(a, b): [inv_h[v] for v in sig[K.inverse[star[a][b]]]] for a, b in self.seeds}
+        self.twists = {a: [sig[K.cayley[star[a][x]][x]] for x in range(K.order)] for a in self.gens}
+
+    def _step(self, x: int, g: int, bx: tuple[int, ...], bg: tuple[int, ...]) -> tuple[int, ...]:
+        mul_h, sig, cx, sg = self.values.cayley, self.sig, self.group.conj_table[x], self.star[g]
+        return tuple(mul_h[sig[x][bg[z]]][sig[cx[sg[z]]][bx[z]]] for z in range(self.group.order))
+
+    def _accept(self, b: tuple[tuple[int, ...], ...]) -> bool:
+        mul_h, mul_k, conj_k = self.values.cayley, self.group.cayley, self.group.conj_table
+        sig, star = self.sig, self.star
+        return all(
+            b[x][mul_k[y][z]] == mul_h[b[x][y]][sig[mul_k[star[x][y]][y]][b[x][z]]]
+            and b[conj_k[z][x]][conj_k[z][y]] == sig[z][b[x][y]]
+            for z in self.gens
+            for x, y in product(range(self.group.order), repeat=2)
+        )
+
+
 def enumerate_pairings(
     H: FiniteGroup, K: FiniteGroup, action: Action, star_k: LieBracket
 ) -> list[PairingMap]:
@@ -296,81 +326,45 @@ def enumerate_pairings(
       T2  beta(x, y z) = beta(x, y) sigma_{(x*y) y}(beta(x, z))
       T3  beta(^z x, ^z y) = sigma_z(beta(x, y))
 
-    For the trivial action these are plain bilinearity plus conjugation
-    invariance, whatever star_k is. The values on the generator pairs (a, b)
-    with a before b in ``find_generators``, in product order, fix a table.
-    Every table passing C1, T1 and T2 obeys the reversal
+    star_k must pass A1-A5 on K, or ValidationError is raised. Then, with
+    [x, y] = (beta(x, y), x*y) in H x| K and ^x conjugation by (1, x), T1-T3
+    are A3, A2 and A5 of [ , ], and C1 (beta is 1 at (x, 1), (1, x) and
+    (x, x)) is A1 with [x, 1] = [1, x] = 1. C1, T1 and T2 give the
+    reversal R, [y, x] = [x, y]^-1 or beta(y, x) = sigma_{(x*y)^-1}(beta(x, y))^-1,
+    as 1 = [x y, x y] = ^x[y, x y] [x, x y] = ^x([y, x] [x, y]).
 
-      beta(y, x) = sigma_{(x*y)^-1}(beta(x, y))^-1
+    ``_PairingWalk`` runs the seed walk with no node budget: R at generator
+    pairs, T2 on generator rows (twist sigma_{(a*x) x}), T1 along the steps.
+    It keeps a table when T2 and T3 hold at each (x, y, z) with z a generator,
+    so at every z (the A2 and A5 arguments in ``brackets``). C1 and T1 follow:
 
-    (T1 at (x, y, xy), with beta(y, xy) = beta(y, x) and
-    beta(x, xy) = sigma_x(beta(x, y)) from T2 and C1, and y*xy = y*x in K);
-    it is the H-part of y*x = (x*y)^-1 at (1,x), (1,y) in H x| K. The
-    reversal fills (b, a), T2 along the generator steps of K fills the
-    generator rows, then T1 along the same steps fills every other row. A
-    generator row that does not close breaks T2, so its seeds are dropped.
-    Each other table is kept when it satisfies C1 and every instance of
-    T1-T3; it holds its seed values, so distinct seeds give distinct tables.
+    - R: [1, w] = 1 as row 1 is zero, and T2 at (w, 1, 1) gives [w, 1] = 1.
+      On a step (x g, x, g), T1 and T2 give [x g, w] = ^x[g, w] [x, w] and
+      [w, x g] = [w, x] ^x[w, g], so R at (x, w) and (g, w) gives it at
+      (x g, w). The walk sets R at generator pairs; R is symmetric, so by
+      this induction it holds at (g, w) for every w, then everywhere.
+    - T1: [x y, z] = [z, x y]^-1 = ([z, x] ^x[z, y])^-1 = ^x[y, z] [x, z].
+    - C1 at (x, x) holds at 1 and at the generators, and along a step T1
+      and T2 give [x g, x g] = ^x[g, x] [x, x] ^x[x, g], 1 by R and [x, x] = 1.
     """
     _check_parts(H, K, action)
     if star_k.group.cayley != K.cayley:
         raise ValidationError("star_k is not a bracket on K")
-    nH, nK = H.order, K.order
-    eH, eK = H.identity, K.identity
-    mul_h, inv_h = H.cayley, H.inverse
-    mul_k, inv_k = K.cayley, K.inverse
-    conj_k = K.conj_table
-    sig = action.sigma
-    star = star_k.star
-    gens = find_generators(K)
-    steps = generator_steps(mul_k, eK, gens)
-    order = [eK] + [y for y, _, _ in steps]
-    # the first steps, (g, 1, g) for each generator g, are the generator rows
-    steps = steps[len(gens):]
-    cells = list(combinations(gens, 2))
-    twists = {a: [sig[mul_k[star[a][x]][x]] for x in range(nK)] for a in gens}
-
-    def fill(values: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], ...]]:
-        b = [[eH] * nK for _ in range(nK)]
-        for (a, g), v in zip(cells, values):
-            b[a][g] = v
-            b[g][a] = inv_h[sig[inv_k[star[a][g]]][v]]
-        for a in gens:
-            row = _extend_from_generators(K, H, order, {g: b[a][g] for g in gens}, twists[a])
-            if row is None:
-                return None
-            b[a] = row
-        for y, x, g in steps:
-            bx, bg, sx, cx, sg = b[x], b[g], sig[x], conj_k[x], star[g]
-            b[y] = [mul_h[sx[bg[z]]][sig[cx[sg[z]]][bx[z]]] for z in range(nK)]
-        return tuple(tuple(row) for row in b)
-
-    def acceptable(b: tuple[tuple[int, ...], ...]) -> bool:
-        if _c1_failure(b, eH, eK) is not None:
-            return False
-        for x, y, z in product(range(nK), repeat=3):
-            if b[mul_k[x][y]][z] != mul_h[sig[x][b[y][z]]][sig[conj_k[x][star[y][z]]][b[x][z]]]:
-                return False
-            if b[x][mul_k[y][z]] != mul_h[b[x][y]][sig[mul_k[star[x][y]][y]][b[x][z]]]:
-                return False
-            if b[conj_k[z][x]][conj_k[z][y]] != sig[z][b[x][y]]:
-                return False
-        return True
-
-    tables = (fill(values) for values in product(range(nH), repeat=len(cells)))
-    return [PairingMap(H, K, t) for t in sorted(t for t in tables if t is not None and acceptable(t))]
+    if verify_mla(K, star_k, max_violations=1):
+        raise ValidationError("star_k is not a verified bracket on K")
+    walk = _PairingWalk(action, star_k)
+    walk.run()
+    return [PairingMap(H, K, t) for t in sorted(walk.results)]
 
 
 def enumerate_tuples(action: Action, star_k: LieBracket) -> list[ConstructionData]:
     """The tuples (star_k, Gamma, beta) on the action that pass C1-C6, in the
-    order of ``enumerate_gamma``, then of ``enumerate_pairings``.
-
-    star_k is verified once, by the one ``ConstructionData.make`` here; the
-    tuples share it and differ only in Gamma and beta.
+    order of ``enumerate_gamma``, then of ``enumerate_pairings``, which
+    verifies star_k once for all of them.
     """
     H, K = action.H, action.K
-    base = ConstructionData.make(action, star_k, GammaMap.zero(H, K), PairingMap.trivial(H, K))
     betas = enumerate_pairings(H, K, action, star_k)
+    base = ConstructionData(action, star_k, GammaMap.zero(H, K), PairingMap.trivial(H, K))
     tuples = (
         replace(base, gamma=gamma, beta=beta)
         for gamma in enumerate_gamma(H, K, action, star_k)

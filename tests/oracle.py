@@ -9,20 +9,22 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Optional, Sequence
 
-from mla_forge.brackets import verify_mla
-from mla_forge.construction import semidirect_product
+from mla_forge.brackets import LieBracket, verify_mla
+from mla_forge.construction import Action, PairingMap, _c1_failure, semidirect_product
 from mla_forge.errors import ValidationError
 from mla_forge.groups import (
     VIOLATION_CAP,
     FiniteGroup,
     GroupViolation,
     _check_order_bound,
+    _extend_from_generators,
     find_generators,
     generator_steps,
     int_row,
     int_table,
     pair_index,
 )
+from mla_forge.search import _check_parts
 
 
 def element_words(group: FiniteGroup, gens: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
@@ -558,3 +560,84 @@ def full_scan_group_violations(
                     GroupViolation("generators", gens, f"generators reach only {reached} of {n} elements")
                 )
     return out[:VIOLATION_CAP]
+
+
+def seed_vector_pairings(
+    H: FiniteGroup, K: FiniteGroup, action: Action, star_k: LieBracket
+) -> list[PairingMap]:
+    """``search.enumerate_pairings`` as it was before the pairings ran on the
+    seed walk: every seed vector filled in full, then filtered by C1 and
+    T1-T3 on every triple. Kept as the reference the walk is compared with.
+
+    Alternating pairing tables compatible with the induction conditions.
+
+    Setting h = k = l = 1 in the two-sided expansions C3, C4 and C6 leaves
+    constraints on beta alone:
+
+      T1  beta(x y, z) = sigma_x(beta(y, z)) sigma_{^x(y*z)}(beta(x, z))
+      T2  beta(x, y z) = beta(x, y) sigma_{(x*y) y}(beta(x, z))
+      T3  beta(^z x, ^z y) = sigma_z(beta(x, y))
+
+    For the trivial action these are plain bilinearity plus conjugation
+    invariance, whatever star_k is. The values on the generator pairs (a, b)
+    with a before b in ``find_generators``, in product order, fix a table.
+    Every table passing C1, T1 and T2 obeys the reversal
+
+      beta(y, x) = sigma_{(x*y)^-1}(beta(x, y))^-1
+
+    (T1 at (x, y, xy), with beta(y, xy) = beta(y, x) and
+    beta(x, xy) = sigma_x(beta(x, y)) from T2 and C1, and y*xy = y*x in K);
+    it is the H-part of y*x = (x*y)^-1 at (1,x), (1,y) in H x| K. The
+    reversal fills (b, a), T2 along the generator steps of K fills the
+    generator rows, then T1 along the same steps fills every other row. A
+    generator row that does not close breaks T2, so its seeds are dropped.
+    Each other table is kept when it satisfies C1 and every instance of
+    T1-T3; it holds its seed values, so distinct seeds give distinct tables.
+    """
+    _check_parts(H, K, action)
+    if star_k.group.cayley != K.cayley:
+        raise ValidationError("star_k is not a bracket on K")
+    nH, nK = H.order, K.order
+    eH, eK = H.identity, K.identity
+    mul_h, inv_h = H.cayley, H.inverse
+    mul_k, inv_k = K.cayley, K.inverse
+    conj_k = K.conj_table
+    sig = action.sigma
+    star = star_k.star
+    gens = find_generators(K)
+    steps = generator_steps(mul_k, eK, gens)
+    order = [eK] + [y for y, _, _ in steps]
+    # the first steps, (g, 1, g) for each generator g, are the generator rows
+    steps = steps[len(gens):]
+    cells = list(combinations(gens, 2))
+    twists = {a: [sig[mul_k[star[a][x]][x]] for x in range(nK)] for a in gens}
+
+    def fill(values: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], ...]]:
+        b = [[eH] * nK for _ in range(nK)]
+        for (a, g), v in zip(cells, values):
+            b[a][g] = v
+            b[g][a] = inv_h[sig[inv_k[star[a][g]]][v]]
+        for a in gens:
+            row = _extend_from_generators(K, H, order, {g: b[a][g] for g in gens}, twists[a])
+            if row is None:
+                return None
+            b[a] = row
+        for y, x, g in steps:
+            bx, bg, sx, cx, sg = b[x], b[g], sig[x], conj_k[x], star[g]
+            b[y] = [mul_h[sx[bg[z]]][sig[cx[sg[z]]][bx[z]]] for z in range(nK)]
+        return tuple(tuple(row) for row in b)
+
+    def acceptable(b: tuple[tuple[int, ...], ...]) -> bool:
+        if _c1_failure(b, eH, eK) is not None:
+            return False
+        for x, y, z in product(range(nK), repeat=3):
+            if b[mul_k[x][y]][z] != mul_h[sig[x][b[y][z]]][sig[conj_k[x][star[y][z]]][b[x][z]]]:
+                return False
+            if b[x][mul_k[y][z]] != mul_h[b[x][y]][sig[mul_k[star[x][y]][y]][b[x][z]]]:
+                return False
+            if b[conj_k[z][x]][conj_k[z][y]] != sig[z][b[x][y]]:
+                return False
+        return True
+
+    tables = (fill(values) for values in product(range(nH), repeat=len(cells)))
+    return [PairingMap(H, K, t) for t in sorted(t for t in tables if t is not None and acceptable(t))]

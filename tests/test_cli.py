@@ -79,10 +79,10 @@ def test_verify_group_file_with_violations(tmp_path, capsys):
 
 
 def test_verify_group_file_checks_the_table_once(tmp_path, capsys, monkeypatch):
-    from mla_forge import cli, groups
+    from mla_forge import groups
 
     calls = []
-    original = groups.verify_group
+    original = groups._group_violations
 
     def counting(*args, **kwargs):
         calls.append(args)
@@ -90,9 +90,8 @@ def test_verify_group_file_checks_the_table_once(tmp_path, capsys, monkeypatch):
 
     path = tmp_path / "d3.json"
     io.save_group(make_dihedral(3), path)
-    for module in (groups, cli):
-        if getattr(module, "verify_group", None) is original:
-            monkeypatch.setattr(module, "verify_group", counting)
+    # the group check that verify_group and FiniteGroup.from_table share
+    monkeypatch.setattr(groups, "_group_violations", counting)
     code, out, _ = run(capsys, "verify", "--group", str(path))
     assert (code, out) == (0, "group ok\n")
     assert len(calls) == 1

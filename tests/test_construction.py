@@ -23,6 +23,7 @@ from mla_forge.construction import (
     induce_bracket,
     section_independence_check,
     semidirect_product,
+    split_factor_subgroup,
     sigma_gamma_commute_check,
 )
 from mla_forge.errors import (
@@ -37,6 +38,7 @@ from mla_forge.groups import (
     direct_product,
     endomorphisms,
     find_generators,
+    homomorphisms,
     identify_small_group,
     make_cyclic,
     make_dihedral,
@@ -51,6 +53,7 @@ from mla_forge.search import (
 )
 
 import oracle
+from mla_forge.cli import parse_preset
 
 
 def s3_action():
@@ -501,6 +504,43 @@ def test_decompose_roundtrip_over_enumerated_tuples():
                 assert back.beta.beta == beta.beta
                 checked += 1
     assert checked >= 16
+
+
+DECOMPOSE_CATALOG = [
+    ("Z2", "Z2"), ("Z3", "Z2"), ("Z4", "Z2"), ("Z2xZ2", "Z2"), ("Z5", "Z2"), ("Z6", "Z2"),
+    ("Z7", "Z2"), ("Z8", "Z2"), ("Z3", "Z4"), ("Z2", "Z4"), ("Z4", "Z4"), ("Z2", "D3"),
+    ("Z2", "D4"), ("Z2", "Q8"), ("Z4", "Z2xZ2"), ("Z3", "Z2xZ2"), ("Z2xZ2", "Z4"), ("Z2xZ2", "Z3"),
+]
+
+
+def test_decomposed_data_passes_every_condition():
+    """decompose_bracket checks only the round trip; the data it returns
+    passes the full C1-C6 report on every bracket with H as an ideal on
+    these products of order <= 16, under the trivial action and inversion
+    outside the kernel of a homomorphism K -> Z2. The only rejections are
+    brackets nontrivial on H."""
+    decomposed = rejected = 0
+    for h_spec, k_spec in DECOMPOSE_CATALOG:
+        H, K = parse_preset(h_spec), parse_preset(k_spec)
+        actions = [Action.trivial(H, K)]
+        hom = next((h for h in homomorphisms(K, make_cyclic(2)) if any(h.images)), None)
+        if hom is not None:
+            actions.append(Action.by_inversion(H, K, [x for x in range(K.order) if hom.images[x]]))
+        for action in actions:
+            G = action.product_group
+            ideal = split_factor_subgroup(action, G)
+            for bracket in enumerate_brackets(G, SearchConfig(max_group_order=16, require_ideal=ideal)).items:
+                try:
+                    data = decompose_bracket(action, bracket)
+                except ReconstructionMismatchError as exc:
+                    assert "nontrivial on H" in str(exc)
+                    rejected += 1
+                    continue
+                assert data.induced_table == bracket.star
+                report = check_theorem_conditions(data)
+                assert report.passed and report.fully_evaluated, (G.name, bracket.star)
+                decomposed += 1
+    assert (decomposed, rejected) == (273, 51)
 
 
 # -- sections and the commuting property ---------------------------------------------

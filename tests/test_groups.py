@@ -166,6 +166,25 @@ def test_from_table_rejects_element_names_that_are_not_strings(names):
         FiniteGroup.from_table("Z4", make_cyclic(4).cayley, element_names=names)
 
 
+def test_from_table_checks_the_table_once(monkeypatch):
+    """One int_table pass over the table and one int_row pass over the
+    generators per call: int_table checks each of the n rows with int_row,
+    so int_row runs n + 1 times."""
+    d4 = make_dihedral(4)
+    calls = {"int_table": 0, "int_row": 0}
+    for name in calls:
+        original = getattr(groups, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(groups, name, counting)
+    group = FiniteGroup.from_table("D4", d4.cayley, generators=(1, 4))
+    assert calls == {"int_table": 1, "int_row": 9}
+    assert (group.identity, group.inverse) == (d4.identity, d4.inverse)
+
+
 # -- verify_group on broken tables ---------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import pytest
@@ -43,6 +44,7 @@ from oracle import (
     pairing_conditions_hold,
     relabel_table,
     scan_pairings,
+    seed_vector_pairings,
     structure_constant_tables,
 )
 
@@ -256,6 +258,35 @@ def test_counts_with_three_and_four_generators(spec, raw, classes):
     assert sum(len(set(bracket_orbit(b))) for b in result.items) == raw
 
 
+@pytest.mark.parametrize(
+    "spec, budget, ideal, nodes, tables, digest",
+    [
+        ("D4", None, None, 8, 4, "cdc721d77d180847"),
+        ("Q8", None, None, 8, 2, "4b89354d8ff6425b"),
+        ("Z2xZ2xZ2", None, None, 584, 120, "0b72864403d55d67"),
+        ("Z2xD4", None, None, 784, 64, "0f21da3325aa180a"),
+        ("Z2xZ2xD3", None, None, 39768, 84, "7571db7898e15270"),
+        ("Z2xD4", None, {1}, 336, 24, "f2c4e246cb72ee63"),
+        ("Z2xD4", 100, None, 101, 36, "60a27af7c735eea6"),
+    ],
+    ids=["D4", "Q8", "Z2xZ2xZ2", "Z2xD4", "Z2xZ2xD3", "Z2xD4-ideal", "Z2xD4-budget"],
+)
+def test_star_table_search_nodes_and_tables_are_pinned(spec, budget, ideal, nodes, tables, digest):
+    """Node count, tables (a digest of the sorted list) and ``exhausted`` of
+    the bracket walk, as they were when brackets had a search of their own;
+    the budget-cut run stops after node 101."""
+    g = parse_preset(spec)
+    config = SearchConfig(
+        max_group_order=24,
+        node_budget=budget or search.DEFAULT_NODE_BUDGET,
+        require_ideal=subgroup_generated(g, ideal) if ideal else None,
+    )
+    walk = search._StarTableSearch(g, config)
+    walk.run()
+    assert (walk.nodes, len(walk.results), walk.exhausted) == (nodes, tables, budget is None)
+    assert hashlib.sha256(repr(sorted(walk.results)).encode()).hexdigest()[:16] == digest
+
+
 def test_require_ideal_with_three_generators():
     g = parse_preset("Z2xZ2xZ2")
     ideal = subgroup_generated(g, {1})
@@ -368,14 +399,15 @@ def test_map_enumeration_rejects_groups_other_than_the_actions(enumerate_maps, w
         enumerate_maps(H, K, action, trivial_bracket(K))
 
 
-@pytest.mark.parametrize("inverting, c1_rejections", [(1, 2), (2, 0)], ids=["C1", "T1"])
-def test_enumerate_pairings_rejects_fills_that_break_c1_or_t1(monkeypatch, inverting, c1_rejections):
+@pytest.mark.parametrize("inverting", [1, 2], ids=["C1", "T1"])
+def test_enumerate_pairings_rejects_fills_that_break_c1_or_t1(inverting):
     """H = Z3 and K = Z2^3 on generators 1, 2, 4, with star_K = 3 on every
     generator pair and the generators other than ``inverting`` acting
     trivially. Three seeds close their generator rows. When generator 1
     inverts, the fills of (0, 0, 1) and (0, 0, 2) break C1 (and T1); when
     generator 2 inverts, those of (0, 1, 0) and (0, 2, 0) pass C1 and break
-    T1 at (1, 1, 6). Only the zero table is kept."""
+    T1 at (1, 1, 6). Such fills also break both T2 and T3, which the walk
+    checks. Only the zero table is kept."""
     H, K = make_cyclic(3), parse_preset("Z2xZ2xZ2")
     gens = find_generators(K)
     assert gens == (1, 2, 4)
@@ -384,23 +416,83 @@ def test_enumerate_pairings_rejects_fills_that_break_c1_or_t1(monkeypatch, inver
     assert verify_mla(K, star_k) == []
     kernel = subgroup_generated(K, [g for g in gens if g != inverting])
     action = Action.by_inversion(H, K, [x for x in range(K.order) if x not in kernel])
-    rejected = []
-
-    def c1_failure(*args):
-        x = construction._c1_failure(*args)
-        if x is not None:
-            rejected.append(x)
-        return x
-
-    monkeypatch.setattr(search, "_c1_failure", c1_failure)
     maps = enumerate_pairings(H, K, action, star_k)
     assert len(maps) == 1 and maps[0].is_trivial()
-    assert len(rejected) == c1_rejections
+    assert [m.beta for m in maps] == [p.beta for p in seed_vector_pairings(H, K, action, star_k)]
     for m in maps:
         b = m.beta
         assert all(b[x][K.identity] == b[K.identity][x] == b[x][x] == H.identity for x in range(K.order))
         for x, y, z in product(range(K.order), repeat=3):
             assert pairing_conditions_hold(H, K, action.sigma, star_k.star, b, x, y, z)
+
+
+@pytest.mark.parametrize("inverting, broken", [((), "T2"), ((1,), "T3")], ids=["T2", "T3"])
+def test_pairing_leaf_check_rejects_a_table_that_breaks_only_t2_or_t3(inverting, broken):
+    """The pairing walk's leaf check on a table handed to it directly: K = Z2
+    = {1, a}, H = Z3, the trivial star_K and beta(a, a) = 1. Under the
+    trivial action T3 holds and T2 at (a, a, a) reads 0 = 1 + 1; when a
+    inverts, T2 holds (0 = 1 - 1) and T3 at z = a reads 1 = -1. No input of
+    ``enumerate_pairings`` is known whose leaves break one of T2 and T3
+    without the other, so this is where each check shows."""
+    H, K = make_cyclic(3), make_cyclic(2)
+    action = Action.by_inversion(H, K, inverting)
+    star_k = trivial_bracket(K)
+    beta = ((0, 0), (0, 1))
+    t2 = all(
+        beta[x][K.cayley[y][z]] == H.cayley[beta[x][y]][action.sigma[y][beta[x][z]]]
+        for x, y, z in product(range(2), repeat=3)
+    )
+    t3 = all(beta[x][y] == action.sigma[z][beta[x][y]] for x, y, z in product(range(2), repeat=3))
+    assert {"T2": t2, "T3": t3} == {"T2": broken != "T2", "T3": broken != "T3"}
+    assert not search._PairingWalk(action, star_k)._accept(beta)
+
+
+def test_enumerate_pairings_rejects_a_star_that_is_not_a_bracket():
+    """The proof that T2 and T3 at the generators suffice needs star_K to be
+    a bracket on K, so a table that is not one is an input error for
+    ``enumerate_pairings`` and for ``enumerate_tuples``, which shares its
+    check."""
+    H, K = make_cyclic(3), parse_preset("Z2xZ2")
+    star = [[0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]]
+    star_k = LieBracket.make(K, star)
+    assert verify_mla(K, star_k) != []
+    for action in (Action.trivial(H, K), Action.by_inversion(H, K, (1, 3))):
+        with pytest.raises(ValidationError, match="not a verified bracket on K"):
+            enumerate_pairings(H, K, action, star_k)
+        with pytest.raises(ValidationError, match="not a verified bracket on K"):
+            search.enumerate_tuples(action, star_k)
+
+
+SWEEP_H = ("Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z8", "Z3xZ3")
+# automorphisms other than inversion: h -> 3h and h -> 5h on Z8, (a, b) -> (a, -b) on Z3 x Z3
+SWEEP_AUTOMORPHISMS = {
+    "Z8": ([3 * h % 8 for h in range(8)], [5 * h % 8 for h in range(8)]),
+    "Z3xZ3": ([h % 3 + 3 * (-(h // 3) % 3) for h in range(9)],),
+}
+
+
+@pytest.mark.parametrize("k_spec", ["Z2", "Z4", "Z2xZ2", "D3", "D4", "Q8", "Z2xZ2xZ2", "Z2xZ4"])
+def test_enumerate_pairings_match_the_seed_vector_oracle(k_spec):
+    """The walk lists the tables of ``oracle.seed_vector_pairings``, which
+    fills every seed vector in full and checks C1 and T1-T3 on every
+    triple, in the same order: for each H of the sweep with |H| |K| <= 64,
+    under the trivial action and under inversion (and the automorphisms
+    above) by the elements outside the kernel of a homomorphism K -> Z2, on
+    at most 8 brackets of K (every ceil(n/8)-th of the n when there are
+    more)."""
+    K = parse_preset(k_spec)
+    stars = enumerate_brackets(K).items
+    stars = stars[:: -(-len(stars) // 8)]
+    hom = next(h for h in homomorphisms(K, make_cyclic(2)) if any(h.images))
+    for H in map(parse_preset, SWEEP_H):
+        if H.order * K.order > 64:
+            continue
+        identity = list(range(H.order))
+        for auto in (identity, list(H.inverse), *SWEEP_AUTOMORPHISMS.get(H.name, ())):
+            action = Action.make(H, K, [auto if hom.images[x] else identity for x in range(K.order)])
+            for star_k in stars:
+                found = [p.beta for p in enumerate_pairings(H, K, action, star_k)]
+                assert found == [p.beta for p in seed_vector_pairings(H, K, action, star_k)], (H.name, star_k.star)
 
 
 @pytest.mark.parametrize("enumerate_maps", [enumerate_gamma, enumerate_pairings])
