@@ -80,15 +80,8 @@ class LieBracket:
 
     @classmethod
     def make(cls, group: FiniteGroup, star: Sequence[Sequence[int]]) -> "LieBracket":
-        rows = int_table(star, "star")
         n = group.order
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ValidationError("star table shape does not match group order")
-        for row in rows:
-            for v in row:
-                if not (0 <= v < n):
-                    raise ValidationError(f"star value {v} out of range 0..{n - 1}")
-        return cls(group, rows)
+        return cls(group, int_table(star, "star", (n, n), n))
 
     def is_trivial(self) -> bool:
         e = self.group.identity
@@ -121,12 +114,8 @@ def verify_mla(
     axiom over every triple.
     """
     check_violation_cap(max_violations)
-    table = star.star if isinstance(star, LieBracket) else tuple(tuple(r) for r in star)
     n = group.order
-    if len(table) != n or any(len(r) != n for r in table):
-        raise ValidationError("star table shape does not match group order")
-    if any(not 0 <= v < n for row in table for v in row):
-        raise ValidationError(f"star values must lie in 0..{n - 1}")
+    table = int_table(star.star if isinstance(star, LieBracket) else star, "star", (n, n), n)
     for i, axiom in enumerate(AXIOM_NAMES):
         if not axiom_holds(group, table, axiom):
             scans = (AXIOM_SCANS[a](group, table) for a in AXIOM_NAMES[i:])

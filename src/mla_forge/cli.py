@@ -156,18 +156,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not args.group:
         raise ValidationError("verify needs --group or --construction")
 
-    if _is_preset(args.group):
-        group = parse_preset(args.group)
-    else:
-        try:
-            group = io.load_group(args.group)
-        except InvalidGroupError as exc:
-            doc = [
-                {"axiom": v.axiom, "witness": list(v.witness), "message": v.message}
-                for v in exc.violations
-            ]
-            _emit(args, [v.message for v in exc.violations], doc)
-            return EXIT_MATH
+    try:
+        group = load_group_arg(args.group)
+    except InvalidGroupError as exc:
+        doc = [
+            {"axiom": v.axiom, "witness": list(v.witness), "message": v.message}
+            for v in exc.violations
+        ]
+        _emit(args, [v.message for v in exc.violations], doc)
+        return EXIT_MATH
 
     if args.bracket is None:
         _emit(args, ["group ok"], {"violations": []})
@@ -340,19 +337,9 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
             all_ok = False
             lines.append(f"  expected: {oc.expected}")
             lines.append(f"  actual:   {oc.actual}")
-        doc.append(
-            {"name": oc.name, "passed": oc.passed, "expected": _plain(oc.expected), "actual": _plain(oc.actual)}
-        )
+        doc.append({"name": oc.name, "passed": oc.passed, "expected": oc.expected, "actual": oc.actual})
     _emit(args, lines, doc)
     return EXIT_OK if all_ok else EXIT_MATH
-
-
-def _plain(value):
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
 
 
 # -- argument plumbing ----------------------------------------------------------

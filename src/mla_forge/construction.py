@@ -54,6 +54,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _check_order_bound,
+    _hom_failure,
     int_table,
     make_semidirect,
     pair_index,
@@ -78,9 +79,7 @@ class Action:
         _check_order_bound(H.order * K.order)
         if not H.is_abelian:
             raise ValidationError("actions are only supported on abelian H")
-        rows = int_table(sigma, "sigma")
-        validate_action_tables(H, K, rows)
-        return cls(H, K, rows)
+        return cls(H, K, validate_action_tables(H, K, sigma))
 
     @classmethod
     def trivial(cls, H: FiniteGroup, K: FiniteGroup) -> "Action":
@@ -121,15 +120,10 @@ class GammaMap:
 
     @classmethod
     def make(cls, H: FiniteGroup, K: FiniteGroup, gamma: Sequence[Sequence[int]]) -> "GammaMap":
-        rows = int_table(gamma, "gamma")
-        if len(rows) != K.order:
-            raise ValidationError(f"gamma needs {K.order} tables, got {len(rows)}")
+        rows = int_table(gamma, "gamma", (K.order, H.order), H.order)
         for x, row in enumerate(rows):
-            if len(row) != H.order:
-                raise ValidationError(f"gamma table for element {x} has wrong length")
-            for a, b in product(range(H.order), repeat=2):
-                if row[H.cayley[a][b]] != H.cayley[row[a]][row[b]]:
-                    raise ValidationError(f"gamma table for element {x} is not an endomorphism of H")
+            if _hom_failure(H, H, row) is not None:
+                raise ValidationError(f"gamma table for element {x} is not an endomorphism of H")
         if rows[K.identity] != (H.identity,) * H.order:
             raise ValidationError("gamma at the identity of K must be the zero endomorphism")
         return cls(H, K, rows)
@@ -154,14 +148,7 @@ class PairingMap:
 
     @classmethod
     def make(cls, H: FiniteGroup, K: FiniteGroup, beta: Sequence[Sequence[int]]) -> "PairingMap":
-        rows = int_table(beta, "beta")
-        if len(rows) != K.order or any(len(r) != K.order for r in rows):
-            raise ValidationError("beta table shape does not match |K| x |K|")
-        for row in rows:
-            for v in row:
-                if not (0 <= v < H.order):
-                    raise ValidationError(f"beta value {v} out of range for H")
-        return cls(H, K, rows)
+        return cls(H, K, int_table(beta, "beta", (K.order, K.order), H.order))
 
     @classmethod
     def trivial(cls, H: FiniteGroup, K: FiniteGroup) -> "PairingMap":

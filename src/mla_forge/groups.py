@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from math import gcd, prod
+from math import gcd, inf, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BoundExceededError, InvalidGroupError, ValidationError
@@ -34,28 +34,43 @@ class GroupViolation:
     message: str
 
 
-def int_table(table: Sequence[Sequence[int]], what: str) -> tuple[tuple[int, ...], ...]:
-    """``table`` as a tuple of int tuples, each row checked by :func:`int_row`."""
+def int_table(
+    table: Sequence[Sequence[int]],
+    what: str,
+    shape: Optional[tuple[int, int]] = None,
+    bound: Optional[int] = None,
+) -> tuple[tuple[int, ...], ...]:
+    """``table`` as a tuple of int tuples, each row checked by :func:`int_row`
+    with ``bound``; with ``shape`` = (rows, cols) it must have that many rows
+    of that length."""
     try:
         rows = tuple(tuple(row) for row in table)
     except TypeError:
         raise ValidationError(f"{what} must be a table of rows")
-    return tuple(int_row(row, what) for row in rows)
+    if shape is not None and (len(rows) != shape[0] or any(len(row) != shape[1] for row in rows)):
+        raise ValidationError(f"{what} table must have shape {shape[0]} x {shape[1]}")
+    return tuple(int_row(row, what, bound) for row in rows)
 
 
-def int_row(values: Sequence[int], what: str) -> tuple[int, ...]:
-    """``values`` as a tuple of ints.
+def int_row(values: Sequence[int], what: str, bound: Optional[int] = None) -> tuple[int, ...]:
+    """``values`` as a tuple of ints: the one entry check of every table of
+    elements the package is given (Cayley tables, brackets, sigma, Gamma,
+    beta, homomorphism images, subgroups).
 
     Every entry must already be an ``int``: a float, a string or a bool is
-    rejected, not coerced.
+    rejected, not coerced. With ``bound`` every entry must also lie in
+    0..bound-1, checked in the same pass.
     """
     try:
         row = tuple(values)
     except TypeError:
         raise ValidationError(f"{what} must be a list of integers, got {values!r}")
+    lo, hi = (0, bound) if bound is not None else (-inf, inf)
     for v in row:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValidationError(f"{what} entry {v!r} is not an integer")
+        if type(v) is not int or not lo <= v < hi:
+            if type(v) is not int:
+                raise ValidationError(f"{what} entry {v!r} is not an integer")
+            raise ValidationError(f"{what} values must lie in 0..{bound - 1}, got {v}")
     return row
 
 
@@ -393,23 +408,22 @@ def pair_index(h: int, x: int, h_order: int) -> int:
 
 def validate_action_tables(
     H: FiniteGroup, K: FiniteGroup, sigma: Sequence[Sequence[int]]
-) -> None:
-    """Check sigma is a homomorphism K -> Aut(H) given as per-element tables."""
-    if len(sigma) != K.order:
-        raise ValidationError(f"action needs {K.order} tables, got {len(sigma)}")
-    for x, row in enumerate(sigma):
-        if len(row) != H.order or sorted(row) != list(range(H.order)):
+) -> tuple[tuple[int, ...], ...]:
+    """Check sigma is a homomorphism K -> Aut(H) given as per-element tables,
+    and return the tables as int tuples."""
+    rows = int_table(sigma, "sigma", (K.order, H.order), H.order)
+    for x, row in enumerate(rows):
+        if len(set(row)) != H.order:
             raise ValidationError(f"action table for element {x} is not a permutation of H")
-        for a, b in product(range(H.order), repeat=2):
-            if row[H.cayley[a][b]] != H.cayley[row[a]][row[b]]:
-                raise ValidationError(f"action table for element {x} is not an automorphism of H")
-    idx = sigma[K.identity]
-    if tuple(idx) != tuple(range(H.order)):
+        if _hom_failure(H, H, row) is not None:
+            raise ValidationError(f"action table for element {x} is not an automorphism of H")
+    if rows[K.identity] != tuple(range(H.order)):
         raise ValidationError("action at the identity of K must be the identity map")
     for x, y in product(range(K.order), repeat=2):
-        composed = tuple(sigma[x][sigma[y][h]] for h in range(H.order))
-        if composed != tuple(sigma[K.cayley[x][y]]):
+        sx = rows[x]
+        if tuple(sx[h] for h in rows[y]) != rows[K.cayley[x][y]]:
             raise ValidationError(f"action is not a homomorphism: fails at ({x},{y})")
+    return rows
 
 
 def make_semidirect(
@@ -423,8 +437,7 @@ def make_semidirect(
     """
     if not H.is_abelian:
         raise ValidationError("semidirect construction requires abelian H")
-    validate_action_tables(H, K, sigma)
-    return _pair_product(H, K, sigma, name or f"{H.name}:{K.name}")
+    return _pair_product(H, K, validate_action_tables(H, K, sigma), name or f"{H.name}:{K.name}")
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
@@ -470,11 +483,8 @@ class Subgroup:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        G, members = self.parent, int_row(self.members, "subgroup members")
+        G, members = self.parent, int_row(self.members, "subgroup member", self.parent.order)
         object.__setattr__(self, "members", members)
-        for s in members:
-            if not (0 <= s < G.order):
-                raise ValidationError(f"subgroup member {s} out of range for {G.name}")
         if list(members) != sorted(set(members)):
             raise ValidationError("subgroup members must be sorted and distinct")
         mem = self._member_set
@@ -518,16 +528,26 @@ def subgroup_generated(group: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
     Closing under products with the seeds suffices in a finite group, where
     inverses are positive powers.
     """
-    seeds = set(int_row(seeds, "seeds"))
-    for s in seeds:
-        if not (0 <= s < group.order):
-            raise ValidationError(f"seed {s} out of range for {group.name}")
-    steps = generator_steps(group.cayley, group.identity, seeds)
+    steps = generator_steps(group.cayley, group.identity, set(int_row(seeds, "seed", group.order)))
     return Subgroup(group, tuple(sorted([group.identity] + [y for y, _, _ in steps])))
 
 
 # ---------------------------------------------------------------------------
 # homomorphisms
+
+
+def _hom_failure(
+    domain: FiniteGroup, codomain: FiniteGroup, images: Sequence[int]
+) -> Optional[tuple[int, int]]:
+    """The first (a, b) in lexicographic order with f(a b) != f(a) f(b), for
+    the map f with f(x) = images[x], or None when f is a homomorphism."""
+    mul = codomain.cayley
+    for a, row in enumerate(domain.cayley):
+        fa = mul[images[a]]
+        for b, ab in enumerate(row):
+            if images[ab] != fa[images[b]]:
+                return a, b
+    return None
 
 
 @dataclass(frozen=True)
@@ -540,16 +560,14 @@ class GroupMap:
 
     @classmethod
     def make(cls, domain: FiniteGroup, codomain: FiniteGroup, images: Sequence[int]) -> "GroupMap":
-        imgs = int_row(images, "images")
+        imgs = int_row(images, "image", codomain.order)
         if len(imgs) != domain.order:
             raise ValidationError("image table length does not match domain order")
-        if any(not (0 <= v < codomain.order) for v in imgs):
-            raise ValidationError("image out of range for codomain")
         if imgs[domain.identity] != codomain.identity:
             raise ValidationError("map does not send identity to identity")
-        for a, b in product(range(domain.order), repeat=2):
-            if imgs[domain.cayley[a][b]] != codomain.cayley[imgs[a]][imgs[b]]:
-                raise ValidationError(f"map is not a homomorphism: fails at ({a},{b})")
+        failure = _hom_failure(domain, codomain, imgs)
+        if failure is not None:
+            raise ValidationError(f"map is not a homomorphism: fails at ({failure[0]},{failure[1]})")
         return cls(domain, codomain, imgs)
 
     def __call__(self, x: int) -> int:

@@ -307,6 +307,17 @@ def test_induce_failing_conditions_prints_witness(tmp_path, capsys):
     assert "witness" in out
 
 
+@pytest.mark.parametrize("command", [("verify", "--construction"), ("induce", "--data")], ids=lambda c: c[0])
+def test_gamma_entry_outside_h_is_input_error(tmp_path, capsys, command):
+    doc = io.construction_to_doc(ConstructionData.all_trivial(Action.trivial(make_cyclic(3), make_cyclic(2))))
+    doc["gamma"][1] = [0, 7, 0]
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, *command, str(path))
+    assert code == 2
+    assert err.startswith("input error:") and "gamma" in err
+
+
 def test_decompose_case_ii_recovers_gamma(tmp_path, capsys):
     action, bracket = z4xd4_case_ii_bracket()
     io.save_bracket(bracket, tmp_path / "caseII.json")

@@ -1,8 +1,10 @@
 """Fuzz the command line: whatever the presets, group files (JSON or raw
-bytes), sigma files, budget variable and ``--ideal`` lists say, ``main``
-returns one of the documented exit codes and lets no exception escape."""
+bytes), sigma files, construction files, budget variable and ``--ideal``
+lists say, ``main`` returns one of the documented exit codes and lets no
+exception escape."""
 
 import contextlib
+import copy
 import io as stdio
 import json
 import os
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from mla_forge import serialization as io
 from mla_forge.brackets import commutator_bracket
 from mla_forge.cli import BUDGET_ENV, main, parse_preset
+from mla_forge.construction import Action, ConstructionData
 
 EXIT_CODES = {0, 1, 2, 3}
 # Derandomized, so a suite run passes or fails the same way every time.
@@ -34,6 +37,28 @@ def group_documents(draw):
     """A valid group document with one field replaced by any JSON value."""
     doc = dict(draw(st.sampled_from(VALID_DOCS)))
     doc[draw(st.sampled_from(FIELDS))] = draw(json_values)
+    return doc
+
+
+VALID_CONSTRUCTIONS = [
+    io.construction_to_doc(ConstructionData.all_trivial(action))
+    for action in (
+        Action.trivial(parse_preset("Z3"), parse_preset("Z2")),
+        Action.by_inversion(parse_preset("Z3"), parse_preset("Z2"), inverting=(1,)),
+    )
+]
+TABLES = ("sigma", "starK", "gamma", "beta")
+
+
+@st.composite
+def construction_documents(draw):
+    """A valid construction document (trivial data on Z3xZ2 or on Z3:Z2 with
+    Z2 inverting) with one cell of one table replaced by any JSON value, an
+    integer in half the draws."""
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_CONSTRUCTIONS)))
+    table = doc[draw(st.sampled_from(TABLES))]
+    row = table[draw(st.integers(0, len(table) - 1))]
+    row[draw(st.integers(0, len(row) - 1))] = draw(st.one_of(st.integers(-3, 70), json_values))
     return doc
 
 
@@ -77,6 +102,15 @@ def test_any_group_document(workdir, command, doc):
     path = workdir / "group.json"
     path.write_text(json.dumps(doc))
     assert run(command[0], f"--group={path}", *command[1:]) in EXIT_CODES
+
+
+@pytest.mark.parametrize("command", [("verify", "--construction"), ("induce", "--data")], ids=lambda c: c[0])
+@FUZZ
+@given(doc=construction_documents())
+def test_any_construction_cell(workdir, command, doc):
+    path = workdir / "construction.json"
+    path.write_text(json.dumps(doc))
+    assert run(*command, str(path)) in EXIT_CODES
 
 
 # Each command reads FILE as a group file or as a sigma file.

@@ -82,11 +82,12 @@ def test_action_validation_rejects_non_homomorphism():
 
 @pytest.mark.parametrize("one", [1.0, True], ids=["float", "bool"])
 def test_tables_with_non_integer_entries_are_rejected(one):
-    # every table below is valid once ``one`` is coerced to 1
+    # every table below is well formed once ``one`` is coerced to 1
     H, K = make_cyclic(3), make_cyclic(2)
     makes = [
         lambda: FiniteGroup.from_table("Z2", [[0, one], [one, 0]]),
         lambda: LieBracket.make(K, [[0, 0], [0, one]]),
+        lambda: verify_mla(K, [[0, 0], [0, one]]),
         lambda: Action.make(H, K, [[0, 1, 2], [0, 2, one]]),
         lambda: GammaMap.make(H, K, [[0, 0, 0], [0, one, 2]]),
         lambda: PairingMap.make(H, K, [[0, 0], [0, one]]),
