@@ -12,7 +12,6 @@ m, m divisible by 4), products ``AxB``, and split products
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -27,7 +26,6 @@ from .construction import (
     decompose_bracket,
     induce_bracket,
     semidirect_product,
-    split_factor_subgroup,
 )
 from .errors import (
     BoundExceededError,
@@ -59,7 +57,6 @@ BUDGET_ENV = "MLA_FORGE_BUDGET"
 
 _PRESET_TOKEN = re.compile(r"^([ZDQ])(\d+)$")
 _PRESET_FULL = re.compile(r"^[ZDQ]\d+(x[ZDQ]\d+)*$")
-_INDEX = re.compile(r"[0-9]{1,9}")
 
 
 def _is_preset(value: str) -> bool:
@@ -247,14 +244,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     action = _action_from_group_arg(args.group)
     group = semidirect_product(action)
     bracket = io.load_bracket(args.bracket, group=group)
-    if args.ideal is not None and args.ideal != "H":
-        wanted = _parse_ideal(args.ideal)
-        h_members = split_factor_subgroup(action, group).members
-        if wanted != h_members:
-            raise ValidationError(
-                "decomposition is supported for the split factor H; "
-                f"--ideal must be 'H' or exactly {','.join(map(str, h_members))}"
-            )
     data = decompose_bracket(action, bracket)
     doc = io.construction_to_doc(data)
     gamma_desc = _describe_gamma(data)
@@ -273,14 +262,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             io.canonical_dumps({"beta": [list(r) for r in data.beta.beta]}), encoding="utf-8"
         )
     return EXIT_OK
-
-
-def _parse_ideal(text: str) -> tuple[int, ...]:
-    """The sorted element indices of a comma-separated ``--ideal`` list."""
-    items = text.split(",")
-    if not all(_INDEX.fullmatch(v) for v in items):
-        raise ValidationError(f"--ideal must be 'H' or comma-separated element indices, got {text!r}")
-    return tuple(sorted(int(v) for v in items))
 
 
 def _describe_gamma(data) -> list[str]:
@@ -380,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="extract construction data from a bracket")
     p.add_argument("--group", required=True, help="product preset, e.g. Z4xD4 or A:B:sigma=FILE")
     p.add_argument("--bracket", required=True)
-    p.add_argument("--ideal", help="the ideal to split off; must be the H factor")
     p.add_argument("--emit", help="directory for the extracted component files")
     common(p)
     p.set_defaults(func=cmd_decompose)
@@ -405,7 +385,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BoundExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ValidationError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MlaForgeError as exc:

@@ -424,9 +424,17 @@ def decompose_bracket(action: Action, bracket: LieBracket) -> ConstructionData:
     star_K[x][y] and beta(x,y) are the K- and H-components of (1,x)*(1,y);
     Gamma_x(k) is the H-component of (1,x)*(k,1).
 
-    C1-C6 are not checked: they hold once the induced table is the bracket,
-    which passed A1-A5. C3-C6 are its A3, A2, A4 and A5, C1 is A1 at (1,x)
-    with (1,x)*1 = 1*(1,x) = 1, and G1 and G2 of C2 are A3 and A4 at
+    The parts are built without the checks of their ``make``, which cannot
+    fail here:
+      - star_K is the bracket that K, as G/H, inherits from the ideal H, so
+        it passes A1-A5;
+      - Gamma_x is an endomorphism of H by A2 at ((1,x), k, l) for k, l in H,
+        since conjugation by k is trivial on abelian H and (1,x)*k lies in H;
+      - Gamma_1 = 0, since 1*g = 1;
+      - every entry is in range, since v // |H| and v % |H| are.
+    C1-C6 are not checked either: they hold once the induced table is the
+    bracket, which passed A1-A5. C3-C6 are its A3, A2, A4 and A5, C1 is A1 at
+    (1,x) with (1,x)*1 = 1*(1,x) = 1, and G1 and G2 of C2 are A3 and A4 at
     ((1,x), (1,y), (h,1)), each evaluated by the induction formula.
     """
     H, K = action.H, action.K
@@ -448,31 +456,20 @@ def decompose_bracket(action: Action, bracket: LieBracket) -> ConstructionData:
                 raise ReconstructionMismatchError(
                     "bracket is nontrivial on H itself; outside the split parametrization"
                 )
-    star_k_rows = []
-    beta_rows = []
-    for x in range(K.order):
-        sk_row = []
-        b_row = []
-        for y in range(K.order):
-            v = star[pair_index(eH, x, nH)][pair_index(eH, y, nH)]
-            b_row.append(v % nH)
-            sk_row.append(v // nH)
-        star_k_rows.append(sk_row)
-        beta_rows.append(b_row)
-    # H is an ideal, so every (1,x)*(k,1) lies in H
-    gamma_rows = [
-        [star[pair_index(eH, x, nH)][pair_index(k, eK, nH)] % nH for k in range(nH)]
-        for x in range(K.order)
+    k_rows = [
+        [star[pair_index(eH, x, nH)][pair_index(eH, y, nH)] for y in range(K.order)] for x in range(K.order)
     ]
-    try:
-        data = ConstructionData.make(
-            action,
-            LieBracket.make(K, star_k_rows),
-            GammaMap.make(H, K, gamma_rows),
-            PairingMap.make(H, K, beta_rows),
-        )
-    except ValidationError as exc:
-        raise ReconstructionMismatchError(f"extracted data is not valid construction data: {exc}")
+    # H is an ideal, so every (1,x)*(k,1) lies in H
+    gamma_rows = tuple(
+        tuple(star[pair_index(eH, x, nH)][pair_index(k, eK, nH)] % nH for k in range(nH))
+        for x in range(K.order)
+    )
+    data = ConstructionData(
+        action,
+        LieBracket(K, tuple(tuple(v // nH for v in row) for row in k_rows)),
+        GammaMap(H, K, gamma_rows),
+        PairingMap(H, K, tuple(tuple(v % nH for v in row) for row in k_rows)),
+    )
     if data.induced_table != bracket.star:
         raise ReconstructionMismatchError("induced bracket does not reproduce the input table")
     return data

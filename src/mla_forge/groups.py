@@ -721,66 +721,26 @@ def is_isomorphic(a: FiniteGroup, b: FiniteGroup) -> Optional[GroupMap]:
 def invariant_factors(group: FiniteGroup) -> tuple[int, ...]:
     """Invariant factor chain d1 | d2 | ... of an abelian group, ascending.
 
-    Derived from element-order statistics: for each prime p the counts
-    #{x : x^(p^k) = 1} determine the partition of the p-part.
+    A finite abelian group is fixed up to isomorphism by how many of its
+    elements have each order, so the chain is the one, of product |G|, whose
+    cyclic product has the group's ``order_profile``: the same count of
+    elements x with x^m = 1 for each divisor m of |G|, which in
+    Z_d1 x Z_d2 x ... is the product of the gcd(m, d_i).
     """
     if not group.is_abelian:
         raise ValidationError("invariant factors only defined for abelian groups")
     n = group.order
-    if n == 1:
-        return ()
-    orders = [group.element_order(x) for x in range(n)]
-    primes = _prime_factors(n)
-    per_prime: list[list[int]] = []
-    for p in primes:
-        exps = []
-        k = 0
-        prev = 0
-        while True:
-            k += 1
-            c = sum(1 for o in orders if p ** k % o == 0)
-            e = _int_log(c, p)
-            parts_ge_k = e - prev
-            if parts_ge_k == 0:
-                break
-            exps.append(parts_ge_k)
-            prev = e
-        # exps is the conjugate partition; transpose back
-        lam = [sum(1 for m in exps if m >= i + 1) for i in range(max(exps))] if exps else []
-        per_prime.append(sorted((p ** l for l in lam), reverse=True))
-    width = max(len(ls) for ls in per_prime)
-    factors = []
-    for i in range(width):
-        d = 1
-        for ls in per_prime:
-            if i < len(ls):
-                d *= ls[i]
-        factors.append(d)
-    return tuple(sorted(factors))
+    counts = {m: sum(1 for o in group.order_profile if m % o == 0) for m in range(1, n + 1) if n % m == 0}
 
+    def chains(rest: int, low: int) -> Iterator[tuple[int, ...]]:
+        """Chains low | d1 | d2 | ... of factors above 1 with product ``rest``."""
+        if rest == 1:
+            yield ()
+        for d in range(max(low, 2), rest + 1):
+            if rest % d == 0 and d % low == 0:
+                yield from ((d, *tail) for tail in chains(rest // d, d))
 
-def _int_log(c: int, p: int) -> int:
-    e = 0
-    while c > 1:
-        if c % p:
-            raise ValidationError("order statistics inconsistent with an abelian group")
-        c //= p
-        e += 1
-    return e
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return next(c for c in chains(n, 1) if all(prod(gcd(m, d) for d in c) == k for m, k in counts.items()))
 
 
 def abelian_label(group: FiniteGroup) -> str:

@@ -224,24 +224,25 @@ def z4xd4_parts():
     return H, K, Action.trivial(H, K)
 
 
-def z4xd4_case_brackets() -> dict[str, LieBracket]:
-    """starK representatives keyed by the generator-pair cell a*b."""
+def z4xd4_case_brackets(config: SearchConfig) -> dict[str, LieBracket]:
+    """starK representatives of cases I, II and III, the generator-pair cell
+    a*b being 0, 1 and 2: those that the search finds within the budget."""
     K = make_dihedral(4)
-    res = enumerate_brackets(K, SearchConfig())
+    res = enumerate_brackets(K, config)
     a, b = 4, 1
     out = {}
     for br in res.items:
         out.setdefault(br.star[a][b], br)
-    return {"I": out[0], "II": out[1], "III": out[2]}
+    return {case: out[cell] for cell, case in enumerate(("I", "II", "III")) if cell in out}
 
 
 def _run_z4xd4(config: SearchConfig) -> ScenarioOutcome:
     H, K, action = z4xd4_parts()
     G = semidirect_product(action)
-    cases = z4xd4_case_brackets()
+    cases = z4xd4_case_brackets(config)
     homs = enumerate_gamma(H, K, action, trivial_bracket(K))
     bilinear = enumerate_pairings(H, K, action, trivial_bracket(K))
-    mla_homs_ii = enumerate_mla_homs(K, cases["II"], H)
+    mla_homs_ii = len(enumerate_mla_homs(K, cases["II"], H)) if "II" in cases else None
 
     tuple_counts = {}
     labels: dict[str, list[str]] = {}
@@ -269,7 +270,7 @@ def _run_z4xd4(config: SearchConfig) -> ScenarioOutcome:
     actual = {
         "hom_families": len(homs),
         "bilinear_maps": len(bilinear),
-        "case_II_mla_homs": len(mla_homs_ii),
+        "case_II_mla_homs": mla_homs_ii,
         "tuples": tuple_counts,
         "labels": labels,
         "all_induced_valid": all_valid,
@@ -323,7 +324,7 @@ def _run_sigma_gamma_commute(config: SearchConfig) -> ScenarioOutcome:
         H, K = action.H, action.K
         checked = 0
         ok = True
-        for star_k in enumerate_brackets(K, SearchConfig()).items:
+        for star_k in enumerate_brackets(K, config).items:
             for gamma in enumerate_gamma(H, K, action, star_k):
                 checked += 1
                 if not sigma_gamma_commute_check(action, gamma):
@@ -333,9 +334,13 @@ def _run_sigma_gamma_commute(config: SearchConfig) -> ScenarioOutcome:
     return _outcome("sigma-gamma-commute", expected, actual)
 
 
-def z4xd4_case_ii_bracket() -> tuple[Action, LieBracket]:
+def z4xd4_case_ii_bracket(config: SearchConfig) -> Optional[tuple[Action, LieBracket]]:
+    """A bracket of case II with a nonzero Gamma, or None when the search does
+    not reach case II within the budget."""
     H, K, action = z4xd4_parts()
-    star_k = z4xd4_case_brackets()["II"]
+    star_k = z4xd4_case_brackets(config).get("II")
+    if star_k is None:
+        return None
     gammas = enumerate_mla_homs(K, star_k, H)
     gamma = next(g for g in gammas if not g.is_zero())
     data = ConstructionData.make(action, star_k, gamma, PairingMap.trivial(H, K))
@@ -346,11 +351,11 @@ def _run_section_independence(config: SearchConfig) -> ScenarioOutcome:
     H, K, action = s3_pipeline_parts()
     s3 = semidirect_product(action)
     comm = commutator_bracket(s3)
-    action_ii, bracket_ii = z4xd4_case_ii_bracket()
+    case_ii = z4xd4_case_ii_bracket(config)
     expected = {"s3-commutator": True, "z4xd4-case-ii": True}
     actual = {
         "s3-commutator": section_independence_check(action, comm),
-        "z4xd4-case-ii": section_independence_check(action_ii, bracket_ii),
+        "z4xd4-case-ii": section_independence_check(*case_ii) if case_ii is not None else None,
     }
     return _outcome("section-independence", expected, actual)
 

@@ -404,7 +404,11 @@ def enumerate_induced(
 def enumerate_mla_homs(K: FiniteGroup, star_k: LieBracket, H: FiniteGroup) -> list[GammaMap]:
     """Families that respect both operations: group homomorphisms from K into
     (End(H), .) whose bracket behaviour matches the endomorphism structure,
-    Gamma_{x*y} = Gamma_x * Gamma_y evaluated in end_mla(H)."""
+    Gamma_{x*y} = Gamma_x * Gamma_y evaluated in end_mla(H).
+
+    Each family is a GammaMap without ``GammaMap.make``'s check: its rows are
+    endomorphisms, and a homomorphism sends 1 to the identity of End(H), the
+    zero map."""
     if star_k.group.cayley != K.cayley:
         raise ValidationError("star_k is not a bracket on K")
     end_group, end_bracket = end_mla(H)
@@ -417,7 +421,7 @@ def enumerate_mla_homs(K: FiniteGroup, star_k: LieBracket, H: FiniteGroup) -> li
                 ok = False
                 break
         if ok:
-            found.append(GammaMap.make(H, K, tuple(endos[i] for i in hom.images)))
+            found.append(GammaMap(H, K, tuple(endos[i] for i in hom.images)))
     found.sort(key=lambda gm: gm.gamma)
     return found
 

@@ -30,6 +30,8 @@ def canonical_dumps(doc: Any) -> str:
 
 
 def _load_json(path: Union[str, Path]) -> Any:
+    """The document a file holds; every way the file can fail to become one
+    is a ValidationError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -38,15 +40,10 @@ def _load_json(path: Union[str, Path]) -> Any:
         raise ValidationError(f"{path} is not UTF-8 text: {exc}")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal beyond int()'s digit limit
         raise ValidationError(f"{path} is not valid JSON: {exc}")
-
-
-def _expect_table(doc: Any, key: str) -> list[list[int]]:
-    value = doc.get(key) if isinstance(doc, dict) else None
-    if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
-        raise ValidationError(f"field {key!r} must be a table (list of lists)")
-    return value
+    except RecursionError:
+        raise ValidationError(f"{path} is not valid JSON: nested too deeply")
 
 
 # -- groups -----------------------------------------------------------------
@@ -109,7 +106,7 @@ def bracket_from_doc(
             group = load_group(path)
         else:
             group = group_from_doc(ref)
-    return LieBracket.make(group, _expect_table(doc, "star"))
+    return LieBracket.make(group, doc.get("star"))
 
 
 def load_bracket(path: Union[str, Path], group: Optional[FiniteGroup] = None) -> LieBracket:
@@ -140,10 +137,10 @@ def construction_from_doc(doc: Any) -> ConstructionData:
         raise ValidationError("construction document must be a JSON object")
     H = group_from_doc(doc.get("H"))
     K = group_from_doc(doc.get("K"))
-    action = Action.make(H, K, _expect_table(doc, "sigma"))
-    star_k = LieBracket.make(K, _expect_table(doc, "starK"))
-    gamma = GammaMap.make(H, K, _expect_table(doc, "gamma"))
-    beta = PairingMap.make(H, K, _expect_table(doc, "beta"))
+    action = Action.make(H, K, doc.get("sigma"))
+    star_k = LieBracket.make(K, doc.get("starK"))
+    gamma = GammaMap.make(H, K, doc.get("gamma"))
+    beta = PairingMap.make(H, K, doc.get("beta"))
     return ConstructionData.make(action, star_k, gamma, beta)
 
 

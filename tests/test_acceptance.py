@@ -242,7 +242,7 @@ def test_criterion_10_section_independence():
         H, K, action = s3_pipeline_parts()
         comm = commutator_bracket(semidirect_product(action))
         assert section_independence_check(action, comm)
-        action_ii, bracket_ii = z4xd4_case_ii_bracket()
+        action_ii, bracket_ii = z4xd4_case_ii_bracket(SearchConfig())
         assert section_independence_check(action_ii, bracket_ii)
 
 

@@ -19,6 +19,7 @@ from mla_forge.construction import (
 )
 from mla_forge.groups import automorphisms, is_isomorphic, make_cyclic, make_dihedral, make_quaternion
 from mla_forge.scenarios import z4xd4_case_ii_bracket
+from mla_forge.search import SearchConfig
 
 
 def run(capsys, *argv):
@@ -319,7 +320,7 @@ def test_gamma_entry_outside_h_is_input_error(tmp_path, capsys, command):
 
 
 def test_decompose_case_ii_recovers_gamma(tmp_path, capsys):
-    action, bracket = z4xd4_case_ii_bracket()
+    action, bracket = z4xd4_case_ii_bracket(SearchConfig())
     io.save_bracket(bracket, tmp_path / "caseII.json")
     code, out, _ = run(
         capsys,
@@ -328,42 +329,25 @@ def test_decompose_case_ii_recovers_gamma(tmp_path, capsys):
         "Z4xD4",
         "--bracket",
         str(tmp_path / "caseII.json"),
-        "--ideal",
-        "H",
     )
     assert code == 0
     assert "gamma[a]: mult-by-2" in out
     assert "gamma[b]: mult-by-0" in out
 
 
-def test_decompose_wrong_ideal_rejected(tmp_path, capsys):
-    action, bracket = z4xd4_case_ii_bracket()
-    io.save_bracket(bracket, tmp_path / "caseII.json")
-    code, _, err = run(
-        capsys,
-        "decompose",
-        "--group",
-        "Z4xD4",
-        "--bracket",
-        str(tmp_path / "caseII.json"),
-        "--ideal",
-        "0,1,2",
-    )
-    assert code == 2
-
-
-def test_decompose_non_numeric_ideal_is_input_error(tmp_path, capsys):
+@pytest.mark.parametrize("ideal", ["H", "0,1,2,3"])
+def test_decompose_has_no_ideal_option(tmp_path, capsys, ideal):
+    """decompose always splits off the H factor; --ideal is not an option."""
     io.save_bracket(trivial_bracket(parse_preset("Z3xZ2")), tmp_path / "b.json")
-    code, out, err = run(
-        capsys, "decompose", "--group", "Z3xZ2", "--bracket", str(tmp_path / "b.json"), "--ideal", "a,b"
-    )
-    assert code == 2
-    assert out == ""
-    assert "--ideal" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--group", "Z3xZ2", "--bracket", str(tmp_path / "b.json"), "--ideal", ideal])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --ideal" in err
 
 
 def test_decompose_emit_component_files(tmp_path, capsys):
-    action, bracket = z4xd4_case_ii_bracket()
+    action, bracket = z4xd4_case_ii_bracket(SearchConfig())
     io.save_bracket(bracket, tmp_path / "caseII.json")
     out_dir = tmp_path / "parts"
     code, _, _ = run(

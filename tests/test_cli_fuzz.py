@@ -1,7 +1,6 @@
 """Fuzz the command line: whatever the presets, group files (JSON or raw
-bytes), sigma files, construction files, budget variable and ``--ideal``
-lists say, ``main`` returns one of the documented exit codes and lets no
-exception escape."""
+bytes), sigma files, construction files and budget variable say, ``main``
+returns one of the documented exit codes and lets no exception escape."""
 
 import contextlib
 import copy
@@ -138,15 +137,34 @@ def test_file_that_is_not_utf8_is_an_input_error(workdir, command):
     assert run(*(arg.format(path) for arg in command)) == 2
 
 
+# Files on which json.loads raises a plain ValueError (an integer literal
+# beyond int()'s digit limit) or a RecursionError (nesting beyond the
+# recursion limit), not a JSONDecodeError.
+UNPARSEABLE = {
+    "long-integer": "9" * 5000,
+    "deep-nesting": "[" * 100_000 + "]" * 100_000,
+}
+DOCUMENT_COMMANDS = FILE_COMMANDS + [
+    ("verify", "--construction={}"),
+    ("induce", "--data={}"),
+    ("decompose", "--group=Z3xZ2", "--bracket={}"),
+]
+
+
+@pytest.mark.parametrize("text", UNPARSEABLE.values(), ids=UNPARSEABLE)
+@pytest.mark.parametrize("command", DOCUMENT_COMMANDS, ids=FILE_IDS + ["verify-construction", "induce", "decompose"])
+def test_file_that_is_not_json_is_an_input_error(workdir, command, text):
+    path = workdir / "unparseable.json"
+    path.write_text(text)
+    err = stdio.StringIO()
+    with contextlib.redirect_stdout(stdio.StringIO()), contextlib.redirect_stderr(err):
+        code = main([arg.format(path) for arg in command])
+    assert code == 2
+    assert err.getvalue().startswith("input error:")
+
+
 @FUZZ
 @given(value=st.one_of(st.integers(-3, 10**12).map(str), env_text))
 def test_any_budget_variable(value):
     with mock.patch.dict(os.environ, {BUDGET_ENV: value}):
         assert run("enumerate", "--group=D3") in EXIT_CODES
-
-
-@FUZZ
-@given(ideal=st.one_of(st.from_regex(r"[0-9]{1,2}(,[0-9]{1,2}){0,3}", fullmatch=True), st.text(max_size=8)))
-def test_any_ideal_list(workdir, ideal):
-    code = run("decompose", "--group=Z3xZ2", f"--bracket={workdir / 'bracket.json'}", f"--ideal={ideal}")
-    assert code in EXIT_CODES

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
-from itertools import product
+from itertools import combinations_with_replacement, product
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from mla_forge.groups import (
     automorphism_generators,
     automorphisms,
     direct_product,
+    endomorphism_count,
     endomorphisms,
     find_generators,
     homomorphisms,
@@ -584,6 +586,48 @@ def test_invariant_factors():
     z2xz4 = direct_product(make_cyclic(2), make_cyclic(4))
     assert invariant_factors(z2xz4) == (2, 4)
     assert abelian_label(z2xz4) == "Z2xZ4"
+
+
+def _prime_power_chain(cyclic_orders):
+    """Invariant factors of the product of the cyclic groups, by the primary
+    decomposition: the j-th largest power of each prime goes into the j-th
+    largest factor."""
+    powers: dict[int, list[int]] = {}
+    for a in cyclic_orders:
+        p = 2
+        while a > 1:
+            q = 1
+            while a % p == 0:
+                a, q = a // p, q * p
+            if q > 1:
+                powers.setdefault(p, []).append(q)
+            p += 1
+    width = max((len(v) for v in powers.values()), default=0)
+    factors = [1] * width
+    for qs in powers.values():
+        for j, q in enumerate(sorted(qs, reverse=True)):
+            factors[j] *= q
+    return tuple(sorted(factors))
+
+
+def test_invariant_factors_label_and_endomorphism_count_on_cyclic_products():
+    """Every product of one to three of these cyclic groups of order <= 64."""
+    products = [
+        combo
+        for k in (1, 2, 3)
+        for combo in combinations_with_replacement((1, 2, 3, 4, 5, 6, 8, 9, 16, 32), k)
+        if prod(combo) <= 64
+    ]
+    assert len(products) == 117
+    for combo in products:
+        group = make_cyclic(combo[0])
+        for c in combo[1:]:
+            group = direct_product(group, make_cyclic(c))
+        chain = _prime_power_chain(combo)
+        assert invariant_factors(group) == chain, combo
+        assert abelian_label(group) == ("x".join(f"Z{d}" for d in chain) or "Z1"), combo
+        # |Hom(Z_a, Z_b)| = gcd(a, b), summed over the given factors, not the chain
+        assert endomorphism_count(group) == prod(gcd(a, b) for a in combo for b in combo), combo
 
 
 def test_identify_small_groups():

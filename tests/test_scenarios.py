@@ -1,4 +1,10 @@
+import pytest
+
+from mla_forge import scenarios
 from mla_forge.scenarios import catalog, run_scenarios
+from mla_forge.search import DEFAULT_NODE_BUDGET, SearchConfig
+
+SEARCHES = ("enumerate_brackets", "enumerate_induced", "verify_coprime_determination")
 
 
 def test_catalog_names_are_unique():
@@ -15,3 +21,31 @@ def test_single_scenario_selection():
     outcomes = run_scenarios(["q8-enumeration"])
     assert len(outcomes) == 1
     assert outcomes[0].name == "q8-enumeration"
+
+
+def test_every_search_gets_the_runner_budget(monkeypatch):
+    """Each search a scenario runs takes the config the runner is given."""
+    budget = DEFAULT_NODE_BUDGET + 1
+    budgets: dict[str, list[int]] = {}
+    running = [""]
+    for name in SEARCHES:
+
+        def spy(*args, _original=getattr(scenarios, name)):
+            budgets.setdefault(running[0], []).append(args[-1].node_budget)
+            return _original(*args)
+
+        monkeypatch.setattr(scenarios, name, spy)
+    for scenario in catalog():
+        running[0] = scenario.name
+        assert scenario.runner(SearchConfig(node_budget=budget)).passed, scenario.name
+    assert all(b == [budget] * len(b) for b in budgets.values()), budgets
+    assert {"z4xd4-cases", "sigma-gamma-commute", "section-independence"} <= set(budgets)
+
+
+@pytest.mark.parametrize("name", ["z4xd4-cases", "section-independence"])
+def test_case_search_cut_short_fails_the_scenario(name):
+    """With two search nodes D4 yields no case II bracket: the scenario fails
+    and says which values it could not compute."""
+    (outcome,) = run_scenarios([name], SearchConfig(node_budget=2))
+    assert not outcome.passed
+    assert None in outcome.actual.values()
