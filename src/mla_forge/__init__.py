@@ -38,12 +38,10 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
-    GroupMap,
     Subgroup,
     automorphism_generators,
     automorphisms,
     direct_product,
-    endomorphisms,
     identify_small_group,
     is_isomorphic,
     make_cyclic,

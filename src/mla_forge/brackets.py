@@ -54,12 +54,11 @@ from .errors import BoundExceededError, ValidationError
 from .groups import (
     MAX_GROUP_ORDER,
     FiniteGroup,
-    GroupMap,
     Subgroup,
     automorphism_generators,
     endomorphism_count,
-    endomorphisms,
     find_generators,
+    homomorphisms,
     int_row,
     int_table,
     subgroup_generated,
@@ -277,50 +276,40 @@ def is_ideal(bracket: LieBracket, sub: Union[Subgroup, Iterable[int]]) -> bool:
 def pushforward_table(
     images: tuple[int, ...], star: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[int, ...], ...]:
-    """Relabel a star table along a bijective image table."""
+    """Relabel a star table along a bijective image table:
+    star'[images[x]][images[y]] = images[star[x][y]]."""
     pre = [0] * len(images)
     for i, v in enumerate(images):
         pre[v] = i
-    return _relabel(images, pre, star)
-
-
-def _relabel(images: Sequence[int], pre: Sequence[int], star: _Table) -> _Table:
-    """star'[images[x]][images[y]] = images[star[x][y]], given ``pre``, the
-    inverse of ``images``."""
     rows = [star[p] for p in pre]
     return tuple(tuple(images[row[p]] for p in pre) for row in rows)
 
 
 def bracket_orbit(
-    bracket: LieBracket, autos: Optional[Sequence[GroupMap]] = None
+    bracket: LieBracket, autos: Optional[Sequence[tuple[int, ...]]] = None
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """The tables equivalent to ``bracket``, each yielded once: its orbit
     under the automorphisms of its group and argument reversal.
 
     Two brackets on a group are the same structure exactly when one's table
-    is in the other's orbit. ``autos`` is any generating set of Aut (the full
-    list qualifies); by default ``automorphism_generators``. Reversal is a
-    transpose and commutes with every relabeling, so Aut x <reversal> is a
-    group and closing {table} under the generators and reversal gives the
-    whole orbit, at |orbit| x (|autos| + 1) relabelings whatever |Aut| is.
+    is in the other's orbit. ``autos`` is any generating set of Aut as image
+    tables (the full ``automorphisms`` list qualifies); by default
+    ``automorphism_generators``. Reversal is a transpose and commutes with
+    every relabeling, so Aut x <reversal> is a group and closing {table}
+    under the generators and reversal gives the whole orbit, at
+    |orbit| x (|autos| + 1) relabelings whatever |Aut| is. The closure is
+    depth-first, and each table is yielded when first found.
     """
     if autos is None:
         autos = automorphism_generators(bracket.group)
-    return _orbit_closure(bracket.star, [(phi.images, phi.inverse_map().images) for phi in autos])
-
-
-def _orbit_closure(
-    star: _Table, steps: list[tuple[tuple[int, ...], tuple[int, ...]]]
-) -> Iterator[_Table]:
-    """Depth-first closure of {star} under the transpose and the relabeling
-    along each (images, preimages) pair, yielding each table when first found."""
+    star = bracket.star
     seen = {star}
     stack = [star]
     yield star
     while stack:
         table = stack.pop()
         found = [tuple(zip(*table))]
-        found.extend(_relabel(images, pre, table) for images, pre in steps)
+        found.extend(pushforward_table(phi, table) for phi in autos)
         for t in found:
             if t not in seen:
                 seen.add(t)
@@ -344,7 +333,7 @@ def end_mla(group: FiniteGroup) -> tuple[FiniteGroup, LieBracket]:
         raise BoundExceededError(
             f"End({group.name}) has {size} elements, beyond supported order {MAX_GROUP_ORDER}"
         )
-    endos = endomorphisms(group)
+    endos = homomorphisms(group, group)
     index = {t: i for i, t in enumerate(endos)}
     mul_h, inv_h = group.cayley, group.inverse
     hs = range(group.order)

@@ -31,7 +31,6 @@ from .errors import (
     BoundExceededError,
     ConditionsViolatedError,
     InvalidGroupError,
-    MlaForgeError,
     NotIdealError,
     ReconstructionMismatchError,
     ValidationError,
@@ -379,7 +378,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConditionsViolatedError, NotIdealError, ReconstructionMismatchError) as exc:
+    except (NotIdealError, ReconstructionMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
     except BoundExceededError as exc:
@@ -388,9 +387,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValidationError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except MlaForgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH
 
 
 def entrypoint() -> None:

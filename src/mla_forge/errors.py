@@ -29,18 +29,14 @@ class BoundExceededError(MlaForgeError):
 class ConditionsViolatedError(MlaForgeError):
     """Construction data failed the bracket-induction conditions.
 
-    Carries the condition report so callers can show the witness.
+    Carries the condition report, which has a failing condition, so callers
+    can show the witness.
     """
 
     def __init__(self, report):
         self.report = report
-        failure = report.first_failure()
-        if failure is None:
-            detail = "conditions violated"
-        else:
-            name, status = failure
-            detail = f"condition {name} fails at witness {status.witness}"
-        super().__init__(detail)
+        name, status = report.first_failure()
+        super().__init__(f"condition {name} fails at witness {status.witness}")
 
 
 class NotIdealError(MlaForgeError):

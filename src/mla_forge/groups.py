@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -55,21 +56,22 @@ def int_table(
 def int_row(values: Sequence[int], what: str, bound: Optional[int] = None) -> tuple[int, ...]:
     """``values`` as a tuple of ints: the one entry check of every table of
     elements the package is given (Cayley tables, brackets, sigma, Gamma,
-    beta, homomorphism images, subgroups).
+    beta, subgroups).
 
     Every entry must already be an ``int``: a float, a string or a bool is
     rejected, not coerced. With ``bound`` every entry must also lie in
-    0..bound-1, checked in the same pass.
+    0..bound-1, checked in the same pass. A rejected value is shown by
+    ``reprlib.repr``, so a deep or long one prints abridged.
     """
     try:
         row = tuple(values)
     except TypeError:
-        raise ValidationError(f"{what} must be a list of integers, got {values!r}")
+        raise ValidationError(f"{what} must be a list of integers, got {reprlib.repr(values)}")
     lo, hi = (0, bound) if bound is not None else (-inf, inf)
     for v in row:
         if type(v) is not int or not lo <= v < hi:
             if type(v) is not int:
-                raise ValidationError(f"{what} entry {v!r} is not an integer")
+                raise ValidationError(f"{what} entry {reprlib.repr(v)} is not an integer")
             raise ValidationError(f"{what} values must lie in 0..{bound - 1}, got {v}")
     return row
 
@@ -550,48 +552,6 @@ def _hom_failure(
     return None
 
 
-@dataclass(frozen=True)
-class GroupMap:
-    """A homomorphism between finite groups, stored as an image table."""
-
-    domain: FiniteGroup
-    codomain: FiniteGroup
-    images: tuple[int, ...]
-
-    @classmethod
-    def make(cls, domain: FiniteGroup, codomain: FiniteGroup, images: Sequence[int]) -> "GroupMap":
-        imgs = int_row(images, "image", codomain.order)
-        if len(imgs) != domain.order:
-            raise ValidationError("image table length does not match domain order")
-        if imgs[domain.identity] != codomain.identity:
-            raise ValidationError("map does not send identity to identity")
-        failure = _hom_failure(domain, codomain, imgs)
-        if failure is not None:
-            raise ValidationError(f"map is not a homomorphism: fails at ({failure[0]},{failure[1]})")
-        return cls(domain, codomain, imgs)
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-    @property
-    def is_bijective(self) -> bool:
-        return len(set(self.images)) == self.domain.order == self.codomain.order
-
-    def compose(self, other: "GroupMap") -> "GroupMap":
-        """self after other."""
-        if other.codomain.cayley != self.domain.cayley:
-            raise ValidationError("composition domains do not match")
-        return GroupMap(other.domain, self.codomain, tuple(self.images[v] for v in other.images))
-
-    def inverse_map(self) -> "GroupMap":
-        if not self.is_bijective:
-            raise ValidationError("map is not bijective")
-        inv = [0] * len(self.images)
-        for i, v in enumerate(self.images):
-            inv[v] = i
-        return GroupMap(self.codomain, self.domain, tuple(inv))
-
-
 def _extend_from_generators(
     domain: FiniteGroup,
     codomain: FiniteGroup,
@@ -650,18 +610,19 @@ def _generator_maps(domain: FiniteGroup, codomain: FiniteGroup, bijective: bool)
             yield ext
 
 
-def homomorphisms(domain: FiniteGroup, codomain: FiniteGroup) -> list[GroupMap]:
-    """All homomorphisms domain -> codomain, in image-table order."""
-    return [GroupMap(domain, codomain, t) for t in sorted(_generator_maps(domain, codomain, False))]
+def homomorphisms(domain: FiniteGroup, codomain: FiniteGroup) -> list[tuple[int, ...]]:
+    """All homomorphisms domain -> codomain as image tables, sorted."""
+    return sorted(_generator_maps(domain, codomain, False))
 
 
-def automorphisms(group: FiniteGroup) -> list[GroupMap]:
-    """All automorphisms, sorted by image table, so the identity map comes first."""
-    return [GroupMap(group, group, t) for t in sorted(_generator_maps(group, group, True))]
+def automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """All automorphisms as image tables, sorted, so the identity map comes first."""
+    return sorted(_generator_maps(group, group, True))
 
 
-def automorphism_generators(group: FiniteGroup) -> list[GroupMap]:
-    """A generating set of Aut(group), in the order of ``automorphisms``.
+def automorphism_generators(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """A generating set of Aut(group) as image tables, in the order of
+    ``automorphisms``.
 
     Chosen greedily from the sorted list: a map is kept when it lies outside
     the subgroup that the maps kept before it generate. The identity is never
@@ -669,37 +630,26 @@ def automorphism_generators(group: FiniteGroup) -> list[GroupMap]:
     """
     autos = automorphisms(group)
     gens: list[tuple[int, ...]] = []
-    reached = {autos[0].images}
+    reached = {autos[0]}
     for phi in autos:
         if len(reached) == len(autos):
             break
-        if phi.images in reached:
+        if phi in reached:
             continue
-        gens.append(phi.images)
+        gens.append(phi)
         # Dimino's step: the new subgroup is a union of cosets S r of the
         # old subgroup S, and (S r) h = S (r h), so following each new
         # coset's representative r by every kept map h finds every coset.
         old = list(reached)
-        reps = [phi.images]
-        reached.update(tuple(m[v] for v in phi.images) for m in old)
+        reps = [phi]
+        reached.update(tuple(m[v] for v in phi) for m in old)
         for r in reps:
             for h in gens:
                 rh = tuple(r[v] for v in h)
                 if rh not in reached:
                     reps.append(rh)
                     reached.update(tuple(m[v] for v in rh) for m in old)
-    return [GroupMap(group, group, g) for g in gens]
-
-
-def endomorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
-    """All endomorphism tables of an abelian group, sorted.
-
-    Candidate generator images are pruned by order divisibility before the
-    extension check.
-    """
-    if not group.is_abelian:
-        raise ValidationError("endomorphism enumeration requires an abelian group")
-    return [m.images for m in homomorphisms(group, group)]
+    return gens
 
 
 def endomorphism_count(group: FiniteGroup) -> int:
@@ -710,12 +660,11 @@ def endomorphism_count(group: FiniteGroup) -> int:
     return prod(gcd(a, b) for a in factors for b in factors)
 
 
-def is_isomorphic(a: FiniteGroup, b: FiniteGroup) -> Optional[GroupMap]:
-    """An explicit isomorphism a -> b, or None."""
+def is_isomorphic(a: FiniteGroup, b: FiniteGroup) -> Optional[tuple[int, ...]]:
+    """An explicit isomorphism a -> b as an image table, or None."""
     if a.order != b.order or a.is_abelian != b.is_abelian or a.order_profile != b.order_profile:
         return None
-    images = next(_generator_maps(a, b, True), None)
-    return GroupMap(a, b, images) if images is not None else None
+    return next(_generator_maps(a, b, True), None)
 
 
 def invariant_factors(group: FiniteGroup) -> tuple[int, ...]:

@@ -187,8 +187,8 @@ def _run_s3_construction(config: SearchConfig) -> ScenarioOutcome:
 def _run_z3xd3(config: SearchConfig) -> ScenarioOutcome:
     H, K = make_cyclic(3), make_dihedral(3)
     res = enumerate_induced(H, K, Action.trivial(H, K), config)
-    expected = {"raw_count": 3, "class_count": 2}
-    actual = {"raw_count": res.raw_count, "class_count": res.class_count}
+    expected = {"raw_count": 3, "class_count": 2, "exhausted": True}
+    actual = {"raw_count": res.raw_count, "class_count": res.class_count, "exhausted": res.exhausted}
     return _outcome("z3xd3-induced", expected, actual)
 
 
@@ -197,10 +197,11 @@ def _run_z5xd3(config: SearchConfig) -> ScenarioOutcome:
     action = Action.trivial(H, K)
     res = enumerate_induced(H, K, action, config)
     pairings = enumerate_pairings(H, K, action, trivial_bracket(K))
-    expected = {"class_count": tau(3), "pairings_all_trivial": True}
+    expected = {"class_count": tau(3), "pairings_all_trivial": True, "exhausted": True}
     actual = {
         "class_count": res.class_count,
         "pairings_all_trivial": all(p.is_trivial() for p in pairings) and len(pairings) == 1,
+        "exhausted": res.exhausted,
     }
     return _outcome("z5xd3-induced", expected, actual)
 
@@ -324,13 +325,14 @@ def _run_sigma_gamma_commute(config: SearchConfig) -> ScenarioOutcome:
         H, K = action.H, action.K
         checked = 0
         ok = True
-        for star_k in enumerate_brackets(K, config).items:
+        res = enumerate_brackets(K, config)
+        for star_k in res.items:
             for gamma in enumerate_gamma(H, K, action, star_k):
                 checked += 1
                 if not sigma_gamma_commute_check(action, gamma):
                     ok = False
-        expected[label] = {"all_commute": True, "nonempty": True}
-        actual[label] = {"all_commute": ok, "nonempty": checked > 0}
+        expected[label] = {"all_commute": True, "nonempty": True, "exhausted": True}
+        actual[label] = {"all_commute": ok, "nonempty": checked > 0, "exhausted": res.exhausted}
     return _outcome("sigma-gamma-commute", expected, actual)
 
 

@@ -50,7 +50,6 @@ from .groups import (
     Subgroup,
     _extend_from_generators,
     automorphism_generators,
-    endomorphisms,
     find_generators,
     generator_steps,
     homomorphisms,
@@ -271,7 +270,7 @@ def enumerate_gamma(
     generator images over End(H) and extended along the generator steps of K
     by G1, Gamma_{x g} = Gamma_x . sigma_x Gamma_g."""
     _check_parts(H, K, action)
-    endos = endomorphisms(H)
+    endos = homomorphisms(H, H)
     gens = find_generators(K)
     steps = generator_steps(K.cayley, K.identity, gens)
     zero = (H.identity,) * H.order
@@ -412,16 +411,16 @@ def enumerate_mla_homs(K: FiniteGroup, star_k: LieBracket, H: FiniteGroup) -> li
     if star_k.group.cayley != K.cayley:
         raise ValidationError("star_k is not a bracket on K")
     end_group, end_bracket = end_mla(H)
-    endos = endomorphisms(H)
+    endos = homomorphisms(H, H)
     found = []
     for hom in homomorphisms(K, end_group):
         ok = True
         for x, y in product(range(K.order), repeat=2):
-            if hom.images[star_k.star[x][y]] != end_bracket.star[hom.images[x]][hom.images[y]]:
+            if hom[star_k.star[x][y]] != end_bracket.star[hom[x]][hom[y]]:
                 ok = False
                 break
         if ok:
-            found.append(GammaMap(H, K, tuple(endos[i] for i in hom.images)))
+            found.append(GammaMap(H, K, tuple(endos[i] for i in hom)))
     found.sort(key=lambda gm: gm.gamma)
     return found
 

@@ -8,13 +8,14 @@ import pytest
 
 import mla_forge
 from mla_forge import serialization as io
-from mla_forge.brackets import commutator_bracket, trivial_bracket
+from mla_forge.brackets import LieBracket, commutator_bracket, trivial_bracket
 from mla_forge.cli import main, parse_preset
 from mla_forge.construction import (
     Action,
     ConstructionData,
     GammaMap,
     PairingMap,
+    induce_bracket,
     semidirect_product,
 )
 from mla_forge.groups import automorphisms, is_isomorphic, make_cyclic, make_dihedral, make_quaternion
@@ -246,8 +247,7 @@ def test_declared_generators_do_not_steer_the_search(tmp_path, capsys):
     plain, repeated = tmp_path / "plain.json", tmp_path / "repeated.json"
     plain.write_text(io.canonical_dumps(doc))
     repeated.write_text(io.canonical_dumps({**doc, "generators": [1, 2, 4] * 4}))
-    auts = [m.images for m in automorphisms(io.load_group(plain))]
-    assert [m.images for m in automorphisms(io.load_group(repeated))] == auts
+    assert automorphisms(io.load_group(repeated)) == automorphisms(io.load_group(plain))
     code, out, err = run(capsys, "enumerate", "--group", str(plain))
     assert code == 0 and "raw_count: 120\nclass_count: 7\n" in out
     assert run(capsys, "enumerate", "--group", str(repeated)) == (0, out, err)
@@ -369,6 +369,63 @@ def test_decompose_emit_component_files(tmp_path, capsys):
     assert semidirect_product(data.action).order == 32
 
 
+def test_decompose_split_preset_round_trips_the_d3_commutator(tmp_path, capsys):
+    """decompose on Z3:Z2:sigma=FILE, Z2 inverting Z3: the extracted data
+    induce the commutator bracket of the product, D3, back."""
+    action = Action.by_inversion(make_cyclic(3), make_cyclic(2), inverting=(1,))
+    (tmp_path / "sigma.json").write_text(json.dumps({"sigma": [list(r) for r in action.sigma]}))
+    comm = commutator_bracket(semidirect_product(action))
+    io.save_bracket(comm, tmp_path / "comm.json")
+    spec = f"Z3:Z2:sigma={tmp_path / 'sigma.json'}"
+    code, out, _ = run(capsys, "decompose", "--group", spec, "--bracket", str(tmp_path / "comm.json"),
+                       "--emit", str(tmp_path / "parts"))
+    assert code == 0
+    assert out.startswith("decomposition ok\n")
+    data = io.load_construction(tmp_path / "parts" / "construction.json")
+    assert induce_bracket(data).star == comm.star
+
+
+def _v4_star(value, cells):
+    """A bracket table on a group of order 4: ``value`` at each cell (a, b)
+    and at (b, a), the identity 0 elsewhere."""
+    star = [[0] * 4 for _ in range(4)]
+    for a, b in cells:
+        star[a][b] = star[b][a] = value
+    return star
+
+
+def test_decompose_bracket_without_h_ideal_is_an_error(tmp_path, capsys):
+    """On Z2xZ2 with H = {0, 1}, bracketing H's generator 1 with 2 gives 2,
+    outside H."""
+    star = _v4_star(2, [(1, 2), (1, 3), (2, 3)])
+    io.save_bracket(LieBracket.make(parse_preset("Z2xZ2"), star), tmp_path / "b.json")
+    code, out, err = run(capsys, "decompose", "--group", "Z2xZ2", "--bracket", str(tmp_path / "b.json"))
+    assert code == 1
+    assert out == ""
+    assert err == "error: H is not an ideal of the given bracket\n"
+
+
+def test_decompose_bracket_nontrivial_on_h_is_an_error(tmp_path, capsys):
+    """H = Z2xZ2 acted on by the trivial group, with a nonzero bracket on H:
+    outside the split parametrization."""
+    (tmp_path / "sigma.json").write_text(json.dumps({"sigma": [[0, 1, 2, 3]]}))
+    product = semidirect_product(Action.trivial(parse_preset("Z2xZ2"), make_cyclic(1)))
+    io.save_bracket(LieBracket.make(product, _v4_star(1, [(1, 2), (1, 3), (2, 3)])), tmp_path / "b.json")
+    spec = f"Z2xZ2:Z1:sigma={tmp_path / 'sigma.json'}"
+    code, out, err = run(capsys, "decompose", "--group", spec, "--bracket", str(tmp_path / "b.json"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bracket is nontrivial on H itself")
+
+
+def test_decompose_needs_a_product_preset(tmp_path, capsys):
+    io.save_bracket(trivial_bracket(make_cyclic(4)), tmp_path / "b.json")
+    code, out, err = run(capsys, "decompose", "--group", "Z4", "--bracket", str(tmp_path / "b.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: decompose needs a product preset")
+
+
 # -- scenarios ------------------------------------------------------------------------
 
 
@@ -405,3 +462,26 @@ def test_scenarios_single(capsys):
 def test_scenarios_unknown_name(capsys):
     code, _, err = run(capsys, "scenarios", "--only", "nope")
     assert code == 2
+
+
+# -- README examples -----------------------------------------------------------------
+
+README_OUTPUTS = Path(__file__).parent / "data" / "readme_cli"
+
+# name of the file holding the expected standard output: arguments
+README_EXAMPLES = {
+    "enumerate-d4-up-to-iso": ["enumerate", "--group", "D4", "--up-to-iso"],
+    "enumerate-q8-json": ["enumerate", "--group", "Q8", "--format", "json"],
+    "verify-d3-commutator": ["verify", "--group", "D3", "--bracket", "commutator"],
+    "scenarios-list": ["scenarios", "--list"],
+    "scenarios-z4xd4-cases-json": ["scenarios", "--only", "z4xd4-cases", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("name", README_EXAMPLES)
+def test_readme_example_prints_the_recorded_bytes(capsys, name):
+    """The README's CLI examples succeed and print exactly the recorded
+    output."""
+    code, out, _ = run(capsys, *README_EXAMPLES[name])
+    assert code == 0
+    assert out == (README_OUTPUTS / f"{name}.stdout").read_text(encoding="utf-8")

@@ -163,6 +163,30 @@ def test_file_that_is_not_json_is_an_input_error(workdir, command, text):
     assert err.getvalue().startswith("input error:")
 
 
+# Group files whose first cayley cell holds a large value in place of an
+# integer: the message shows it abridged. The nesting stays well inside what
+# json.loads parses with the test runner's frames on the stack; a file nested
+# too deeply for it is the UNPARSEABLE case above.
+LARGE_CELLS = {
+    "deep-list": "[" * 300 + "]" * 300,
+    "long-list": json.dumps(list(range(10_000))),
+}
+
+
+@pytest.mark.parametrize("cell", LARGE_CELLS.values(), ids=LARGE_CELLS)
+def test_large_table_entry_gives_a_short_input_error(workdir, cell):
+    doc = io.canonical_dumps(io.group_to_doc(parse_preset("Z2")))
+    path = workdir / "large-cell.json"
+    path.write_text(doc.replace('"cayley":[[0', f'"cayley":[[{cell}', 1))
+    err = stdio.StringIO()
+    with contextlib.redirect_stdout(stdio.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["verify", f"--group={path}"])
+    assert code == 2
+    (line,) = err.getvalue().splitlines()
+    assert line.startswith("input error: cayley entry")
+    assert len(line) < 200
+
+
 @FUZZ
 @given(value=st.one_of(st.integers(-3, 10**12).map(str), env_text))
 def test_any_budget_variable(value):

@@ -36,7 +36,6 @@ from mla_forge.errors import (
 from mla_forge.groups import (
     FiniteGroup,
     direct_product,
-    endomorphisms,
     find_generators,
     homomorphisms,
     identify_small_group,
@@ -243,7 +242,7 @@ def oracle_catalog():
         H, K = act.H, act.K
         stars = [trivial_bracket(K)] + ([] if K.is_abelian else [commutator_bracket(K)])
         if images is None:
-            endos = endomorphisms(H)
+            endos = homomorphisms(H, H)
             n_gens = len(find_generators(K))
             images = [[endos[(i + j) % len(endos)] for j in range(n_gens)] for i in (1, len(endos) - 1)]
         gammas = [GammaMap.zero(H, K)] + [gamma_from_generator_images(act, imgs) for imgs in images]
@@ -524,9 +523,9 @@ def test_decomposed_data_passes_every_condition():
     for h_spec, k_spec in DECOMPOSE_CATALOG:
         H, K = parse_preset(h_spec), parse_preset(k_spec)
         actions = [Action.trivial(H, K)]
-        hom = next((h for h in homomorphisms(K, make_cyclic(2)) if any(h.images)), None)
+        hom = next((h for h in homomorphisms(K, make_cyclic(2)) if any(h)), None)
         if hom is not None:
-            actions.append(Action.by_inversion(H, K, [x for x in range(K.order) if hom.images[x]]))
+            actions.append(Action.by_inversion(H, K, [x for x in range(K.order) if hom[x]]))
         for action in actions:
             G = action.product_group
             ideal = split_factor_subgroup(action, G)

@@ -42,10 +42,22 @@ def test_every_search_gets_the_runner_budget(monkeypatch):
     assert {"z4xd4-cases", "sigma-gamma-commute", "section-independence"} <= set(budgets)
 
 
-@pytest.mark.parametrize("name", ["z4xd4-cases", "section-independence"])
+# How each scenario reports a search cut short: a value it could not compute
+# (None), or the exhausted flag of its search, per case where it has cases.
+CUT_SHORT = {
+    "z4xd4-cases": lambda actual: None in actual.values(),
+    "section-independence": lambda actual: None in actual.values(),
+    "z3xd3-induced": lambda actual: actual["exhausted"] is False,
+    "z5xd3-induced": lambda actual: actual["exhausted"] is False,
+    "sigma-gamma-commute": lambda actual: any(case["exhausted"] is False for case in actual.values()),
+}
+
+
+@pytest.mark.parametrize("name", list(CUT_SHORT))
 def test_case_search_cut_short_fails_the_scenario(name):
-    """With two search nodes D4 yields no case II bracket: the scenario fails
-    and says which values it could not compute."""
+    """With two search nodes the searches on D4, D3 and Z2xZ2 are cut short
+    (D4 yields no case II bracket): the scenario fails and says which values
+    it could not compute or which search was cut short."""
     (outcome,) = run_scenarios([name], SearchConfig(node_budget=2))
     assert not outcome.passed
-    assert None in outcome.actual.values()
+    assert CUT_SHORT[name](outcome.actual)
