@@ -13,11 +13,12 @@ The all-identity table and the commutator table always qualify. Every valid
 bracket also satisfies the derived identities x*1 = 1*x = 1 and
 y*x = (x*y)^-1, which the search relies on.
 
-Each axiom scan also runs on a reduced range, and a table of group elements
-passes the reduced scan exactly when it passes the full one, whatever the
-other axioms do. S = find_generators(G) generates G, and every element of
-a finite group is a product of generators (S is empty only for the trivial
-group, whose one table passes every axiom):
+Each axiom is also decided on a reduced range: a table of group elements
+passes the reduced scan exactly when it passes the full one. The ranges of
+A2, A3 and A5 hold whatever the other axioms do; A4's range shrinks with the
+axioms the table is already known to satisfy. S = find_generators(G)
+generates G, and every element of a finite group is a product of generators
+(S is empty only for the trivial group, whose one table passes every axiom):
 
   A2  z over S. For fixed x, A2 says f(y) = x*y is a crossed homomorphism,
       f(yz) = f(y) ^y f(z). At y = 1 and z in S it gives f(1) = 1, so z = 1
@@ -29,26 +30,51 @@ group, whose one table passes every axiom):
       gives g(1) = 1, so x = 1 passes, and if x1 and x2 pass, so does x1 x2:
       g(x1 x2 y) = ^x1 g(x2 y) g(x1) = ^(x1 x2) g(y) ^x1 g(x2) g(x1)
       = ^(x1 x2) g(y) g(x1 x2).
-  A4  the triples with x <= y and x <= z. With P(x, y, z) = (x*y) * ^y z
-      the identity reads P(x,y,z) P(y,z,x) P(z,x,y) = 1, and ABC = 1 exactly
-      when BCA = 1, so a triple passes exactly when its rotations do, and
-      one rotation of each triple puts its least entry first. A rotation
-      with a smaller first entry is lexicographically smaller, so the least
-      violating triple also has this form.
-  A5  z over S. A5 at z says conjugation by z maps the table to itself;
-      z = 1 passes, and if z1 and z2 pass, so does z1 z2, since conjugation
-      by z1 z2 is conjugation by z2 followed by conjugation by z1.
+  A5  z over the non-central elements of S. A5 at z says conjugation by z
+      maps the table to itself; a central z, 1 among them, conjugates
+      trivially and passes, and if z1 and z2 pass, so does z1 z2, since
+      conjugation by z1 z2 is conjugation by z2 followed by conjugation by
+      z1. On an abelian group A5 costs nothing.
+  A4  With P(x, y, z) = (x*y) * ^y z and J(x, y, z) = P(x,y,z) P(y,z,x)
+      P(z,x,y), A4 says J = 1 everywhere. ABC = 1 exactly when BCA = 1, so
+      J(x, y, z) = 1 exactly when J(y, z, x) = 1. Three ranges, the first
+      that applies:
+      - Given A1, A2 and A3 on an abelian group: the generator triples
+        (s_i, s_j, s_k), i < j < k. Writing G additively, A2 and A3 make the
+        bracket biadditive and A1 alternating, so y*x = -(x*y), and
+        J(x, y, z) = (x*y)*z + (y*z)*x + (z*x)*y is trilinear;
+        J(x, x, z) = 0*z + (x*z)*x - (x*z)*x = 0, and J is invariant under
+        rotation, so it is alternating. Every element is a sum of generators,
+        so J(x, y, z) is a sum of values J(s_a, s_b, s_c), each 0 (two equal
+        entries) or +- the value at one of these triples (none when |S| < 3).
+      - Given A5: the triples with x least in its conjugacy class, x <= y,
+        x <= z, and y least in its orbit under conjugation by the
+        centralizer of x (FiniteGroup.conjugation_pair_minima). A5 gives
+        ^g(x*y) = ^g x * ^g y, hence P(^g x, ^g y, ^g z) = ^g P(x, y, z) and
+        J(^g x, ^g y, ^g z) = ^g J(x, y, z), which is 1 exactly when
+        J(x, y, z) is. From any triple, rotate its least entry to the front,
+        conjugate that entry to the least of its class, and conjugate by its
+        centralizer to make y least. Each step keeps whether J = 1, and each
+        step that moves the triple lowers (first, second) lexicographically,
+        so repeating them ends in this range.
+      - Otherwise: the triples with x <= y and x <= z, one rotation of each
+        triple putting its least entry first.
 
-A passing table of order n thus costs about n^3/3 + 3 |S| n^2 steps rather
-than 4 n^3. The reduced scans decide pass or fail only; witnesses always
-come from the full scans.
+A table that passes A1-A3 and A5 costs about 3 |S| n^2 steps for those and,
+for A4, a few |S|^3 on an abelian group, else one step per triple of the
+conjugation range, a fraction of n^3/3 that falls with the number of
+conjugacy classes and the size of centralizers (on the order-16 to 32
+products of the benchmark, 13-54% of the triples with x <= y and x <= z).
+The reduced scans decide pass or fail only; witnesses always come from the
+full scans.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import BoundExceededError, ValidationError
 from .groups import (
@@ -68,6 +94,7 @@ DEFAULT_VIOLATION_CAP = 16
 AXIOM_NAMES = ("A1", "A2", "A3", "A4", "A5")
 
 _Table = tuple[tuple[int, ...], ...]
+_Held = Optional[AbstractSet[str]]  # axioms known to hold; None for a full scan
 
 
 @dataclass(frozen=True)
@@ -106,26 +133,38 @@ def verify_mla(
 
     The violations are those of the full scans: axioms in order A1..A5 and
     witnesses within an axiom in lexicographic order, collected until
-    ``max_violations``, an int >= 1. The axioms are decided in the same
-    order on their reduced ranges (module docstring), which are exact, so
-    the full scans run only from the first axiom that fails, and a passing
-    table runs none. The list is the same for every cap as a scan of every
-    axiom over every triple.
+    ``max_violations``, an int >= 1. The axioms are decided on their reduced
+    ranges (module docstring), which are exact, in the order A1, A2, A3, A5,
+    A4, so that A4's range may use every other axiom that holds; the full
+    scans run only from the first axiom in A1..A5 order that fails, and a
+    passing table runs none. The list is the same for every cap as a scan of
+    every axiom over every triple.
     """
     check_violation_cap(max_violations)
     n = group.order
     table = int_table(star.star if isinstance(star, LieBracket) else star, "star", (n, n), n)
-    for i, axiom in enumerate(AXIOM_NAMES):
-        if not axiom_holds(group, table, axiom):
-            scans = (AXIOM_SCANS[a](group, table) for a in AXIOM_NAMES[i:])
-            return list(islice(chain.from_iterable(scans), max_violations))
-    return []
+    held: set[str] = set()
+    for axiom in ("A1", "A2", "A3", "A5", "A4"):
+        if axiom_holds(group, table, axiom, held):
+            held.add(axiom)
+        elif axiom != "A5":
+            break
+    first = next((i for i, axiom in enumerate(AXIOM_NAMES) if axiom not in held), None)
+    if first is None:
+        return []
+    scans = (AXIOM_SCANS[a](group, table) for a in AXIOM_NAMES[first:])
+    return list(islice(chain.from_iterable(scans), max_violations))
 
 
-def axiom_holds(group: FiniteGroup, table: _Table, axiom: str) -> bool:
+def axiom_holds(
+    group: FiniteGroup, table: _Table, axiom: str, held: AbstractSet[str] = frozenset()
+) -> bool:
     """Whether a table of group elements satisfies one axiom, decided by the
-    scan on its reduced range (module docstring)."""
-    return next(AXIOM_SCANS[axiom](group, table, True), None) is None
+    scan on its reduced range (module docstring). ``held`` names axioms the
+    table is known to satisfy; A4's range is smaller when A5 is among them,
+    or A1-A3 on an abelian group, and is exact whatever the others do when
+    ``held`` is empty."""
+    return next(AXIOM_SCANS[axiom](group, table, held), None) is None
 
 
 def check_violation_cap(max_violations: int) -> None:
@@ -136,20 +175,21 @@ def check_violation_cap(max_violations: int) -> None:
 
 # One generator per axiom, each producing that axiom's violations lazily, in
 # lexicographic witness order, on a star table of the group's shape. With
-# ``reduced`` the scan covers only the axiom's reduced range (module
-# docstring): the same formula on fewer witnesses, for deciding pass or fail.
+# ``held``, the axioms known to hold, the scan covers only the axiom's reduced
+# range (module docstring): the same formula on fewer witnesses, for deciding
+# pass or fail.
 
 
-def _scan_a1(group: FiniteGroup, table: _Table, reduced: bool = False) -> Iterator[MlaViolation]:
+def _scan_a1(group: FiniteGroup, table: _Table, held: _Held = None) -> Iterator[MlaViolation]:
     e = group.identity
     for x in range(group.order):
         if table[x][x] != e:
             yield MlaViolation("A1", (x,), table[x][x], e)
 
 
-def _scan_a2(group: FiniteGroup, table: _Table, reduced: bool = False) -> Iterator[MlaViolation]:
+def _scan_a2(group: FiniteGroup, table: _Table, held: _Held = None) -> Iterator[MlaViolation]:
     n, mul, conj = group.order, group.cayley, group.conj_table
-    zs = find_generators(group) if reduced else range(n)
+    zs = range(n) if held is None else find_generators(group)
     for x in range(n):
         sx = table[x]
         for y in range(n):
@@ -163,9 +203,9 @@ def _scan_a2(group: FiniteGroup, table: _Table, reduced: bool = False) -> Iterat
                     yield MlaViolation("A2", (x, y, z), lhs, rhs)
 
 
-def _scan_a3(group: FiniteGroup, table: _Table, reduced: bool = False) -> Iterator[MlaViolation]:
+def _scan_a3(group: FiniteGroup, table: _Table, held: _Held = None) -> Iterator[MlaViolation]:
     n, mul, conj = group.order, group.cayley, group.conj_table
-    xs = find_generators(group) if reduced else range(n)
+    xs = range(n) if held is None else find_generators(group)
     for x in xs:
         cx = conj[x]
         mx = mul[x]
@@ -178,28 +218,47 @@ def _scan_a3(group: FiniteGroup, table: _Table, reduced: bool = False) -> Iterat
                     yield MlaViolation("A3", (x, y, z), lhs, rhs)
 
 
-def _scan_a4(group: FiniteGroup, table: _Table, reduced: bool = False) -> Iterator[MlaViolation]:
+def _a4_range(group: FiniteGroup, held: _Held) -> Iterable[tuple[int, Iterable[tuple[int, Sequence[int]]]]]:
+    """A4's triples as (x, ((y, zs), ...)) in lexicographic order: all of
+    them, or the reduced range given ``held`` (module docstring)."""
+    n = group.order
+    if held is None:
+        return ((x, ((y, range(n)) for y in range(n))) for x in range(n))
+    if group.is_abelian and {"A1", "A2", "A3"} <= held:
+        s = find_generators(group)
+        return ((s[i], ((s[j], s[j + 1 :]) for j in range(i + 1, len(s)))) for i in range(len(s)))
+    if "A5" in held:
+        return (
+            (x, ((y, range(x, n)) for y in ys[bisect_left(ys, x) :]))
+            for x, ys in group.conjugation_pair_minima
+        )
+    return ((x, ((y, range(x, n)) for y in range(x, n))) for x in range(n))
+
+
+def _scan_a4(group: FiniteGroup, table: _Table, held: _Held = None) -> Iterator[MlaViolation]:
     n, mul, conj, e = group.order, group.cayley, group.conj_table, group.identity
-    for x in range(n):
+    for x, rows in _a4_range(group, held):
         cx = conj[x]
         sx = table[x]
         zx = [conj[z][x] for z in range(n)]  # ^z x
         szx = [table[z][x] for z in range(n)]  # z*x
-        rest = range(x, n) if reduced else range(n)
-        for y in rest:
+        for y, zs in rows:
             sy = table[y]
             cy = conj[y]
             s_sxy = table[sx[y]]
             cxy = cx[y]
-            for z in rest:
+            for z in zs:
                 val = mul[mul[s_sxy[cy[z]]][table[sy[z]][zx[z]]]][table[szx[z]][cxy]]
                 if val != e:
                     yield MlaViolation("A4", (x, y, z), val, e)
 
 
-def _scan_a5(group: FiniteGroup, table: _Table, reduced: bool = False) -> Iterator[MlaViolation]:
+def _scan_a5(group: FiniteGroup, table: _Table, held: _Held = None) -> Iterator[MlaViolation]:
     n, conj = group.order, group.conj_table
-    zs = find_generators(group) if reduced else range(n)
+    fixed = conj[group.identity]
+    zs = range(n) if held is None else [z for z in find_generators(group) if conj[z] != fixed]
+    if not zs:
+        return
     for x in range(n):
         sx = table[x]
         for y in range(n):

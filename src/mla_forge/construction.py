@@ -338,9 +338,11 @@ def check_theorem_conditions(data: ConstructionData, short_circuit: bool = False
 
     C1 and C2 are checked on the maps, C3..C6 by the axiom scans of brackets
     on the induced table. C3..C6 pass or fail by the scan on the axiom's
-    reduced range, which is exact (brackets module docstring); only a
-    failing condition runs the full scan, for its witness. Witnesses are the
-    first failing tuples in loop order: (x,) for C1, (x, y, h) for C2 and
+    reduced range, which is exact (brackets module docstring); C5 comes last,
+    so its range may use the axioms of C6, C3 and C4 that held, and A1 of
+    the induced table, decided first in n steps. Only a failing condition
+    runs the full scan, for its witness. Witnesses are the first failing
+    tuples in loop order: (x,) for C1, (x, y, h) for C2 and
     (x, y, z, h, k, l) for C3..C6.
     For the trivial action C3, C4 and C6 reduce to bilinearity and conjugation
     invariance of beta; tests/oracle.py (direct_conditions_hold) transcribes
@@ -348,6 +350,8 @@ def check_theorem_conditions(data: ConstructionData, short_circuit: bool = False
     """
     results: dict[str, ConditionStatus] = {}
     table: Optional[tuple[tuple[int, ...], ...]] = None
+    group = data.action.product_group
+    held: set[str] = set()
     for name in CONDITION_EVAL_ORDER:
         if name == "C1":
             witness = _check_c1(data)
@@ -356,8 +360,13 @@ def check_theorem_conditions(data: ConstructionData, short_circuit: bool = False
         else:
             if table is None:
                 table = data.induced_table
+                # A1 is no condition, but A4's range on an abelian product needs it
+                if axiom_holds(group, table, "A1"):
+                    held.add("A1")
             axiom = CONDITION_AXIOMS[name]
-            holds = axiom_holds(data.action.product_group, table, axiom)
+            holds = axiom_holds(group, table, axiom, held)
+            if holds:
+                held.add(axiom)
             witness = None if holds else _axiom_witness(data, table, axiom)
         results[name] = _status_from(witness)
         if witness is not None and short_circuit:

@@ -300,6 +300,32 @@ class FiniteGroup:
         return tuple(tuple(mul[mul[z][x]][inv[z]] for x in range(self.order)) for z in range(self.order))
 
     @cached_property
+    def conjugation_pair_minima(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The least pair of each orbit of G on pairs under simultaneous
+        conjugation, (x, y) -> (^g x, ^g y), as (x, ys) in increasing x: x is
+        the least element of its conjugacy class, and ys, increasing, are the
+        y least in their orbit under conjugation by the centralizer of x."""
+        n, conj = self.order, self.conj_table
+        fixed = conj[self.identity]
+        central = [conj[g] == fixed for g in range(n)]
+        out = []
+        for x in range(n):
+            if any(conj[g][x] < x for g in range(n)):
+                continue
+            centralizer = [c for c in range(n) if conj[c][x] == x]
+            seen = bytearray(n)
+            ys = []
+            for y in range(n):
+                if seen[y]:
+                    continue
+                ys.append(y)
+                if not central[y]:
+                    for c in centralizer:
+                        seen[conj[c][y]] = 1
+            out.append((x, tuple(ys)))
+        return tuple(out)
+
+    @cached_property
     def _greedy_generators(self) -> tuple[int, ...]:
         """The generators :func:`find_generators` returns, computed on first use."""
         return _greedy_reach_set(self.cayley, self.identity)

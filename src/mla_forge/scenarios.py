@@ -225,22 +225,24 @@ def z4xd4_parts():
     return H, K, Action.trivial(H, K)
 
 
-def z4xd4_case_brackets(config: SearchConfig) -> dict[str, LieBracket]:
+def z4xd4_case_brackets(config: SearchConfig) -> tuple[dict[str, LieBracket], bool]:
     """starK representatives of cases I, II and III, the generator-pair cell
-    a*b being 0, 1 and 2: those that the search finds within the budget."""
+    a*b being 0, 1 and 2: those that the search finds within the budget,
+    and whether the search on D4 was exhausted."""
     K = make_dihedral(4)
     res = enumerate_brackets(K, config)
     a, b = 4, 1
     out = {}
     for br in res.items:
         out.setdefault(br.star[a][b], br)
-    return {case: out[cell] for cell, case in enumerate(("I", "II", "III")) if cell in out}
+    cases = {case: out[cell] for cell, case in enumerate(("I", "II", "III")) if cell in out}
+    return cases, res.exhausted
 
 
 def _run_z4xd4(config: SearchConfig) -> ScenarioOutcome:
     H, K, action = z4xd4_parts()
     G = semidirect_product(action)
-    cases = z4xd4_case_brackets(config)
+    cases, exhausted = z4xd4_case_brackets(config)
     homs = enumerate_gamma(H, K, action, trivial_bracket(K))
     bilinear = enumerate_pairings(H, K, action, trivial_bracket(K))
     mla_homs_ii = len(enumerate_mla_homs(K, cases["II"], H)) if "II" in cases else None
@@ -267,6 +269,7 @@ def _run_z4xd4(config: SearchConfig) -> ScenarioOutcome:
         "tuples": {"I": 8, "II": 4, "III": 8},
         "labels": {"I": ["Z2"], "II": ["Z2xZ4", "Z4"], "III": ["Z2", "Z2xZ2"]},
         "all_induced_valid": True,
+        "exhausted": True,
     }
     actual = {
         "hom_families": len(homs),
@@ -275,6 +278,7 @@ def _run_z4xd4(config: SearchConfig) -> ScenarioOutcome:
         "tuples": tuple_counts,
         "labels": labels,
         "all_induced_valid": all_valid,
+        "exhausted": exhausted,
     }
     return _outcome("z4xd4-cases", expected, actual)
 
@@ -339,10 +343,14 @@ def _run_sigma_gamma_commute(config: SearchConfig) -> ScenarioOutcome:
 def z4xd4_case_ii_bracket(config: SearchConfig) -> Optional[tuple[Action, LieBracket]]:
     """A bracket of case II with a nonzero Gamma, or None when the search does
     not reach case II within the budget."""
-    H, K, action = z4xd4_parts()
-    star_k = z4xd4_case_brackets(config).get("II")
+    return _case_ii_induced(z4xd4_case_brackets(config)[0].get("II"))
+
+
+def _case_ii_induced(star_k: Optional[LieBracket]) -> Optional[tuple[Action, LieBracket]]:
+    """The case II bracket induced from ``star_k``, None when there is none."""
     if star_k is None:
         return None
+    H, K, action = z4xd4_parts()
     gammas = enumerate_mla_homs(K, star_k, H)
     gamma = next(g for g in gammas if not g.is_zero())
     data = ConstructionData.make(action, star_k, gamma, PairingMap.trivial(H, K))
@@ -353,11 +361,13 @@ def _run_section_independence(config: SearchConfig) -> ScenarioOutcome:
     H, K, action = s3_pipeline_parts()
     s3 = semidirect_product(action)
     comm = commutator_bracket(s3)
-    case_ii = z4xd4_case_ii_bracket(config)
-    expected = {"s3-commutator": True, "z4xd4-case-ii": True}
+    cases, exhausted = z4xd4_case_brackets(config)
+    case_ii = _case_ii_induced(cases.get("II"))
+    expected = {"s3-commutator": True, "z4xd4-case-ii": True, "exhausted": True}
     actual = {
         "s3-commutator": section_independence_check(action, comm),
         "z4xd4-case-ii": section_independence_check(*case_ii) if case_ii is not None else None,
+        "exhausted": exhausted,
     }
     return _outcome("section-independence", expected, actual)
 

@@ -1,6 +1,6 @@
 import functools
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 from unittest import mock
 
 import pytest
@@ -145,9 +145,10 @@ def _one_cell_corruptions(group, table):
 
 def reduced_range_catalog():
     """(group, table) pairs on which verify_mla decides A2, A3 and A5 on
-    generators and A4 on one rotation per triple.
+    generators and A4 on its reduced ranges.
 
-    - Leaves the search rejects on Z2^3 and Z2 x Q8: each fails A4 only.
+    - Leaves the search rejects on Z2^3, Z2 x Q8 and Z2 x D4: each fails A4
+      only; Z2 x D4 is non-abelian with a central generator.
     - Every one-cell corruption of valid tables on Z4, D3, D4 and Q8.
       Corrupting (x, e), e the identity, for x != e keeps A1 and breaks A2
       first at (x, e, e), outside the generators in z; A2 reads only row x,
@@ -157,10 +158,17 @@ def reduced_range_catalog():
       fails first at x = e, not a generator.
     - Tables expanded from generator-pair seeds on D4 and Q8 that fail A3
       only at z outside the generators (and fail A1 and A2 too).
+    - A table on D5 that is the identity off the pairs (^g r, ^g r^3) and
+      ^g r^4 on them: A5 holds, and A4 fails only at triples whose y is
+      least in its orbit under the centralizer of x but not in its class.
     """
     z2 = make_cyclic(2)
     out = []
-    for group in (direct_product(z2, direct_product(z2, z2)), direct_product(z2, make_quaternion(2))):
+    for group in (
+        direct_product(z2, direct_product(z2, z2)),
+        direct_product(z2, make_quaternion(2)),
+        direct_product(z2, make_dihedral(4)),
+    ):
         out.extend((group, t) for t in _rejected_leaves(group, every=4))
     d3, d4, q8 = make_dihedral(3), make_dihedral(4), make_quaternion(2)
     valid = [(make_cyclic(4), trivial_bracket(make_cyclic(4)).star)]
@@ -175,6 +183,11 @@ def reduced_range_catalog():
         a, b = find_generators(group)
         seed = {(a, a): group.identity, (b, b): group.identity, (a, b): ab, (b, a): ba}
         out.append((group, oracle.expand_table(group, (a, b), seed)))
+    d5 = make_dihedral(5)
+    rows = [[d5.identity] * d5.order for _ in range(d5.order)]
+    for g in range(d5.order):
+        rows[d5.conj(g, 1)][d5.conj(g, 3)] = d5.conj(g, 4)
+    out.append((d5, tuple(map(tuple, rows))))
     return out
 
 
@@ -200,11 +213,30 @@ def test_reduced_ranges_decide_each_axiom():
         assert failing == {v[0] for v in expected}
 
 
+def test_a4_range_given_the_axioms_that_hold():
+    """A4 decided on the range that the axioms known to hold allow, for every
+    set of axioms that hold on the table, passes exactly when the oracle
+    says: the conjugation range given A5, generator triples given A1-A3 on
+    an abelian group, and the context-free range given none."""
+    for group, table, expected in _catalog_with_oracle():
+        failing = {v[0] for v in expected}
+        holding = [a for a in ("A1", "A2", "A3", "A5") if a not in failing]
+        for k in range(len(holding) + 1):
+            for held in combinations(holding, k):
+                assert brackets.axiom_holds(group, table, "A4", set(held)) == ("A4" not in failing)
+
+
 def test_reduced_range_catalog_reaches_each_case():
     """The catalog meets each way a reduced range could go wrong: a first
     witness outside the reduced range, so the full scan must supply it (A2,
     A3, A5); failures that generators in another argument would miss (A2 in
     x, A3 in z); and A4-only failures.
+
+    For A4 it meets a failure on a non-abelian group with a central
+    generator, and failures that a range missing each condition of the A4
+    ranges would miss: the conjugation range when A5 fails too, the
+    generator triples when A1-A3 fail too, and y least in its class rather
+    than in its orbit under the centralizer of x.
 
     No catalog table passes A1-A4 and fails A5, so verify_mla reaches A5's
     violations only behind an earlier failing axiom."""
@@ -215,8 +247,19 @@ def test_reduced_range_catalog_reaches_each_case():
         gens = find_generators(group)
         axiom, witness = expected[0][:2]
         failed = {v[0] for v in expected}
+        a4 = [v[1] for v in expected if v[0] == "A4"]
         if failed == {"A4"}:
             seen.add("A4 only")
+            central = [s for s in gens if group.conj_table[s] == group.conj_table[group.identity]]
+            if central and not group.is_abelian:
+                seen.add("A4 only, non-abelian with a central generator")
+        if {"A4", "A5"} <= failed and not any(_in_conjugation_range(group, w) for w in a4):
+            seen.add("A4 and A5 fail, A4 off the conjugation range")
+        off_triples = not any(set(w) <= set(gens) and w[0] < w[1] < w[2] for w in a4)
+        if group.is_abelian and a4 and failed & {"A1", "A2", "A3"} and off_triples:
+            seen.add("A4 and one of A1-A3 fail, A4 off the generator triples")
+        if a4 and "A5" not in failed and not any(_in_conjugation_range(group, w, by_class=True) for w in a4):
+            seen.add("A5 holds, A4 fails only at y not least in its class")
         if axiom == "A2" and witness[2] not in gens:
             seen.add("A2 first witness off the generators")
         if axiom == "A2" and all(v[1][0] not in gens for v in expected if v[0] == "A2"):
@@ -235,7 +278,25 @@ def test_reduced_range_catalog_reaches_each_case():
         "A3 first witness off the generators",
         "A3 fails only off the generators in z",
         "A5 first witness off the generators",
+        "A4 only, non-abelian with a central generator",
+        "A4 and A5 fail, A4 off the conjugation range",
+        "A4 and one of A1-A3 fail, A4 off the generator triples",
+        "A5 holds, A4 fails only at y not least in its class",
     }
+
+
+def _in_conjugation_range(group, triple, by_class=False):
+    """Whether (x, y, z) has x least in its class, x <= y, x <= z, and y least
+    in its orbit under the centralizer of x (with ``by_class``, in its class)."""
+    x, y, z = triple
+    n = group.order
+    by = range(n) if by_class else [c for c in range(n) if group.conj(c, x) == x]
+    return (
+        x <= y
+        and x <= z
+        and all(group.conj(c, x) >= x for c in range(n))
+        and all(group.conj(c, y) >= y for c in by)
+    )
 
 
 def test_border_cells_forced_by_a1_a2():
