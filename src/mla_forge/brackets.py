@@ -320,16 +320,14 @@ def is_ideal(bracket: LieBracket, sub: Union[Subgroup, Iterable[int]]) -> bool:
     if isinstance(sub, Subgroup) and sub.parent.cayley != group.cayley:
         raise ValidationError("subgroup is not a subgroup of the bracket's group")
     subgroup = sub if isinstance(sub, Subgroup) else Subgroup(group, tuple(sorted(set(int_row(sub, "subset")))))
-    if not subgroup.is_normal:
-        return False
-    mem = frozenset(subgroup.members)
-    star = bracket.star
-    for g in range(group.order):
-        row = star[g]
-        for s in subgroup.members:
-            if row[s] not in mem or star[s][g] not in mem:
-                return False
-    return True
+    mem = subgroup._member_set
+    return subgroup.is_normal and all(_keeps_ideal(mem, x, row) for x, row in enumerate(bracket.star))
+
+
+def _keeps_ideal(ideal: AbstractSet[int], x: int, row: Sequence[int]) -> bool:
+    """Whether row x of a star table keeps the rule of ``is_ideal`` for a
+    normal subgroup: x or y in the ideal puts x*y in it."""
+    return all(row[y] in ideal for y in (range(len(row)) if x in ideal else ideal))
 
 
 def pushforward_table(

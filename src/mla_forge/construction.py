@@ -54,7 +54,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _check_order_bound,
-    _hom_failure,
+    _is_homomorphism,
     int_table,
     make_semidirect,
     pair_index,
@@ -122,7 +122,7 @@ class GammaMap:
     def make(cls, H: FiniteGroup, K: FiniteGroup, gamma: Sequence[Sequence[int]]) -> "GammaMap":
         rows = int_table(gamma, "gamma", (K.order, H.order), H.order)
         for x, row in enumerate(rows):
-            if _hom_failure(H, H, row) is not None:
+            if not _is_homomorphism(H, H, row):
                 raise ValidationError(f"gamma table for element {x} is not an endomorphism of H")
         if rows[K.identity] != (H.identity,) * H.order:
             raise ValidationError("gamma at the identity of K must be the zero endomorphism")

@@ -443,7 +443,7 @@ def validate_action_tables(
     for x, row in enumerate(rows):
         if len(set(row)) != H.order:
             raise ValidationError(f"action table for element {x} is not a permutation of H")
-        if _hom_failure(H, H, row) is not None:
+        if not _is_homomorphism(H, H, row):
             raise ValidationError(f"action table for element {x} is not an automorphism of H")
     if rows[K.identity] != tuple(range(H.order)):
         raise ValidationError("action at the identity of K must be the identity map")
@@ -564,20 +564,6 @@ def subgroup_generated(group: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
 # homomorphisms
 
 
-def _hom_failure(
-    domain: FiniteGroup, codomain: FiniteGroup, images: Sequence[int]
-) -> Optional[tuple[int, int]]:
-    """The first (a, b) in lexicographic order with f(a b) != f(a) f(b), for
-    the map f with f(x) = images[x], or None when f is a homomorphism."""
-    mul = codomain.cayley
-    for a, row in enumerate(domain.cayley):
-        fa = mul[images[a]]
-        for b, ab in enumerate(row):
-            if images[ab] != fa[images[b]]:
-                return a, b
-    return None
-
-
 def _extend_from_generators(
     domain: FiniteGroup,
     codomain: FiniteGroup,
@@ -613,6 +599,14 @@ def _extend_from_generators(
             elif val[y] != w:
                 return None
     return tuple(val)
+
+
+def _is_homomorphism(domain: FiniteGroup, codomain: FiniteGroup, images: Sequence[int]) -> bool:
+    """Whether x -> images[x] is a homomorphism, that is, whether
+    ``_extend_from_generators`` rebuilds it from its generator images."""
+    gens = find_generators(domain)
+    order = [domain.identity] + [y for y, _, _ in generator_steps(domain.cayley, domain.identity, gens)]
+    return _extend_from_generators(domain, codomain, order, {g: images[g] for g in gens}) == tuple(images)
 
 
 def _generator_maps(domain: FiniteGroup, codomain: FiniteGroup, bijective: bool) -> Iterator[tuple[int, ...]]:

@@ -23,10 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations, product
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .brackets import (
     LieBracket,
+    _keeps_ideal,
+    _Table,
     bracket_orbit,
     end_mla,
     is_ideal,
@@ -60,7 +62,9 @@ DEFAULT_NODE_BUDGET = 10_000_000
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the enumeration engines."""
+    """Knobs for the enumeration engines. ``require_ideal`` keeps only the
+    brackets for which the subgroup is an ideal in the sense of
+    ``brackets.is_ideal``, so a subgroup that is not normal finds none."""
 
     max_group_order: int = 12
     require_ideal: Optional[Subgroup] = None
@@ -114,7 +118,7 @@ class _SeedWalk:
     def __init__(self, group: FiniteGroup, values: FiniteGroup, budget: float):
         self.group, self.values, self.budget = group, values, budget
         self.nodes = 0
-        self.results: list[tuple[tuple[int, ...], ...]] = []
+        self.results: list[_Table] = []
         self.exhausted = True
         self.gens = gens = find_generators(group)
         steps = generator_steps(group.cayley, group.identity, gens)
@@ -177,16 +181,15 @@ class _StarTableSearch(_SeedWalk):
     """Brackets on a group: the reversal b*a = (a*b)^-1 of any valid bracket;
     generator rows twisted by conjugation, a*(x g) = (a*x) ^x(a*g) (A2), and
     dropped when ^z(a*y) = a * ^z y fails for a generator z with ^z a = a
-    (A5) or a cell breaks the ``require_ideal`` rule (x or y in the ideal
-    puts x*y in it); A3 on the other rows, (x g)*z = ^x(g*z) (x*z); a table
-    is kept when every row keeps the ideal rule and ``verify_mla`` passes.
+    (A5) or ``brackets._keeps_ideal`` fails for ``require_ideal``; A3 on
+    the other rows, (x g)*z = ^x(g*z) (x*z); a table is kept when every row
+    keeps the ideal rule and ``verify_mla`` passes.
     """
 
     def __init__(self, group: FiniteGroup, config: SearchConfig):
         super().__init__(group, group, config.node_budget)
-        self.ideal = (
-            frozenset(config.require_ideal.members) if config.require_ideal is not None else None
-        )
+        ideal = config.require_ideal
+        self.ideal = None if ideal is None else ideal._member_set
         conj, fixed = group.conj_table, group.conj_table[group.identity]
         self.reverse = dict.fromkeys(self.seeds, group.inverse)
         self.twists = dict.fromkeys(self.gens, conj)
@@ -198,21 +201,16 @@ class _StarTableSearch(_SeedWalk):
         return tuple(mul[cx[rg[z]]][rx[z]] for z in range(self.group.order))
 
     def _keep_row(self, a: int, row: tuple[int, ...]) -> bool:
-        return self._in_ideal(a, row) and all(c[row[y]] == row[c[y]] for c in self.a5[a] for y in range(len(row)))
+        ideal_kept = self.ideal is None or _keeps_ideal(self.ideal, a, row)
+        return ideal_kept and all(c[row[y]] == row[c[y]] for c in self.a5[a] for y in range(len(row)))
 
-    def _in_ideal(self, x: int, row: tuple[int, ...]) -> bool:
-        ideal = self.ideal
-        return ideal is None or all(row[y] in ideal for y in (range(len(row)) if x in ideal else ideal))
-
-    def _accept(self, table: tuple[tuple[int, ...], ...]) -> bool:
-        ideal_kept = all(self._in_ideal(x, row) for x, row in enumerate(table))
+    def _accept(self, table: _Table) -> bool:
+        ideal_kept = self.ideal is None or all(_keeps_ideal(self.ideal, x, row) for x, row in enumerate(table))
         return ideal_kept and not verify_mla(self.group, table, max_violations=1)
 
 
-def _classify(
-    group: FiniteGroup, tables: Sequence[tuple[tuple[int, ...], ...]]
-) -> tuple[list[tuple[tuple[int, ...], ...]], int]:
-    """Class representatives (lex-least member per class) and the class count.
+def _classify(group: FiniteGroup, tables: Sequence[_Table]) -> list[_Table]:
+    """Class representatives, the lex-least member per class, one per class.
 
     ``tables`` must be sorted and distinct; it need not be closed under
     Aut or reversal. The sweep makes each table not yet assigned a
@@ -227,14 +225,34 @@ def _classify(
         if t in unassigned:
             reps.append(t)
             unassigned.difference_update(bracket_orbit(LieBracket(group, t), gens))
-    return reps, len(reps)
+    return reps
+
+
+def _result(group: FiniteGroup, found: Iterable[_Table], up_to_iso: bool, exhausted: bool) -> EnumerationResult:
+    """The result of a search that found the tables ``found`` on ``group``."""
+    tables = sorted(set(found))
+    reps = _classify(group, tables)
+    return EnumerationResult(
+        items=tuple(LieBracket(group, t) for t in (reps if up_to_iso else tables)),
+        raw_count=len(tables),
+        class_count=len(reps),
+        exhausted=exhausted,
+    )
+
+
+def _inner(config: SearchConfig) -> SearchConfig:
+    """The config of a search that another search runs: every table it
+    finds, with no ideal required."""
+    return replace(config, up_to_iso=False, require_ideal=None)
 
 
 def enumerate_brackets(group: FiniteGroup, config: Optional[SearchConfig] = None) -> EnumerationResult:
     """All bracket structures on the group, complete and duplicate-free.
 
     With up_to_iso the items are class representatives; raw_count always
-    reports the total number of distinct tables found.
+    reports the total number of distinct tables found. With require_ideal
+    only the brackets for which it is an ideal (``is_ideal``) are found: none
+    when it is not normal.
     """
     config = config or SearchConfig()
     if group.order > HARD_ORDER_CAP:
@@ -243,19 +261,14 @@ def enumerate_brackets(group: FiniteGroup, config: Optional[SearchConfig] = None
         raise BoundExceededError(
             f"group order {group.order} exceeds configured max_group_order {config.max_group_order}"
         )
-    if config.require_ideal is not None and config.require_ideal.parent.cayley != group.cayley:
+    ideal = config.require_ideal
+    if ideal is not None and ideal.parent.cayley != group.cayley:
         raise ValidationError("require_ideal is not a subgroup of the target group")
+    if ideal is not None and not ideal.is_normal:
+        return _result(group, [], config.up_to_iso, True)
     search = _StarTableSearch(group, config)
     search.run()
-    tables = sorted(set(search.results))
-    reps, class_count = _classify(group, tables)
-    items = reps if config.up_to_iso else tables
-    return EnumerationResult(
-        items=tuple(LieBracket(group, t) for t in items),
-        raw_count=len(tables),
-        class_count=class_count,
-        exhausted=search.exhausted,
-    )
+    return _result(group, search.results, config.up_to_iso, search.exhausted)
 
 
 def _check_parts(H: FiniteGroup, K: FiniteGroup, action: Action) -> None:
@@ -302,7 +315,7 @@ class _PairingWalk(_SeedWalk):
         mul_h, sig, cx, sg = self.values.cayley, self.sig, self.group.conj_table[x], self.star[g]
         return tuple(mul_h[sig[x][bg[z]]][sig[cx[sg[z]]][bx[z]]] for z in range(self.group.order))
 
-    def _accept(self, b: tuple[tuple[int, ...], ...]) -> bool:
+    def _accept(self, b: _Table) -> bool:
         mul_h, mul_k, conj_k = self.values.cayley, self.group.cayley, self.group.conj_table
         sig, star = self.sig, self.star
         return all(
@@ -385,19 +398,10 @@ def enumerate_induced(
     induce distinct tables because the components can be read back off the
     table."""
     config = config or SearchConfig()
-    inner = replace(config, up_to_iso=False, require_ideal=None)
-    base = enumerate_brackets(K, inner)
     _check_parts(H, K, action)
-    G = semidirect_product(action)
-    tables = sorted({data.induced_table for star_k in base.items for data in enumerate_tuples(action, star_k)})
-    reps, class_count = _classify(G, tables)
-    items = reps if config.up_to_iso else tables
-    return EnumerationResult(
-        items=tuple(LieBracket(G, t) for t in items),
-        raw_count=len(tables),
-        class_count=class_count,
-        exhausted=base.exhausted,
-    )
+    base = enumerate_brackets(K, _inner(config))
+    tables = [data.induced_table for star_k in base.items for data in enumerate_tuples(action, star_k)]
+    return _result(semidirect_product(action), tables, config.up_to_iso, base.exhausted)
 
 
 def enumerate_mla_homs(K: FiniteGroup, star_k: LieBracket, H: FiniteGroup) -> list[GammaMap]:
@@ -449,16 +453,19 @@ def verify_coprime_determination(
 ) -> CoprimeReport:
     """For gcd(|H|, |K|) = 1 and the trivial action: every structure on the
     direct product should keep H as an ideal and decompose with a trivial
-    pairing. When the product order is within the configured bound the full
-    bracket enumeration is cross-checked against the induced one; otherwise
-    only the induced classification is reported."""
+    pairing. When ``enumerate_brackets`` accepts the product (its order
+    limits) the full bracket enumeration is cross-checked against the
+    induced one; otherwise only the induced classification is reported.
+    Both searches ignore up_to_iso and require_ideal."""
     if gcd(H.order, K.order) != 1:
         raise ValidationError("verify_coprime_determination requires coprime orders")
-    config = config or SearchConfig()
+    inner = _inner(config or SearchConfig())
     action = Action.trivial(H, K)
-    induced = enumerate_induced(H, K, action, config)
+    induced = enumerate_induced(H, K, action, inner)
     G = semidirect_product(action)
-    if G.order > config.max_group_order:
+    try:
+        full = enumerate_brackets(G, inner)
+    except BoundExceededError:
         return CoprimeReport(
             group_order=G.order,
             full_mode=False,
@@ -466,7 +473,6 @@ def verify_coprime_determination(
             induced_class_count=induced.class_count,
             exhausted=induced.exhausted,
         )
-    full = enumerate_brackets(G, replace(config, up_to_iso=False, require_ideal=None))
     h_sub = split_factor_subgroup(action, G)
     all_ideal = True
     all_beta_trivial = True

@@ -575,11 +575,24 @@ def test_isomorphism_reflexive_symmetric_and_valid():
     for g in catalog:
         m = is_isomorphic(g, g)
         assert m is not None
-        assert groups._hom_failure(g, g, m) is None
+        assert groups._is_homomorphism(g, g, m)
         assert sorted(m) == list(range(g.order))
     a = direct_product(make_cyclic(2), make_cyclic(3))
     b = make_cyclic(6)
     assert (is_isomorphic(a, b) is None) == (is_isomorphic(b, a) is None)
+
+
+@pytest.mark.parametrize(
+    "domain, codomain",
+    [("Z2", "Z2"), ("Z4", "Z2xZ2"), ("Z2xZ2", "Z4"), ("D3", "Z2"), ("Z3", "D3"), ("Z2xZ2", "Z2xZ2")],
+)
+def test_is_homomorphism_matches_the_full_scan(domain, codomain):
+    """The generator-kernel test, on every map of the pair, against the
+    oracle that checks f(ab) = f(a)f(b) at every pair (a, b)."""
+    a, b = parse_preset(domain), parse_preset(codomain)
+    homs = set(map_scan_homomorphisms(a, b))
+    for images in product(range(b.order), repeat=a.order):
+        assert groups._is_homomorphism(a, b, images) == (images in homs), images
 
 
 def test_invariant_factors():

@@ -9,6 +9,7 @@ from mla_forge.brackets import (
     bracket_orbit,
     commutator_bracket,
     end_mla,
+    is_ideal,
     trivial_bracket,
     verify_mla,
 )
@@ -16,6 +17,7 @@ from mla_forge.cli import parse_preset
 from mla_forge.construction import Action, check_gamma_identities, split_factor_subgroup
 from mla_forge.errors import BoundExceededError, ValidationError
 from mla_forge.groups import (
+    Subgroup,
     direct_product,
     find_generators,
     homomorphisms,
@@ -148,11 +150,11 @@ def test_classify_takes_the_least_table_of_the_set_not_of_the_orbit():
             orbits.append({relabel_table(f, t, reverse) for f in autos for reverse in (False, True)})
     cut = next(orbit for orbit in orbits if len(orbit) > 1)
     subset = sorted(tables - {min(cut)})
-    reps, class_count = _classify(g, subset)
+    reps = _classify(g, subset)
     assert min(cut) not in reps
     assert sorted(cut)[1] in reps
     assert reps == sorted(min(orbit & set(subset)) for orbit in orbits)
-    assert class_count == len(orbits)
+    assert len(reps) == len(orbits)
 
 
 def test_enumerate_counts():
@@ -207,7 +209,22 @@ def test_require_ideal_monotonic():
     reflection = subgroup_generated(g, {3})
     tight = enumerate_brackets(g, SearchConfig(require_ideal=reflection))
     assert tight.raw_count <= constrained.raw_count
-    assert tight.raw_count >= 1  # the trivial bracket always satisfies the cell constraint
+    assert tight.raw_count == 0  # a subgroup that is not normal is the ideal of no bracket
+
+
+@pytest.mark.parametrize("spec", ["D3", "D4", "Q8", "Z2xZ2", "Z2xD3"])
+def test_require_ideal_finds_exactly_the_brackets_with_that_ideal(spec):
+    """For every subgroup I, the search with I required finds the brackets
+    of the plain search for which ``is_ideal`` holds, normal I or not."""
+    g = parse_preset(spec)
+    subgroups = {subgroup_generated(g, {a, b}).members for a, b in product(range(g.order), repeat=2)}
+    assert len(subgroups) == {"D3": 6, "D4": 10, "Q8": 6, "Z2xZ2": 5, "Z2xD3": 16}[spec]
+    brackets = enumerate_brackets(g).items
+    for members in subgroups:
+        sub = Subgroup(g, members)
+        result = enumerate_brackets(g, SearchConfig(require_ideal=sub))
+        assert result.exhausted
+        assert [b.star for b in result.items] == [b.star for b in brackets if is_ideal(b, sub)]
 
 
 @pytest.mark.parametrize(
@@ -544,6 +561,15 @@ def test_enumerate_induced_builds_the_product_once(monkeypatch):
         assert len(builds) == calls
 
 
+def test_enumerate_induced_checks_the_action_before_the_walk(monkeypatch):
+    walks = []
+    monkeypatch.setattr(search._StarTableSearch, "run", lambda self: walks.append(self))
+    action = Action.trivial(make_cyclic(3), make_cyclic(2))
+    with pytest.raises(ValidationError):
+        enumerate_induced(make_cyclic(5), make_cyclic(2), action)
+    assert walks == []
+
+
 @pytest.mark.parametrize(
     "h_spec, k_spec, inverting, tables, classes",
     [
@@ -631,6 +657,21 @@ def test_coprime_z5_s3_count_mode():
     report = verify_coprime_determination(make_cyclic(5), make_dihedral(3))
     assert not report.full_mode
     assert report.induced_class_count == 2
+
+
+def test_coprime_count_only_when_enumerate_brackets_refuses_the_product():
+    """Z5xQ8 has order 40, within max_group_order but above the enumeration
+    cap of 32: the induced classification alone is reported."""
+    report = verify_coprime_determination(make_cyclic(5), make_quaternion(2), SearchConfig(max_group_order=64))
+    assert (report.group_order, report.full_mode) == (40, False)
+    assert report.passed
+
+
+def test_coprime_searches_ignore_up_to_iso():
+    plain = verify_coprime_determination(make_cyclic(3), V4)
+    iso = verify_coprime_determination(make_cyclic(3), V4, SearchConfig(up_to_iso=True))
+    assert iso == plain
+    assert iso.full_mode and iso.passed and (iso.induced_raw_count, iso.induced_class_count) == (4, 2)
 
 
 def test_coprime_requires_coprime_orders():
