@@ -55,6 +55,7 @@ from .groups import (
     Subgroup,
     _check_order_bound,
     _is_homomorphism,
+    int_row,
     int_table,
     make_semidirect,
     pair_index,
@@ -91,7 +92,7 @@ class Action:
         """Elements listed in ``inverting`` act by h -> h^-1, the rest trivially."""
         ident = tuple(range(H.order))
         inv = tuple(H.inverse)
-        flipped = set(inverting)
+        flipped = set(int_row(inverting, "inverting", K.order))
         return cls.make(H, K, tuple(inv if x in flipped else ident for x in range(K.order)))
 
     @property

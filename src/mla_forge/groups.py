@@ -148,7 +148,7 @@ def _group_violations(
                 if len(out) >= VIOLATION_CAP:
                     return out[:VIOLATION_CAP], identity
 
-    if identity is None or not all(_associative_at(cayley, z) for z in _greedy_reach_set(cayley, identity)):
+    if identity is None or not all(_associative_at(cayley, z) for z in _greedy_reach_set(cayley, identity)[0]):
         for x, y, z in product(range(n), repeat=3):
             if cayley[cayley[x][y]][z] != cayley[x][cayley[y][z]]:
                 out.append(
@@ -185,10 +185,8 @@ def generator_steps(
     step. In a finite group the identity and the steps' y are the subgroup
     the generators generate.
 
-    A map on that subgroup is fixed by its values on the generators when
-    each step fixes its value at y from those at x and g: homomorphisms
-    here, the endomorphism families, bracket tables and pairing tables in
-    ``search``.
+    Run on raw tables and seed sets; a group keeps the walk of its own
+    generators, built once (``FiniteGroup._walk``).
     """
     gens = tuple(gens)
     order = [identity]
@@ -204,21 +202,24 @@ def generator_steps(
     return steps
 
 
-def _greedy_reach_set(cayley: Sequence[Sequence[int]], identity: int) -> tuple[int, ...]:
+def _greedy_reach_set(
+    cayley: Sequence[Sequence[int]], identity: int
+) -> tuple[tuple[int, ...], list[tuple[int, int, int]]]:
     """Elements S, added greedily: the first element that right
     multiplication by S does not yet reach from ``identity``, a two-sided
-    identity of the table, until it reaches every element (``generator_steps``
-    has n - 1 steps). Each added element is reached, as identity * s = s, so
-    this ends on any such table. On a group S generates it, and each element
-    added at least doubles the subgroup reached, so |S| <= log2(n).
+    identity of the table, until it reaches every element; with the n - 1
+    ``generator_steps`` of S. Each added element is reached, as identity * s
+    = s, so this ends on any such table. On a group S generates it, and each
+    element added at least doubles the subgroup reached, so |S| <= log2(n).
     """
     n = len(cayley)
     gens: list[int] = []
-    reached = {identity}
-    while len(reached) < n:
+    steps: list[tuple[int, int, int]] = []
+    while len(steps) < n - 1:
+        reached = {identity, *(y for y, _, _ in steps)}
         gens.append(next(x for x in range(n) if x not in reached))
-        reached = {identity, *(y for y, _, _ in generator_steps(cayley, identity, gens))}
-    return tuple(gens)
+        steps = generator_steps(cayley, identity, gens)
+    return tuple(gens), steps
 
 
 class FiniteGroup:
@@ -326,9 +327,11 @@ class FiniteGroup:
         return tuple(out)
 
     @cached_property
-    def _greedy_generators(self) -> tuple[int, ...]:
-        """The generators :func:`find_generators` returns, computed on first use."""
-        return _greedy_reach_set(self.cayley, self.identity)
+    def _walk(self) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+        """The group's one walk, built on first use: :func:`find_generators`,
+        their ``generator_steps`` and the elements in step order."""
+        gens, steps = _greedy_reach_set(self.cayley, self.identity)
+        return gens, tuple(steps), (self.identity, *(y for y, _, _ in steps))
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -350,23 +353,30 @@ class FiniteGroup:
 
 def find_generators(group: FiniteGroup) -> tuple[int, ...]:
     """Greedy generating set: repeatedly add the first element outside the
-    closure so far. Deterministic, at most log2(order) generators, computed
-    once per group.
+    closure so far. Deterministic, at most log2(order) generators.
 
-    The generator choice of every algorithm in the package; a group's
+    The generator choice of every algorithm in the package and the base of
+    the group's walk (``FiniteGroup._walk``), built once per group; a group's
     declared ``generators`` are metadata that no algorithm reads.
     """
-    return group._greedy_generators
+    return group._walk[0]
 
 
 # ---------------------------------------------------------------------------
 # presets
 
 
+def _check_count(n: int, what: str, least: int) -> None:
+    """Reject a preset parameter that is not an int (a bool is not) or is below ``least``."""
+    if type(n) is not int:
+        raise ValidationError(f"{what} must be an integer, got {reprlib.repr(n)}")
+    if n < least:
+        raise ValidationError(f"{what} must be >= {least}, got {n}")
+
+
 def make_cyclic(n: int) -> FiniteGroup:
     """Z_n with element i = residue class i and identity 0."""
-    if n < 1:
-        raise ValidationError(f"cyclic order must be >= 1, got {n}")
+    _check_count(n, "cyclic order", 1)
     _check_order_bound(n)
     cayley = [[(i + j) % n for j in range(n)] for i in range(n)]
     gens = (1,) if n > 1 else ()
@@ -379,8 +389,7 @@ def make_dihedral(n: int) -> FiniteGroup:
 
     Element b^i a^j is index j*n + i, so b = 1 and a = n.
     """
-    if n < 2:
-        raise ValidationError(f"dihedral index must be >= 2, got {n}")
+    _check_count(n, "dihedral index", 2)
     size = 2 * n
     _check_order_bound(size)
 
@@ -401,8 +410,7 @@ def make_quaternion(n: int) -> FiniteGroup:
 
     Element a^i b^j is index j*2n + i, so a = 1 and b = 2n.
     """
-    if n < 1:
-        raise ValidationError(f"quaternion index must be >= 1, got {n}")
+    _check_count(n, "quaternion index", 1)
     m = 2 * n
     size = 4 * n
     _check_order_bound(size)
@@ -567,32 +575,33 @@ def subgroup_generated(group: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
 def _extend_from_generators(
     domain: FiniteGroup,
     codomain: FiniteGroup,
-    order: Sequence[int],
-    image: dict[int, int],
+    values: Sequence[int],
     twist: Optional[Sequence[Sequence[int]]] = None,
 ) -> Optional[tuple[int, ...]]:
-    """The map f with f(g) = image[g] on each generator g and
-    f(x g) = f(x) twist[x](f(g)) for every x and generator g, as an image
-    table, or None when there is none. ``twist[x]`` permutes the codomain;
-    without it f is a homomorphism, with conjugation (twist[x] = ^x) a
-    crossed homomorphism, which is a bracket row by A2.
+    """The map f with f(g_i) = values[i] on the generators g_i of
+    :func:`find_generators` and f(x g) = f(x) twist[x](f(g)) for every x and
+    generator g, as an image table, or None when there is none. ``twist[x]``
+    permutes the codomain; without it f is a homomorphism, with conjugation
+    (twist[x] = ^x) a crossed homomorphism, which is a bracket row by A2.
 
-    ``order`` lists the domain in the order of its generator steps, the
-    identity first. Walking it, each product x g sets f(x g) if it is unset
-    and is checked against it otherwise, so the table is accepted iff the
-    rule holds for every x and generator g; for a homomorphism or a crossed
+    The schedule is the domain's walk (``FiniteGroup._walk``): walking its
+    elements in step order, each product x g sets f(x g) if it is unset and
+    is checked against it otherwise, so the table is accepted iff the rule
+    holds for every x and generator g; for a homomorphism or a crossed
     homomorphism it then holds for every product x w, by induction on the
     length of the word w.
     """
+    gens, _, order = domain._walk
+    image = tuple(zip(gens, values, strict=True))
     mul_d, mul_c = domain.cayley, codomain.cayley
     val = [-1] * domain.order
     val[domain.identity] = codomain.identity
-    for g, fg in image.items():
+    for g, fg in image:
         val[g] = fg
     for x in order:
         row, crow = mul_d[x], mul_c[val[x]]
         act = twist[x] if twist is not None else None
-        for g, fg in image.items():
+        for g, fg in image:
             y, w = row[g], crow[fg if act is None else act[fg]]
             if val[y] == -1:
                 val[y] = w
@@ -604,9 +613,8 @@ def _extend_from_generators(
 def _is_homomorphism(domain: FiniteGroup, codomain: FiniteGroup, images: Sequence[int]) -> bool:
     """Whether x -> images[x] is a homomorphism, that is, whether
     ``_extend_from_generators`` rebuilds it from its generator images."""
-    gens = find_generators(domain)
-    order = [domain.identity] + [y for y, _, _ in generator_steps(domain.cayley, domain.identity, gens)]
-    return _extend_from_generators(domain, codomain, order, {g: images[g] for g in gens}) == tuple(images)
+    values = [images[g] for g in find_generators(domain)]
+    return _extend_from_generators(domain, codomain, values) == tuple(images)
 
 
 def _generator_maps(domain: FiniteGroup, codomain: FiniteGroup, bijective: bool) -> Iterator[tuple[int, ...]]:
@@ -617,15 +625,13 @@ def _generator_maps(domain: FiniteGroup, codomain: FiniteGroup, bijective: bool)
     codomain elements whose order divides the generator's order (equals it
     when ``bijective``).
     """
-    gens = find_generators(domain)
-    order = [domain.identity] + [y for y, _, _ in generator_steps(domain.cayley, domain.identity, gens)]
     orders = [codomain.element_order(y) for y in range(codomain.order)]
     cand = []
-    for g in gens:
+    for g in find_generators(domain):
         og = domain.element_order(g)
         cand.append([y for y, oy in enumerate(orders) if (oy == og if bijective else og % oy == 0)])
     for images in product(*cand):
-        ext = _extend_from_generators(domain, codomain, order, dict(zip(gens, images)))
+        ext = _extend_from_generators(domain, codomain, images)
         if ext is not None and (not bijective or len(set(ext)) == domain.order == codomain.order):
             yield ext
 

@@ -4,8 +4,8 @@ and induced structures, with classification up to equivalence.
 Every table here is fixed by its values at generators. One seed walk,
 ``_SeedWalk``, finds both brackets and pairing tables from their values on
 the generator pairs a < b; ``enumerate_gamma`` ranges over Gamma at the
-generators of K. Each extends its values along ``groups.generator_steps``
-and checks the result in full.
+generators of K. Each extends its values along the group's one walk
+(``FiniteGroup._walk``, built once per group) and checks the result in full.
 
 Equivalence for counting: two brackets on the same group are one structure
 when an automorphism carries one to the other or to its argument reversal
@@ -53,7 +53,6 @@ from .groups import (
     _extend_from_generators,
     automorphism_generators,
     find_generators,
-    generator_steps,
     homomorphisms,
 )
 
@@ -72,10 +71,16 @@ class SearchConfig:
     node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
-        if self.max_group_order < 1:
-            raise ValidationError("max_group_order must be positive")
-        if self.node_budget < 1:
-            raise ValidationError("node_budget must be positive")
+        for name in ("max_group_order", "node_budget"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValidationError(f"{name} must be an integer")
+            if value < 1:
+                raise ValidationError(f"{name} must be positive")
+        if type(self.up_to_iso) is not bool:
+            raise ValidationError("up_to_iso must be a bool")
+        if self.require_ideal is not None and not isinstance(self.require_ideal, Subgroup):
+            raise ValidationError("require_ideal must be a Subgroup or None")
 
 
 @dataclass(frozen=True)
@@ -121,10 +126,8 @@ class _SeedWalk:
         self.results: list[_Table] = []
         self.exhausted = True
         self.gens = gens = find_generators(group)
-        steps = generator_steps(group.cayley, group.identity, gens)
-        self.order = [group.identity] + [y for y, _, _ in steps]
         # the first steps, (g, 1, g) for each generator g, are the generator rows
-        self.row_steps = steps[len(gens):]
+        self.row_steps = group._walk[1][len(gens):]
         self.seeds = list(combinations(gens, 2))
         # rows_after[m]: the generator rows whose values at the generators
         # the first m seeds complete
@@ -156,8 +159,8 @@ class _SeedWalk:
             self._dfs(m + 1)
 
     def _complete_row(self, a: int) -> bool:
-        image = {g: self.cell[a, g] for g in self.gens}
-        row = _extend_from_generators(self.group, self.values, self.order, image, self.twists[a])
+        values = [self.cell[a, g] for g in self.gens]
+        row = _extend_from_generators(self.group, self.values, values, self.twists[a])
         if row is None or not self._keep_row(a, row):
             return False
         self.rows[a] = row
@@ -280,21 +283,23 @@ def enumerate_gamma(
     H: FiniteGroup, K: FiniteGroup, action: Action, star_k: LieBracket
 ) -> list[GammaMap]:
     """All endomorphism families passing check_gamma_identities, enumerated by
-    generator images over End(H) and extended along the generator steps of K
-    by G1, Gamma_{x g} = Gamma_x . sigma_x Gamma_g."""
+    generator images over End(H) and extended along the steps of K's walk by
+    G1, Gamma_{x g} = Gamma_x . sigma_x Gamma_g."""
     _check_parts(H, K, action)
     endos = homomorphisms(H, H)
-    gens = find_generators(K)
-    steps = generator_steps(K.cayley, K.identity, gens)
+    gens, steps, _ = K._walk
+    # the first steps, (g, 1, g) for each generator g, set the generators' values
+    row_steps = steps[len(gens):]
     zero = (H.identity,) * H.order
     mul_h = H.cayley
     sig = action.sigma
     found = []
     for images in product(endos, repeat=len(gens)):
-        image = dict(zip(gens, images))
         gamma: list[tuple[int, ...]] = [zero] * K.order
-        for y, x, g in steps:
-            gx, gg, sx = gamma[x], image[g], sig[x]
+        for g, image in zip(gens, images):
+            gamma[g] = image
+        for y, x, g in row_steps:
+            gx, gg, sx = gamma[x], gamma[g], sig[x]
             gamma[y] = tuple(mul_h[gx[h]][sx[gg[h]]] for h in range(H.order))
         candidate = GammaMap(H, K, tuple(gamma))
         if not check_gamma_identities(action, candidate, star_k, max_violations=1):

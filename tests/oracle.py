@@ -232,6 +232,29 @@ def scan_pairings(H: FiniteGroup, K: FiniteGroup, sigma, star_k) -> list[tuple[t
     return sorted(out)
 
 
+def scan_gamma(H: FiniteGroup, K: FiniteGroup, sigma, star_k) -> list[tuple[tuple[int, ...], ...]]:
+    """Every family Gamma with Gamma_1 = 0 and every other Gamma_x an
+    endomorphism of H (``map_scan_homomorphisms``) that satisfies, for all
+    x, y in K and h in H,
+
+      G1  Gamma_{x y}(h) = Gamma_x(h) sigma_x(Gamma_y(h))
+      G2  Gamma_{x*y}(sigma_y(h)) = Gamma_x(Gamma_y(h)) Gamma_{x y x^-1}(Gamma_x(h^-1))
+
+    by scanning all |End(H)|^(|K|-1) families; only usable when that is small."""
+    mul_h, inv_h, mul_k, inv_k = H.cayley, H.inverse, K.cayley, K.inverse
+    others = [x for x in range(K.order) if x != K.identity]
+    out = []
+    for rows in product(map_scan_homomorphisms(H, H), repeat=len(others)):
+        g = {K.identity: (H.identity,) * H.order, **dict(zip(others, rows))}
+        if all(
+            g[mul_k[x][y]][h] == mul_h[g[x][h]][sigma[x][g[y][h]]]
+            and g[star_k[x][y]][sigma[y][h]] == mul_h[g[x][g[y][h]]][g[mul_k[mul_k[x][y]][inv_k[x]]][g[x][inv_h[h]]]]
+            for x, y, h in product(range(K.order), range(K.order), range(H.order))
+        ):
+            out.append(tuple(g[x] for x in range(K.order)))
+    return sorted(out)
+
+
 def induced_pair_bracket(H: FiniteGroup, K: FiniteGroup, sigma, star_k, gamma, beta) -> dict:
     """The induction formula on explicit pairs of H x| K:
 
@@ -604,9 +627,7 @@ def seed_vector_pairings(
     conj_k = K.conj_table
     sig = action.sigma
     star = star_k.star
-    gens = find_generators(K)
-    steps = generator_steps(mul_k, eK, gens)
-    order = [eK] + [y for y, _, _ in steps]
+    gens, steps, _ = K._walk
     # the first steps, (g, 1, g) for each generator g, are the generator rows
     steps = steps[len(gens):]
     cells = list(combinations(gens, 2))
@@ -618,7 +639,7 @@ def seed_vector_pairings(
             b[a][g] = v
             b[g][a] = inv_h[sig[inv_k[star[a][g]]][v]]
         for a in gens:
-            row = _extend_from_generators(K, H, order, {g: b[a][g] for g in gens}, twists[a])
+            row = _extend_from_generators(K, H, [b[a][g] for g in gens], twists[a])
             if row is None:
                 return None
             b[a] = row

@@ -33,6 +33,7 @@ from mla_forge.errors import (
     ReconstructionMismatchError,
     ValidationError,
 )
+from mla_forge import groups
 from mla_forge.groups import (
     FiniteGroup,
     direct_product,
@@ -113,6 +114,30 @@ def test_action_trivial_and_inversion():
     act = s3_action()
     assert not act.is_trivial
     assert Action.trivial(act.H, act.K).is_trivial
+
+
+@pytest.mark.parametrize(
+    "inverting", [(5,), (-1,), ("1",), (1.0,), (True,), 1], ids=["out-of-range", "negative", "str", "float", "bool", "not-a-list"]
+)
+def test_inversion_rejects_what_is_not_an_element_of_k(inverting):
+    with pytest.raises(ValidationError, match="inverting"):
+        Action.by_inversion(make_cyclic(3), make_cyclic(2), inverting)
+
+
+def test_checking_sigma_and_gamma_rows_walks_h_once_whatever_the_order_of_k(monkeypatch):
+    """The rows of an action and of a Gamma family are each checked against
+    H's one walk: the steps of H are built once, not once per element of K."""
+    real = groups.generator_steps
+    counts = []
+    for K, inverting in ((direct_product(make_cyclic(2), make_cyclic(2)), (1, 3)), (make_dihedral(4), (4, 5, 6, 7))):
+        H = make_cyclic(4)
+        tables = []
+        monkeypatch.setattr(groups, "generator_steps", lambda cayley, *rest: tables.append(cayley) or real(cayley, *rest))
+        Action.by_inversion(H, K, inverting)
+        GammaMap.make(H, K, [[0] * 4] + [[(2 * h) % 4 for h in range(4)]] * (K.order - 1))
+        monkeypatch.undo()
+        counts.append(sum(t is H.cayley for t in tables))
+    assert counts[1] == counts[0] <= 1
 
 
 # -- gamma identities ----------------------------------------------------------

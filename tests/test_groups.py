@@ -486,6 +486,13 @@ def test_presets_check_the_order_bound_before_building():
         make_quaternion(17)
 
 
+@pytest.mark.parametrize("make", [make_cyclic, make_dihedral, make_quaternion])
+@pytest.mark.parametrize("n", [True, 2.0, "3", None], ids=["bool", "float", "str", "none"])
+def test_presets_reject_a_count_that_is_not_an_int(make, n):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        make(n)
+
+
 def test_tables_above_the_order_bound_are_rejected_before_checking():
     n = 65
     table = [[(i + j) % n for j in range(n)] for i in range(n)]

@@ -44,6 +44,7 @@ from oracle import (
     naive_bracket_tables,
     pairing_conditions_hold,
     relabel_table,
+    scan_gamma,
     scan_pairings,
     seed_vector_pairings,
     structure_constant_tables,
@@ -330,6 +331,18 @@ def test_order_bound_enforced():
 def test_search_config_validation():
     with pytest.raises(ValidationError):
         SearchConfig(node_budget=0)
+    for kwargs in (
+        {"node_budget": 2.5},
+        {"node_budget": True},
+        {"max_group_order": "12"},
+        {"max_group_order": 12.0},
+        {"max_group_order": False},
+        {"up_to_iso": "no"},
+        {"up_to_iso": 1},
+        {"require_ideal": [0]},
+    ):
+        with pytest.raises(ValidationError):
+            SearchConfig(**kwargs)
 
 
 # -- gamma enumeration ------------------------------------------------------------
@@ -360,6 +373,34 @@ def test_enumerate_gamma_coprime_is_trivial():
     fams = enumerate_gamma(z5, d4, act, trivial_bracket(d4))
     assert len(fams) == 1
     assert fams[0].is_zero()
+
+
+def scaling_action(H, K, c):
+    """K = Z_m acting on cyclic H by h -> c^x h."""
+    return Action.make(H, K, [[(pow(c, x, H.order) * h) % H.order for h in range(H.order)] for x in range(K.order)])
+
+
+@pytest.mark.parametrize(
+    "action",
+    [
+        Action.by_inversion(make_cyclic(3), make_cyclic(2), (1,)),
+        Action.by_inversion(make_cyclic(3), make_dihedral(3), (3, 4, 5)),
+        Action.trivial(make_cyclic(4), V4),
+        Action.by_inversion(make_cyclic(4), V4, (1, 3)),
+        Action.trivial(V4, V4),
+        Action.trivial(make_cyclic(2), make_dihedral(4)),
+        scaling_action(make_cyclic(5), make_cyclic(4), 2),
+    ],
+    ids=["Z3-Z2-inverting", "Z3-D3-reflections", "Z4-V4", "Z4-V4-inverting", "V4-V4", "Z2-D4", "Z5-Z4-scaling"],
+)
+def test_enumerate_gamma_matches_family_scan(action):
+    """Every Gamma family, for every bracket on K, against a scan of all
+    |End(H)|^(|K|-1) families (at most 4096 here)."""
+    H, K = action.H, action.K
+    assert len(homomorphisms(H, H)) ** (K.order - 1) <= 4096
+    for star_k in enumerate_brackets(K).items:
+        found = [f.gamma for f in enumerate_gamma(H, K, action, star_k)]
+        assert found == scan_gamma(H, K, action.sigma, star_k.star)
 
 
 # -- pairing enumeration ------------------------------------------------------------
