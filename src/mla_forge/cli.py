@@ -304,7 +304,7 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
         lines = [f"{s.name}: {s.summary}" for s in catalog()]
         _emit(args, lines, [{"name": s.name, "summary": s.summary} for s in catalog()])
         return EXIT_OK
-    names = [args.only] if args.only else None
+    names = [args.only] if args.only is not None else None
     config = _search_config(args)
     outcomes = run_scenarios(names, config)
     doc = []

@@ -111,19 +111,21 @@ def verify_group(
 
 def _group_violations(
     cayley: tuple[tuple[int, ...], ...], gens: Optional[tuple[int, ...]]
-) -> tuple[list[GroupViolation], Optional[int]]:
-    """:func:`verify_group` on integer entries, with the identity found or None."""
+) -> tuple[list[GroupViolation], Optional[int], Optional[tuple]]:
+    """:func:`verify_group` on integer entries, with the identity found or None
+    and the walk that Light's test read S from (:func:`_greedy_reach_set`),
+    or None; on a table without violations both are found."""
     _check_order_bound(len(cayley))
     out: list[GroupViolation] = []
     n = len(cayley)
     if n == 0:
-        return [GroupViolation("shape", (), "table is empty")], None
+        return [GroupViolation("shape", (), "table is empty")], None, None
     for i, row in enumerate(cayley):
         if len(row) != n:
-            return [GroupViolation("shape", (i,), f"row {i} has length {len(row)}, expected {n}")], None
+            return [GroupViolation("shape", (i,), f"row {i} has length {len(row)}, expected {n}")], None, None
         for j, v in enumerate(row):
             if not (0 <= v < n):
-                return [GroupViolation("shape", (i, j), f"entry [{i}][{j}]={v!r} out of range 0..{n - 1}")], None
+                return [GroupViolation("shape", (i, j), f"entry [{i}][{j}]={v!r} out of range 0..{n - 1}")], None, None
 
     for i in range(n):
         if len(set(cayley[i])) != n:
@@ -131,7 +133,7 @@ def _group_violations(
         if len({cayley[x][i] for x in range(n)}) != n:
             out.append(GroupViolation("latin-column", (i,), f"column {i} is not a permutation"))
         if len(out) >= VIOLATION_CAP:
-            return out[:VIOLATION_CAP], None
+            return out[:VIOLATION_CAP], None, None
 
     identity = None
     for e in range(n):
@@ -146,16 +148,17 @@ def _group_violations(
             if not any(cayley[x][y] == identity and cayley[y][x] == identity for y in range(n)):
                 out.append(GroupViolation("inverse", (x,), f"element {x} has no two-sided inverse"))
                 if len(out) >= VIOLATION_CAP:
-                    return out[:VIOLATION_CAP], identity
+                    return out[:VIOLATION_CAP], identity, None
 
-    if identity is None or not all(_associative_at(cayley, z) for z in _greedy_reach_set(cayley, identity)[0]):
+    walk = _greedy_reach_set(cayley, identity) if identity is not None else None
+    if walk is None or not all(_associative_at(cayley, z) for z in walk[0]):
         for x, y, z in product(range(n), repeat=3):
             if cayley[cayley[x][y]][z] != cayley[x][cayley[y][z]]:
                 out.append(
                     GroupViolation("associativity", (x, y, z), f"(x*y)*z != x*(y*z) at ({x},{y},{z})")
                 )
                 if len(out) >= VIOLATION_CAP:
-                    return out[:VIOLATION_CAP], identity
+                    return out[:VIOLATION_CAP], identity, walk
 
     if gens is not None and not out and identity is not None:
         if any(not (0 <= g < n) for g in gens):
@@ -166,7 +169,7 @@ def _group_violations(
                 out.append(
                     GroupViolation("generators", gens, f"generators reach only {reached} of {n} elements")
                 )
-    return out[:VIOLATION_CAP], identity
+    return out[:VIOLATION_CAP], identity, walk
 
 
 def _associative_at(cayley: Sequence[Sequence[int]], z: int) -> bool:
@@ -204,13 +207,14 @@ def generator_steps(
 
 def _greedy_reach_set(
     cayley: Sequence[Sequence[int]], identity: int
-) -> tuple[tuple[int, ...], list[tuple[int, int, int]]]:
+) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...], tuple[int, ...]]:
     """Elements S, added greedily: the first element that right
     multiplication by S does not yet reach from ``identity``, a two-sided
     identity of the table, until it reaches every element; with the n - 1
-    ``generator_steps`` of S. Each added element is reached, as identity * s
-    = s, so this ends on any such table. On a group S generates it, and each
-    element added at least doubles the subgroup reached, so |S| <= log2(n).
+    ``generator_steps`` of S and the elements in step order. Each added
+    element is reached, as identity * s = s, so this ends on any such table.
+    On a group S generates it, and each element added at least doubles the
+    subgroup reached, so |S| <= log2(n).
     """
     n = len(cayley)
     gens: list[int] = []
@@ -219,7 +223,7 @@ def _greedy_reach_set(
         reached = {identity, *(y for y, _, _ in steps)}
         gens.append(next(x for x in range(n) if x not in reached))
         steps = generator_steps(cayley, identity, gens)
-    return tuple(gens), steps
+    return tuple(gens), tuple(steps), (identity, *(y for y, _, _ in steps))
 
 
 class FiniteGroup:
@@ -257,7 +261,7 @@ class FiniteGroup:
     ) -> "FiniteGroup":
         rows = int_table(cayley, "cayley")
         gens = int_row(generators, "generators") if generators is not None else None
-        problems, identity = _group_violations(rows, gens)
+        problems, identity, walk = _group_violations(rows, gens)
         if problems:
             summary = "; ".join(v.message for v in problems[:4])
             raise InvalidGroupError(f"{name!r} is not a valid group: {summary}", problems)
@@ -270,7 +274,9 @@ class FiniteGroup:
             raise ValidationError("element_names length does not match group order")
         if names is not None and not all(isinstance(s, str) for s in names):
             raise ValidationError("element_names must be a list of strings")
-        return cls(name, rows, identity, inverse, gens, names)
+        group = cls(name, rows, identity, inverse, gens, names)
+        group._walk = walk  # the walk Light's test read, kept in the cached_property slot
+        return group
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -328,10 +334,11 @@ class FiniteGroup:
 
     @cached_property
     def _walk(self) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...], tuple[int, ...]]:
-        """The group's one walk, built on first use: :func:`find_generators`,
-        their ``generator_steps`` and the elements in step order."""
-        gens, steps = _greedy_reach_set(self.cayley, self.identity)
-        return gens, tuple(steps), (self.identity, *(y for y, _, _ in steps))
+        """The group's one walk: :func:`find_generators`, their
+        ``generator_steps`` and the elements in step order. ``from_table``
+        stores the walk its check built; another instance builds it on
+        first use."""
+        return _greedy_reach_set(self.cayley, self.identity)
 
     @cached_property
     def is_abelian(self) -> bool:

@@ -21,7 +21,7 @@ from typing import Any, Optional, Union
 from .brackets import LieBracket
 from .construction import Action, ConditionReport, ConstructionData, GammaMap, PairingMap
 from .errors import ValidationError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, int_table
 from .search import EnumerationResult
 
 
@@ -95,17 +95,20 @@ def bracket_to_doc(bracket: LieBracket, group_ref: Optional[str] = None) -> dict
 def bracket_from_doc(
     doc: Any, base_dir: Optional[Path] = None, group: Optional[FiniteGroup] = None
 ) -> LieBracket:
+    """The bracket a document describes, on ``group`` when one is given: the
+    document's own group, embedded or a file, must then have its Cayley table."""
     if not isinstance(doc, dict):
         raise ValidationError("bracket document must be a JSON object")
     ref = doc.get("group")
+    if isinstance(ref, str):
+        path = Path(ref)
+        if base_dir is not None and not path.is_absolute():
+            path = base_dir / path
+        ref = _load_json(path)
     if group is None:
-        if isinstance(ref, str):
-            path = Path(ref)
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            group = load_group(path)
-        else:
-            group = group_from_doc(ref)
+        group = group_from_doc(ref)
+    elif not isinstance(ref, dict) or int_table(ref.get("cayley"), "cayley") != group.cayley:
+        raise ValidationError(f"the bracket's group does not have the Cayley table of {group.name}")
     return LieBracket.make(group, doc.get("star"))
 
 

@@ -132,6 +132,21 @@ def test_verify_bad_bracket_reports_witness(tmp_path, capsys):
     assert "A1" in out
 
 
+@pytest.mark.parametrize("group_ref", [None, "d4.json"], ids=["embedded", "referenced"])
+@pytest.mark.parametrize("command, group", [("verify", "Z8"), ("verify", "Q8"), ("decompose", "Z2xZ4")])
+def test_bracket_file_on_another_group_is_input_error(tmp_path, capsys, command, group, group_ref):
+    """A bracket file is read against the given group only when its own group,
+    embedded or referenced, has the given group's Cayley table."""
+    d4 = make_dihedral(4)
+    io.save_group(d4, tmp_path / "d4.json")
+    path = tmp_path / "b.json"
+    io.save_bracket(commutator_bracket(d4), path, group_ref=group_ref)
+    assert run(capsys, "verify", "--group", "D4", "--bracket", str(path)) == (0, "bracket ok\n", "")
+    code, out, err = run(capsys, command, "--group", group, "--bracket", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "does not have the Cayley table" in err
+
+
 # -- enumerate ---------------------------------------------------------------------
 
 
@@ -460,8 +475,11 @@ def test_scenarios_single(capsys):
 
 
 def test_scenarios_unknown_name(capsys):
-    code, _, err = run(capsys, "scenarios", "--only", "nope")
-    assert code == 2
+    # an empty name is unknown too, not a request for the whole catalog
+    for name in ("nope", ""):
+        code, out, err = run(capsys, "scenarios", "--only", name)
+        assert (code, out) == (2, "")
+        assert f"unknown scenario {name!r}" in err
 
 
 # -- README examples -----------------------------------------------------------------
@@ -474,6 +492,7 @@ README_EXAMPLES = {
     "enumerate-q8-json": ["enumerate", "--group", "Q8", "--format", "json"],
     "verify-d3-commutator": ["verify", "--group", "D3", "--bracket", "commutator"],
     "scenarios-list": ["scenarios", "--list"],
+    "scenarios-json": ["scenarios", "--format", "json"],
     "scenarios-z4xd4-cases-json": ["scenarios", "--only", "z4xd4-cases", "--format", "json"],
 }
 

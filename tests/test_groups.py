@@ -727,3 +727,21 @@ def test_find_generators_is_computed_once_per_group(monkeypatch):
     monkeypatch.setattr(groups, "_greedy_reach_set", None)  # a second computation would fail
     assert find_generators(g) is first
     assert first == (1, 6)
+
+
+def test_a_group_keeps_the_walk_its_check_built(monkeypatch):
+    """from_table walks the table once for Light's test and once to check the
+    declared generators; the group keeps the first walk, so its first
+    find_generators walks nothing."""
+    calls = []
+    original = groups.generator_steps
+
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(groups, "generator_steps", counting)
+    g = make_cyclic(4)
+    assert len(calls) == 2
+    assert find_generators(g) == (1,)
+    assert len(calls) == 2

@@ -37,7 +37,7 @@ def test_every_search_gets_the_runner_budget(monkeypatch):
         monkeypatch.setattr(scenarios, name, spy)
     for scenario in catalog():
         running[0] = scenario.name
-        assert scenario.runner(SearchConfig(node_budget=budget)).passed, scenario.name
+        assert run_scenarios([scenario.name], SearchConfig(node_budget=budget))[0].passed, scenario.name
     assert all(b == [budget] * len(b) for b in budgets.values()), budgets
     assert {"z4xd4-cases", "sigma-gamma-commute", "section-independence"} <= set(budgets)
 

@@ -159,13 +159,7 @@ def test_classify_takes_the_least_table_of_the_set_not_of_the_orbit():
 
 
 def test_enumerate_counts():
-    assert enumerate_brackets(make_cyclic(6)).raw_count == 1
-    assert enumerate_brackets(make_dihedral(3)).raw_count == 3
-    assert enumerate_brackets(make_dihedral(3)).class_count == 2
-    d4 = enumerate_brackets(make_dihedral(4))
-    assert (d4.raw_count, d4.class_count) == (4, 3)
-    q8 = enumerate_brackets(make_quaternion(2))
-    assert (q8.raw_count, q8.class_count) == (2, 2)
+    """Counts no scenario makes; the paper's counts are in the scenario catalog."""
     v4 = enumerate_brackets(direct_product(make_cyclic(2), make_cyclic(2)))
     assert (v4.raw_count, v4.class_count) == (4, 2)
 
@@ -187,9 +181,8 @@ def test_up_to_iso_returns_class_representatives():
     g = make_dihedral(4)
     raw = enumerate_brackets(g)
     reps = enumerate_brackets(g, SearchConfig(up_to_iso=True))
-    assert reps.raw_count == raw.raw_count == 4
-    assert reps.class_count == 3
-    assert len(reps.items) == 3
+    assert reps.raw_count == raw.raw_count
+    assert reps.class_count == raw.class_count == len(reps.items) < raw.raw_count
     raw_tables = {b.star for b in raw.items}
     assert all(b.star in raw_tables for b in reps.items)
 
@@ -560,19 +553,6 @@ def test_map_enumeration_rejects_a_bracket_on_another_group(enumerate_maps):
 
 
 # -- induced enumeration --------------------------------------------------------------
-
-
-def test_enumerate_induced_z3xd3():
-    H, K = make_cyclic(3), make_dihedral(3)
-    res = enumerate_induced(H, K, Action.trivial(H, K))
-    assert res.raw_count == 3
-    assert res.class_count == 2
-
-
-def test_enumerate_induced_z5xd3_matches_tau():
-    H, K = make_cyclic(5), make_dihedral(3)
-    res = enumerate_induced(H, K, Action.trivial(H, K))
-    assert res.class_count == tau(3) == 2
 
 
 def test_enumerate_induced_trivial_h_gives_brackets_of_k():
