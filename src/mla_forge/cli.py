@@ -12,6 +12,7 @@ m, m divisible by 4), products ``AxB``, and split products
 from __future__ import annotations
 
 import argparse
+import copy
 import os
 import re
 import sys
@@ -83,7 +84,8 @@ def _token_group(token: str) -> FiniteGroup:
 def parse_preset(spec: str) -> FiniteGroup:
     """Preset grammar: Zn | Dn | Qm | AxB (direct product) | A:B:sigma=FILE.
 
-    A product is named by its spec.
+    A product is named by its spec: a copy of the built group that keeps
+    what it has computed, its walk among them.
     """
     if ":" in spec:
         group = _split_action(spec).product_group
@@ -94,9 +96,9 @@ def parse_preset(spec: str) -> FiniteGroup:
             group = direct_product(group, _token_group(tok))
     else:
         return _token_group(spec)
-    return FiniteGroup(
-        spec, group.cayley, group.identity, group.inverse, group.generators, group.element_names
-    )
+    renamed = copy.copy(group)
+    renamed.name = spec
+    return renamed
 
 
 def _split_action(spec: str) -> Action:

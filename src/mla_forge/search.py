@@ -27,6 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 from .brackets import (
     LieBracket,
+    _is_mla,
     _keeps_ideal,
     _Table,
     bracket_orbit,
@@ -186,7 +187,8 @@ class _StarTableSearch(_SeedWalk):
     dropped when ^z(a*y) = a * ^z y fails for a generator z with ^z a = a
     (A5) or ``brackets._keeps_ideal`` fails for ``require_ideal``; A3 on
     the other rows, (x g)*z = ^x(g*z) (x*z); a table is kept when every row
-    keeps the ideal rule and ``verify_mla`` passes.
+    keeps the ideal rule and ``brackets._is_mla`` passes it (A1-A5, A4
+    first).
     """
 
     def __init__(self, group: FiniteGroup, config: SearchConfig):
@@ -209,7 +211,7 @@ class _StarTableSearch(_SeedWalk):
 
     def _accept(self, table: _Table) -> bool:
         ideal_kept = self.ideal is None or all(_keeps_ideal(self.ideal, x, row) for x, row in enumerate(table))
-        return ideal_kept and not verify_mla(self.group, table, max_violations=1)
+        return ideal_kept and _is_mla(self.group, table)
 
 
 def _classify(group: FiniteGroup, tables: Sequence[_Table]) -> list[_Table]:

@@ -18,6 +18,8 @@ from mla_forge.brackets import (
     trivial_bracket,
     verify_mla,
 )
+from mla_forge.cli import parse_preset
+from mla_forge.construction import Action, semidirect_product
 from mla_forge.errors import BoundExceededError, ValidationError
 from mla_forge.groups import (
     automorphism_generators,
@@ -120,19 +122,22 @@ def test_star_values_outside_the_group_are_rejected(value):
         verify_mla(g, table)
 
 
+def _search_leaves(group, config=None):
+    """Every table the star-table search hands to its leaf decision."""
+    leaves = []
+
+    def leaf_check(g, table):
+        leaves.append(table)
+        return brackets._is_mla(g, table)
+
+    with mock.patch.object(search, "_is_mla", leaf_check):
+        enumerate_brackets(group, config or SearchConfig(max_group_order=16))
+    return leaves
+
+
 def _rejected_leaves(group, every):
     """Every ``every``-th table the star-table search rejects at a leaf."""
-    rejected = []
-
-    def leaf_check(g, table, **kwargs):
-        violations = verify_mla(g, table, **kwargs)
-        if violations:
-            rejected.append(table)
-        return violations
-
-    with mock.patch.object(search, "verify_mla", leaf_check):
-        enumerate_brackets(group, SearchConfig(max_group_order=16))
-    return rejected[::every]
+    return [t for t in _search_leaves(group) if not brackets._is_mla(group, t)][::every]
 
 
 def _one_cell_corruptions(group, table):
@@ -283,6 +288,48 @@ def test_reduced_range_catalog_reaches_each_case():
         "A4 and one of A1-A3 fail, A4 off the generator triples",
         "A5 holds, A4 fails only at y not least in its class",
     }
+
+
+def _leaf_decision_searches():
+    """(group, config) of searches whose every leaf the A4-first decision
+    must judge as verify_mla does."""
+    z2xd4 = parse_preset("Z2xD4")
+    ideal = SearchConfig(max_group_order=24, require_ideal=subgroup_generated(z2xd4, {1}))
+    z3_v4 = semidirect_product(Action.by_inversion(make_cyclic(3), parse_preset("Z2xZ2"), (1, 2)))
+    specs = ("Z2xZ2xZ2", "Z2xD4", "Z2xQ8", "Z2xZ2xD3", "Z2xZ2xZ4")
+    cases = [pytest.param(parse_preset(s), SearchConfig(max_group_order=24), id=s) for s in specs]
+    return cases + [pytest.param(z3_v4, SearchConfig(), id="Z3:V4"), pytest.param(z2xd4, ideal, id="Z2xD4-ideal")]
+
+
+@pytest.mark.parametrize("group, config", _leaf_decision_searches())
+def test_a4_first_leaf_decision_matches_verify_mla(group, config):
+    """The search's leaf decision, A4 first on the range the other axioms
+    allow, accepts a table exactly when verify_mla finds no violation."""
+    leaves = _search_leaves(group, config)
+    assert leaves
+    for table in leaves:
+        assert brackets._is_mla(group, table) == (not verify_mla(group, table, max_violations=1))
+
+
+def test_a4_first_leaf_decision_on_the_reduced_range_catalog():
+    for group, table, expected in _catalog_with_oracle():
+        assert brackets._is_mla(group, table) == (not expected)
+
+
+def test_a4_first_leaf_decision_rejects_a_table_that_passes_a4_on_generators():
+    """On Z2^3 the table that is the identity but for s1*s2 = s3 and
+    s2*s1 = s3^-1 passes A1 and A4 at the one generator triple, yet fails A2
+    and A3, so A4's generator range was not exact for it: the decision must
+    still reject it."""
+    g = parse_preset("Z2xZ2xZ2")
+    s1, s2, s3 = find_generators(g)
+    rows = [[g.identity] * g.order for _ in range(g.order)]
+    rows[s1][s2], rows[s2][s1] = s3, g.inverse[s3]
+    table = tuple(map(tuple, rows))
+    assumed = {"A1", "A2", "A3", "A5"}
+    assert brackets.axiom_holds(g, table, "A1") and brackets.axiom_holds(g, table, "A4", assumed)
+    assert not brackets.axiom_holds(g, table, "A2") and not brackets.axiom_holds(g, table, "A3")
+    assert not brackets._is_mla(g, table)
 
 
 def _in_conjugation_range(group, triple, by_class=False):

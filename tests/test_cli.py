@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import mla_forge
+from mla_forge import groups
 from mla_forge import serialization as io
 from mla_forge.brackets import LieBracket, commutator_bracket, trivial_bracket
 from mla_forge.cli import main, parse_preset
@@ -39,6 +40,23 @@ def test_parse_presets():
     assert is_isomorphic(parse_preset("Q8"), make_quaternion(2)) is not None
     g = parse_preset("Z4xD4")
     assert g.order == 32 and g.name == "Z4xD4"
+
+
+def test_parse_preset_keeps_the_walk_of_the_group_it_renames(monkeypatch):
+    """A product preset is a renamed copy of the product it built, and keeps
+    that product's walk: its first find_generators walks the table no more."""
+    calls = []
+    original = groups.generator_steps
+
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(groups, "generator_steps", counting)
+    g = parse_preset("Z4xD4")
+    assert len(calls) == 9
+    assert groups.find_generators(g) and g.name == "Z4xD4"
+    assert len(calls) == 9
 
 
 def test_parse_preset_split(tmp_path, capsys):

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from mla_forge import construction, search
+from mla_forge import brackets, construction, search
 from mla_forge.brackets import (
     LieBracket,
     bracket_orbit,
@@ -26,6 +26,7 @@ from mla_forge.groups import (
     make_quaternion,
     subgroup_generated,
 )
+from mla_forge.scenarios import run_scenarios
 from mla_forge.search import (
     SearchConfig,
     _classify,
@@ -244,12 +245,12 @@ def test_every_leaf_is_a_full_table(monkeypatch, spec, ideal):
     config = SearchConfig(max_group_order=24, require_ideal=ideal_sub)
     leaves = []
 
-    def checked_verify(group, table, **kwargs):
+    def checked_leaf(group, table):
         assert all(v != -1 for row in table for v in row)
         leaves.append(table)
-        return verify_mla(group, table, **kwargs)
+        return brackets._is_mla(group, table)
 
-    monkeypatch.setattr(search, "verify_mla", checked_verify)
+    monkeypatch.setattr(search, "_is_mla", checked_leaf)
     result = enumerate_brackets(g, config)
     assert result.exhausted and len(leaves) >= result.raw_count > 0
 
@@ -355,7 +356,8 @@ def test_enumerate_gamma_z4_d4_homomorphisms():
     z4, d4 = make_cyclic(4), make_dihedral(4)
     act = Action.trivial(z4, d4)
     fams = enumerate_gamma(z4, d4, act, trivial_bracket(d4))
-    assert len(fams) == 4
+    (outcome,) = run_scenarios(["z4xd4-cases"])
+    assert len(fams) == outcome.expected["hom_families"]
     cells = sorted((f.gamma[4][1], f.gamma[1][1]) for f in fams)  # (gamma_a(1), gamma_b(1))
     assert cells == [(0, 0), (0, 2), (2, 0), (2, 2)]
 
@@ -675,9 +677,10 @@ def test_coprime_z5_z2():
 
 
 def test_coprime_z5_s3_count_mode():
+    (outcome,) = run_scenarios(["z5xd3-induced"])
     report = verify_coprime_determination(make_cyclic(5), make_dihedral(3))
     assert not report.full_mode
-    assert report.induced_class_count == 2
+    assert report.induced_class_count == outcome.expected["class_count"]
 
 
 def test_coprime_count_only_when_enumerate_brackets_refuses_the_product():
