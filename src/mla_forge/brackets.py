@@ -65,11 +65,12 @@ for A4, a few |S|^3 on an abelian group, else one step per triple of the
 conjugation range, a fraction of n^3/3 that falls with the number of
 conjugacy classes and the size of centralizers (on the order-16 to 32
 products of the benchmark, 13-54% of the triples with x <= y and x <= z).
-The star-table search decides its leaves with ``_is_mla``, which runs A4 on
-that range right after A1 and before A2, A3 and A5: most leaves fail A4
-alone, and each then costs n steps for A1 and the A4 triples up to its
-first witness. The reduced scans decide pass or fail only; witnesses always
-come from the full scans.
+The star-table search decides its leaves, and ``search.enumerate_tuples``
+its induced tables, with ``_is_mla``, which runs A4 on that range right
+after A1 and before A2, A3 and A5: most leaves fail A4 alone, and each then
+costs n steps for A1 and the A4 triples up to its first witness. The
+reduced scans decide pass or fail only; witnesses always come from the full
+scans.
 """
 
 from __future__ import annotations
@@ -136,27 +137,31 @@ def verify_mla(
 
     The violations are those of the full scans: axioms in order A1..A5 and
     witnesses within an axiom in lexicographic order, collected until
-    ``max_violations``, an int >= 1. The axioms are decided on their reduced
-    ranges (module docstring), which are exact, in the order A1, A2, A3, A5,
-    A4, so that A4's range may use every other axiom that holds; the full
-    scans run only from the first axiom in A1..A5 order that fails, and a
-    passing table runs none. The list is the same for every cap as a scan of
-    every axiom over every triple.
+    ``max_violations``, an int >= 1. The axioms are decided by
+    ``_axioms_held``, which is exact; the full scans run only from the first
+    axiom in A1..A5 order that fails, and a passing table runs none. The
+    list is the same for every cap as a scan of every axiom over every
+    triple.
     """
     check_violation_cap(max_violations)
     n = group.order
     table = int_table(star.star if isinstance(star, LieBracket) else star, "star", (n, n), n)
-    held: set[str] = set()
-    for axiom in ("A1", "A2", "A3", "A5", "A4"):
-        if axiom_holds(group, table, axiom, held):
-            held.add(axiom)
-        elif axiom != "A5":
-            break
+    held = _axioms_held(group, table)
     first = next((i for i, axiom in enumerate(AXIOM_NAMES) if axiom not in held), None)
     if first is None:
         return []
     scans = (AXIOM_SCANS[a](group, table) for a in AXIOM_NAMES[first:])
     return list(islice(chain.from_iterable(scans), max_violations))
+
+
+def _axioms_held(group: FiniteGroup, table: _Table) -> set[str]:
+    """The axioms a table of group elements satisfies: A1, A2, A3 and A5
+    decided on their reduced ranges (module docstring), which are exact
+    whatever the other axioms do, then A4 on the range those allow."""
+    held = {axiom for axiom in ("A1", "A2", "A3", "A5") if axiom_holds(group, table, axiom)}
+    if axiom_holds(group, table, "A4", held):
+        held.add("A4")
+    return held
 
 
 # The axioms _is_mla assumes when it picks A4's range.

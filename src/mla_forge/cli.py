@@ -208,12 +208,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     ]
     for i, bracket in enumerate(result.items):
         lines.append(f"item {i}: " + "; ".join(",".join(map(str, row)) for row in bracket.star))
-    _emit(args, lines, doc)
-    if args.emit:
+    if args.emit:  # written first, so that a path that cannot be a directory prints nothing
         out = Path(args.emit)
         out.mkdir(parents=True, exist_ok=True)
         for i, bracket in enumerate(result.items):
             io.save_bracket(bracket, out / f"bracket_{i:04d}.json")
+    _emit(args, lines, doc)
     return EXIT_OK if result.exhausted else EXIT_BUDGET
 
 
@@ -250,8 +250,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     gamma_desc = _describe_gamma(data)
     lines = ["decomposition ok", f"starK: {data.star_k.star}", f"beta trivial: {data.beta.is_trivial()}"]
     lines.extend(gamma_desc)
-    _emit(args, lines, doc)
-    if args.emit:
+    if args.emit:  # written first, as for enumerate
         out = Path(args.emit)
         out.mkdir(parents=True, exist_ok=True)
         io.save_construction(data, out / "construction.json")
@@ -262,6 +261,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         (out / "beta.json").write_text(
             io.canonical_dumps({"beta": [list(r) for r in data.beta.beta]}), encoding="utf-8"
         )
+    _emit(args, lines, doc)
     return EXIT_OK
 
 

@@ -20,11 +20,14 @@ A = (h,x), B = (k,y) and C = (l,z):
 A failing C3..C6 is reported with the first failing (x, y, z, h, k, l) in
 that loop order, x outermost. The product encodes (h, x) as h + |H| x, so the
 axiom scan runs in the order (x, h, y, k, z, l) instead; the witness is the
-smallest failing triple under the documented key.
+smallest failing triple under the documented key. A report always holds all
+six conditions; its first failure is taken in the order C1, C2, C6, C3, C4,
+C5, which is the condition ``induce_bracket``'s error names.
 
 This module checks and builds; it enumerates nothing. The Gamma families
 and pairing tables to try are listed by ``search.enumerate_gamma`` and
-``search.enumerate_pairings``.
+``search.enumerate_pairings``; ``search.enumerate_tuples`` keeps a tuple by
+the bracket decision on its induced table.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .brackets import (
     AXIOM_SCANS,
     DEFAULT_VIOLATION_CAP,
     LieBracket,
-    axiom_holds,
+    _axioms_held,
     check_violation_cap,
     is_ideal,
     trivial_bracket,
@@ -63,7 +66,7 @@ from .groups import (
 )
 
 CONDITION_NAMES = ("C1", "C2", "C3", "C4", "C5", "C6")
-CONDITION_EVAL_ORDER = ("C1", "C2", "C6", "C3", "C4", "C5")  # cheap first
+CONDITION_EVAL_ORDER = ("C1", "C2", "C6", "C3", "C4", "C5")  # first_failure's order
 CONDITION_AXIOMS = {"C3": "A3", "C4": "A2", "C5": "A4", "C6": "A5"}
 
 
@@ -296,7 +299,7 @@ def check_gamma_identities(
 
 @dataclass(frozen=True)
 class ConditionStatus:
-    passed: Optional[bool]  # None = not evaluated (short-circuited run)
+    passed: bool
     witness: Optional[tuple[int, ...]]
 
 
@@ -314,75 +317,39 @@ class ConditionReport:
 
     @property
     def passed(self) -> bool:
-        return all(st.passed is True for _, st in self.statuses)
+        return all(st.passed for _, st in self.statuses)
 
     def first_failure(self) -> Optional[tuple[str, ConditionStatus]]:
-        for key, st in self.statuses:
-            if st.passed is False:
-                return key, st
+        """The first failing condition in CONDITION_EVAL_ORDER, or None."""
+        for name in CONDITION_EVAL_ORDER:
+            st = self.status(name)
+            if not st.passed:
+                return name, st
         return None
 
-    @property
-    def fully_evaluated(self) -> bool:
-        return all(st.passed is not None for _, st in self.statuses)
 
+def check_theorem_conditions(data: ConstructionData) -> ConditionReport:
+    """Evaluate all of C1..C6 exhaustively.
 
-def _report(results: dict[str, ConditionStatus]) -> ConditionReport:
-    return ConditionReport(
-        tuple((name, results.get(name, ConditionStatus(None, None))) for name in CONDITION_NAMES)
-    )
-
-
-def check_theorem_conditions(data: ConstructionData, short_circuit: bool = False) -> ConditionReport:
-    """Evaluate C1..C6 exhaustively (evaluation order C1, C2, C6, C3, C4, C5;
-    with ``short_circuit`` later conditions are skipped after a failure).
-
-    C1 and C2 are checked on the maps, C3..C6 by the axiom scans of brackets
-    on the induced table. C3..C6 pass or fail by the scan on the axiom's
-    reduced range, which is exact (brackets module docstring); C5 comes last,
-    so its range may use the axioms of C6, C3 and C4 that held, and A1 of
-    the induced table, decided first in n steps. Only a failing condition
-    runs the full scan, for its witness. Witnesses are the first failing
-    tuples in loop order: (x,) for C1, (x, y, h) for C2 and
-    (x, y, z, h, k, l) for C3..C6.
+    C1 and C2 are checked on the maps, C3..C6 on the induced table by
+    ``brackets._axioms_held``, which decides each axiom on its exact reduced
+    range. Only a failing condition runs the full scan, for its witness.
+    Witnesses are the first failing tuples in loop order: (x,) for C1,
+    (x, y, h) for C2 and (x, y, z, h, k, l) for C3..C6.
     For the trivial action C3, C4 and C6 reduce to bilinearity and conjugation
     invariance of beta; tests/oracle.py (direct_conditions_hold) transcribes
     that simplified form as a cross-check.
     """
-    results: dict[str, ConditionStatus] = {}
-    table: Optional[tuple[tuple[int, ...], ...]] = None
-    group = data.action.product_group
-    held: set[str] = set()
-    for name in CONDITION_EVAL_ORDER:
-        if name == "C1":
-            witness = _check_c1(data)
-        elif name == "C2":
-            witness = _check_c2(data)
-        else:
-            if table is None:
-                table = data.induced_table
-                # A1 is no condition, but A4's range on an abelian product needs it
-                if axiom_holds(group, table, "A1"):
-                    held.add("A1")
-            axiom = CONDITION_AXIOMS[name]
-            holds = axiom_holds(group, table, axiom, held)
-            if holds:
-                held.add(axiom)
-            witness = None if holds else _axiom_witness(data, table, axiom)
-        results[name] = _status_from(witness)
-        if witness is not None and short_circuit:
-            break
-    return _report(results)
-
-
-def _check_c1(data: ConstructionData) -> Optional[tuple[int, ...]]:
-    x = _c1_failure(data.beta.beta, data.H.identity, data.K.identity)
-    return None if x is None else (x,)
-
-
-def _check_c2(data: ConstructionData) -> Optional[tuple[int, ...]]:
-    viol = check_gamma_identities(data.action, data.gamma, data.star_k, max_violations=1)
-    return viol[0].witness if viol else None
+    table = data.induced_table
+    held = _axioms_held(data.action.product_group, table)
+    c1 = _c1_failure(data.beta.beta, data.H.identity, data.K.identity)
+    c2 = check_gamma_identities(data.action, data.gamma, data.star_k, max_violations=1)
+    witnesses = {"C1": None if c1 is None else (c1,), "C2": c2[0].witness if c2 else None}
+    for name, axiom in CONDITION_AXIOMS.items():
+        witnesses[name] = None if axiom in held else _axiom_witness(data, table, axiom)
+    return ConditionReport(
+        tuple((name, ConditionStatus(witnesses[name] is None, witnesses[name])) for name in CONDITION_NAMES)
+    )
 
 
 def _axiom_witness(
@@ -406,15 +373,11 @@ def _axiom_witness(
     return best
 
 
-def _status_from(witness: Optional[tuple[int, ...]]) -> ConditionStatus:
-    return ConditionStatus(witness is None, witness)
-
-
 def induce_bracket(data: ConstructionData, check: bool = True) -> LieBracket:
     """Build the induced bracket; raises ConditionsViolatedError when the data
     fails the conditions (the report is attached to the error)."""
     if check:
-        report = check_theorem_conditions(data, short_circuit=True)
+        report = check_theorem_conditions(data)
         if not report.passed:
             raise ConditionsViolatedError(report)
     return LieBracket(data.action.product_group, data.induced_table)

@@ -41,7 +41,6 @@ from .construction import (
     GammaMap,
     PairingMap,
     check_gamma_identities,
-    check_theorem_conditions,
     decompose_bracket,
     semidirect_product,
     split_factor_subgroup,
@@ -380,6 +379,18 @@ def enumerate_tuples(action: Action, star_k: LieBracket) -> list[ConstructionDat
     """The tuples (star_k, Gamma, beta) on the action that pass C1-C6, in the
     order of ``enumerate_gamma``, then of ``enumerate_pairings``, which
     verifies star_k once for all of them.
+
+    A tuple is kept when its induced table passes ``brackets._is_mla``:
+
+    - C1 holds for every beta from ``enumerate_pairings`` (proof there).
+    - C2 holds for every Gamma from ``enumerate_gamma``, which keeps the
+      families that pass ``check_gamma_identities``, and that is C2.
+    - So a tuple passes C1-C6 exactly when it passes C3-C6, which are A3,
+      A2, A4 and A5 of the induced table.
+    - A1 of the induced table follows, so A1-A5 hold exactly when C3-C6 do:
+      [(h,x),(h,x)] = (h^2 Gamma_x(h) sigma_{x*x}(h^-2 Gamma_x(h^-1))
+      beta(x,x), x*x) = 1, since x*x = 1, sigma_1 = id, beta(x,x) = 1,
+      Gamma_x is an endomorphism and H is abelian.
     """
     H, K = action.H, action.K
     betas = enumerate_pairings(H, K, action, star_k)
@@ -389,7 +400,7 @@ def enumerate_tuples(action: Action, star_k: LieBracket) -> list[ConstructionDat
         for gamma in enumerate_gamma(H, K, action, star_k)
         for beta in betas
     )
-    return [data for data in tuples if check_theorem_conditions(data, short_circuit=True).passed]
+    return [data for data in tuples if _is_mla(action.product_group, data.induced_table)]
 
 
 def enumerate_induced(

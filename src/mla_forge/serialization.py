@@ -169,8 +169,6 @@ def save_construction(data: ConstructionData, path: Union[str, Path]) -> None:
 
 
 def condition_report_to_doc(report: ConditionReport) -> dict:
-    if not report.fully_evaluated:
-        raise ValidationError("cannot serialize a short-circuited condition report")
     doc = {}
     for name, status in report.statuses:
         doc[name] = {

@@ -148,7 +148,7 @@ def test_criterion_09_soundness():
                 for gamma in gammas:
                     for beta in betas:
                         data = ConstructionData.make(action, star_k, gamma, beta)
-                        if not check_theorem_conditions(data, short_circuit=True).passed:
+                        if not check_theorem_conditions(data).passed:
                             continue
                         accepted += 1
                         bracket = induce_bracket(data, check=False)

@@ -296,6 +296,22 @@ def test_enumerate_emits_item_files(tmp_path, capsys):
     assert loaded.group.order == 6
 
 
+@pytest.mark.parametrize("command", ["enumerate", "decompose"])
+def test_emit_onto_a_file_prints_nothing(tmp_path, capsys, command):
+    """--emit onto a path that cannot be a directory is an input error that
+    comes before any output."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    if command == "enumerate":
+        argv = ["enumerate", "--group", "D3"]
+    else:
+        io.save_bracket(trivial_bracket(parse_preset("Z3xZ2")), tmp_path / "b.json")
+        argv = ["decompose", "--group", "Z3xZ2", "--bracket", str(tmp_path / "b.json")]
+    code, out, err = run(capsys, *argv, "--emit", str(taken))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: [Errno 17] File exists")
+
+
 def test_enumerate_output_matches_library_serialization(capsys):
     from mla_forge.search import enumerate_brackets
 
@@ -339,6 +355,30 @@ def test_induce_failing_conditions_prints_witness(tmp_path, capsys):
     code, out, _ = run(capsys, "induce", "--data", str(path))
     assert code == 1
     assert "witness" in out
+
+
+def test_construction_failing_c3_to_c6_prints_the_recorded_witnesses(tmp_path, capsys):
+    """Z3 x| V4 with elements 1 and 2 inverting, star_K(1, 2) = 1 and Gamma,
+    beta zero passes C1 and C2 and fails C3-C6. induce names C6, the first
+    failure in evaluation order; verify reports every witness."""
+    H, K = make_cyclic(3), groups.direct_product(make_cyclic(2), make_cyclic(2))
+    act = Action.by_inversion(H, K, inverting=(1, 2))
+    star_k = LieBracket.make(K, [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]])
+    path = tmp_path / "c3_to_c6.json"
+    io.save_construction(ConstructionData.make(act, star_k, GammaMap.zero(H, K), PairingMap.trivial(H, K)), path)
+    assert run(capsys, "induce", "--data", str(path)) == (
+        1, "condition C6 fails at witness (1, 3, 0, 0, 0, 1)\n", ""
+    )
+    assert run(capsys, "induce", "--data", str(path), "--format", "json") == (
+        1, '{"failed_condition":"C6","witness":[1,3,0,0,0,1]}\n', ""
+    )
+    assert run(capsys, "verify", "--construction", str(path), "--format", "json") == (
+        1,
+        '{"C1":{"pass":true,"witness":null},"C2":{"pass":true,"witness":null},'
+        '"C3":{"pass":false,"witness":[1,0,2,0,1,0]},"C4":{"pass":false,"witness":[1,1,2,1,0,0]},'
+        '"C5":{"pass":false,"witness":[1,2,2,0,1,0]},"C6":{"pass":false,"witness":[1,3,0,0,0,1]}}\n',
+        "",
+    )
 
 
 @pytest.mark.parametrize("command", [("verify", "--construction"), ("induce", "--data")], ids=lambda c: c[0])

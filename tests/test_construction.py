@@ -190,7 +190,6 @@ def test_all_trivial_data_passes():
     act = s3_action()
     report = check_theorem_conditions(ConstructionData.all_trivial(act))
     assert report.passed
-    assert report.fully_evaluated
 
 
 def test_s3_nontrivial_data_passes_and_induces_commutator():
@@ -307,27 +306,23 @@ def test_condition_reports_match_oracle():
     assert failing_alone == {"C3", "C4", "C5", "C6"}
 
 
-def test_short_circuit_report_is_truncated_full_report():
+def test_first_failure_follows_evaluation_order():
     first_failures = set()
     for data in oracle_catalog():
-        full = dict(check_theorem_conditions(data).statuses)
-        short = dict(check_theorem_conditions(data, short_circuit=True).statuses)
-        failed = False
-        for name in CONDITION_EVAL_ORDER:
-            if failed:
-                assert short[name].passed is None and short[name].witness is None
-            else:
-                assert short[name] == full[name]
-                failed = full[name].passed is False
-                if failed:
-                    first_failures.add(name)
+        report = check_theorem_conditions(data)
+        failing = [name for name in CONDITION_EVAL_ORDER if not report.status(name).passed]
+        if failing:
+            assert report.first_failure() == (failing[0], report.status(failing[0]))
+            first_failures.add(failing[0])
+        else:
+            assert report.first_failure() is None and report.passed
     assert {"C2", "C6", "C3", "C4"} <= first_failures
 
 
 def test_smallest_tuple_failing_c3_to_c6():
     """Z3 x| V4 with elements 1 and 2 inverting, star_K(1, 2) = 1 and Gamma,
-    beta zero passes C1 and C2 and fails each of C3-C6; short-circuited, it
-    stops at C6, the first of them in evaluation order. The C6 witness is
+    beta zero passes C1 and C2 and fails each of C3-C6; its first failure
+    is C6, the first of them in evaluation order. The C6 witness is
     conjugation by (1, 0), an element of H."""
     H, K = make_cyclic(3), direct_product(make_cyclic(2), make_cyclic(2))
     act = Action.by_inversion(H, K, inverting=(1, 2))
@@ -344,19 +339,7 @@ def test_smallest_tuple_failing_c3_to_c6():
     full = check_theorem_conditions(data)
     assert {name: st.witness for name, st in full.statuses} == witnesses
     assert witnesses == oracle.condition_witnesses(H, K, act.sigma, star_k.star, data.gamma.gamma, data.beta.beta)
-    short = check_theorem_conditions(data, short_circuit=True)
-    assert short.first_failure() == ("C6", full.status("C6"))
-    assert [name for name, st in short.statuses if st.passed is not None] == ["C1", "C2", "C6"]
-
-
-def test_short_circuit_skips_later_conditions():
-    H, K = make_cyclic(3), make_cyclic(2)
-    act = Action.trivial(H, K)
-    beta = PairingMap.make(H, K, [[0, 1], [1, 0]])
-    data = ConstructionData.make(act, trivial_bracket(K), GammaMap.zero(H, K), beta)
-    report = check_theorem_conditions(data, short_circuit=True)
-    assert not report.passed
-    assert not report.fully_evaluated
+    assert full.first_failure() == ("C6", full.status("C6"))
 
 
 # -- direct specialization ----------------------------------------------------------
@@ -520,7 +503,7 @@ def test_decompose_roundtrip_over_enumerated_tuples():
         for gamma in gammas:
             for beta in betas:
                 data = ConstructionData.make(act, star_k, gamma, beta)
-                if not check_theorem_conditions(data, short_circuit=True).passed:
+                if not check_theorem_conditions(data).passed:
                     continue
                 bracket = induce_bracket(data, check=False)
                 back = decompose_bracket(act, bracket)
@@ -563,7 +546,7 @@ def test_decomposed_data_passes_every_condition():
                     continue
                 assert data.induced_table == bracket.star
                 report = check_theorem_conditions(data)
-                assert report.passed and report.fully_evaluated, (G.name, bracket.star)
+                assert report.passed, (G.name, bracket.star)
                 decomposed += 1
     assert (decomposed, rejected) == (273, 51)
 
@@ -725,7 +708,7 @@ def test_induced_table_is_built_once_per_tuple():
     act = s3_action()
     fam = gamma_mult(act.H, act.K, (0, 1))
     data = ConstructionData.make(act, trivial_bracket(act.K), fam, PairingMap.trivial(act.H, act.K))
-    assert check_theorem_conditions(data, short_circuit=True).passed
+    assert check_theorem_conditions(data).passed
     table = data.induced_table
     assert data.induced_table is table
     assert induce_bracket(data).star is table

@@ -14,7 +14,13 @@ from mla_forge.brackets import (
     verify_mla,
 )
 from mla_forge.cli import parse_preset
-from mla_forge.construction import Action, check_gamma_identities, split_factor_subgroup
+from mla_forge.construction import (
+    Action,
+    ConstructionData,
+    check_gamma_identities,
+    check_theorem_conditions,
+    split_factor_subgroup,
+)
 from mla_forge.errors import BoundExceededError, ValidationError
 from mla_forge.groups import (
     Subgroup,
@@ -626,6 +632,38 @@ def test_enumerated_induced_items_reverify():
     res = enumerate_induced(H, K, Action.trivial(H, K))
     for bracket in res.items:
         assert verify_mla(bracket.group, bracket) == []
+
+
+@pytest.mark.parametrize(
+    "h_spec, k_spec, inverting, tuples, rejected",
+    [
+        ("Z3", "Z2", (1,), 3, 0),
+        ("Z3", "Z2xZ2", (1, 2), 8, 2),
+        ("Z4", "D4", (1, 3, 5, 7), 40, 8),
+        ("Z4", "D4", (), 24, 0),
+    ],
+    ids=["S3", "Z3:V4", "Z4:D4", "Z4xD4"],
+)
+def test_enumerate_tuples_keeps_the_tuples_that_pass_c1_to_c6(h_spec, k_spec, inverting, tuples, rejected):
+    """enumerate_tuples keeps a tuple by the bracket decision on its induced
+    table; the full C1-C6 report keeps the same tuples of enumerate_gamma x
+    enumerate_pairings, for every bracket on K."""
+    H, K = parse_preset(h_spec), parse_preset(k_spec)
+    action = Action.by_inversion(H, K, inverting=inverting)
+    tried = dropped = 0
+    for star_k in enumerate_brackets(K).items:
+        candidates = [
+            ConstructionData.make(action, star_k, gamma, beta)
+            for gamma in enumerate_gamma(H, K, action, star_k)
+            for beta in enumerate_pairings(H, K, action, star_k)
+        ]
+        kept = [data for data in candidates if check_theorem_conditions(data).passed]
+        got = search.enumerate_tuples(action, star_k)
+        assert all(data.action is action and data.star_k is star_k for data in got)
+        assert [(d.gamma.gamma, d.beta.beta) for d in got] == [(d.gamma.gamma, d.beta.beta) for d in kept]
+        tried += len(candidates)
+        dropped += len(candidates) - len(kept)
+    assert (tried, dropped) == (tuples, rejected)
 
 
 # -- gamma families as two-operation homomorphisms -----------------------------------
