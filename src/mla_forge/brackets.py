@@ -65,12 +65,18 @@ for A4, a few |S|^3 on an abelian group, else one step per triple of the
 conjugation range, a fraction of n^3/3 that falls with the number of
 conjugacy classes and the size of centralizers (on the order-16 to 32
 products of the benchmark, 13-54% of the triples with x <= y and x <= z).
-The star-table search decides its leaves, and ``search.enumerate_tuples``
-its induced tables, with ``_is_mla``, which runs A4 on that range right
-after A1 and before A2, A3 and A5: most leaves fail A4 alone, and each then
-costs n steps for A1 and the A4 triples up to its first witness. The
-reduced scans decide pass or fail only; witnesses always come from the full
-scans.
+The star-table search decides its leaves with ``_is_mla``, which runs A4
+on that range right after A1 and before A2, A3 and A5: most leaves fail A4
+alone, and each then costs n steps for A1 and the A4 triples up to its
+first witness. ``search.enumerate_tuples`` decides its induced tables on
+H x| K with ``_is_mla`` too, on free arguments whose H-coordinates are all 1
+but at most one generator of H (proof there): A2, A3 and A5 cost about
+|S| |K|^2 (1 + 2 |S_H|) steps, and A4 (1 + 3 |S_H|) per triple of K with
+its least entry first, or the generator triples on an abelian product. On
+Z4 x D4 that is 576 steps for A2 and for A3 instead of 3 072, and 816 A4
+triples instead of 6 070; on Z8 x| D4 (order 64), the same 576 and 816
+instead of 12 288 and 23 834. The reduced scans decide pass or fail only;
+witnesses always come from the full scans.
 """
 
 from __future__ import annotations
@@ -99,6 +105,8 @@ AXIOM_NAMES = ("A1", "A2", "A3", "A4", "A5")
 
 _Table = tuple[tuple[int, ...], ...]
 _Held = Optional[AbstractSet[str]]  # axioms known to hold; None for a full scan
+_Pairs = Sequence[tuple[int, Sequence[int]]]  # (x, ys): the pairs (x, y) for y in ys
+_Points = tuple[_Pairs, Sequence[tuple[int, _Pairs]]]  # free pairs, and free triples as (x, pairs)
 
 
 @dataclass(frozen=True)
@@ -168,7 +176,7 @@ def _axioms_held(group: FiniteGroup, table: _Table) -> set[str]:
 _A4_FIRST_HELD = frozenset({"A1", "A2", "A3", "A5"})
 
 
-def _is_mla(group: FiniteGroup, table: _Table) -> bool:
+def _is_mla(group: FiniteGroup, table: _Table, points: Optional[_Points] = None) -> bool:
     """Whether a table of group elements passes A1-A5, as ``not verify_mla``
     says, with A4 decided before A2, A3 and A5 (no ``int_table`` check):
 
@@ -177,19 +185,28 @@ def _is_mla(group: FiniteGroup, table: _Table) -> bool:
          a real A4 witness, so the table fails.
       3. A2, A3 and A5 on their exact reduced ranges; if all three hold,
          the axioms assumed in 2 hold, A4's range was exact, and A1-A5 hold.
+
+    ``points`` are free arguments that the caller knows to decide A2-A5 on
+    its tables (``_range``); A4 on them assumes nothing, so the steps stay
+    exact.
     """
-    return all(axiom_holds(group, table, a, _A4_FIRST_HELD) for a in ("A1", "A4", "A2", "A3", "A5"))
+    return all(axiom_holds(group, table, a, _A4_FIRST_HELD, points) for a in ("A1", "A4", "A2", "A3", "A5"))
 
 
 def axiom_holds(
-    group: FiniteGroup, table: _Table, axiom: str, held: AbstractSet[str] = frozenset()
+    group: FiniteGroup,
+    table: _Table,
+    axiom: str,
+    held: AbstractSet[str] = frozenset(),
+    points: Optional[_Points] = None,
 ) -> bool:
     """Whether a table of group elements satisfies one axiom, decided by the
     scan on its reduced range (module docstring). ``held`` names axioms the
     table is known to satisfy; A4's range is smaller when A5 is among them,
     or A1-A3 on an abelian group, and is exact whatever the others do when
-    ``held`` is empty."""
-    return next(AXIOM_SCANS[axiom](group, table, held), None) is None
+    ``held`` is empty. ``points`` are free arguments for the range that the
+    caller knows to decide the axiom on its tables (``_range``)."""
+    return next(AXIOM_SCANS[axiom](group, table, held, points), None) is None
 
 
 def check_violation_cap(max_violations: int) -> None:
@@ -201,23 +218,64 @@ def check_violation_cap(max_violations: int) -> None:
 # One generator per axiom, each producing that axiom's violations lazily, in
 # lexicographic witness order, on a star table of the group's shape. With
 # ``held``, the axioms known to hold, the scan covers only the axiom's reduced
-# range (module docstring): the same formula on fewer witnesses, for deciding
-# pass or fail.
+# range (module docstring), and with ``points`` the free arguments of that
+# range come from the caller (``_is_mla``): the same formula on fewer
+# witnesses, for deciding pass or fail. ``_range`` gives every scan its
+# arguments.
 
 
-def _scan_a1(group: FiniteGroup, table: _Table, held: _Held = None) -> Iterator[MlaViolation]:
+def _range(group: FiniteGroup, axiom: str, held: _Held, points: Optional[_Points] = None):
+    """The arguments the scan of ``axiom`` runs over: every witness when
+    ``held`` is None, else the reduced range (module docstring) that ``held``
+    allows. A1 takes xs, A2 and A5 (pairs, zs), A3 (xs, pairs) and A4
+    triples; pairs are the free pairs, (x, y) for A2 and A5 and (y, z) for
+    A3. With ``held``, ``points`` replaces the free pairs and, unless A4 runs
+    on generator triples, A4's triples; the caller vouches that they decide
+    the axioms on its tables (``search.enumerate_tuples``)."""
+    n = group.order
+    every = range(n)
+    if axiom == "A1":
+        return every
+    s = every if held is None else find_generators(group)
+    if axiom == "A4" and held is not None:
+        if group.is_abelian and {"A1", "A2", "A3"} <= held:
+            return ((s[i], ((s[j], s[j + 1 :]) for j in range(i + 1, len(s)))) for i in range(len(s)))
+        if points is not None:
+            return points[1]
+        if "A5" in held:
+            return (
+                (x, ((y, range(x, n)) for y in ys[bisect_left(ys, x) :]))
+                for x, ys in group.conjugation_pair_minima
+            )
+        return ((x, ((y, range(x, n)) for y in range(x, n))) for x in every)
+    pairs = [(x, every) for x in every] if points is None else points[0]
+    if axiom == "A2":
+        return pairs, s
+    if axiom == "A3":
+        return s, pairs
+    if axiom == "A5":
+        conj = group.conj_table
+        return pairs, s if held is None else [z for z in s if conj[z] != conj[group.identity]]
+    return ((x, pairs) for x in every)
+
+
+def _scan_a1(
+    group: FiniteGroup, table: _Table, held: _Held = None, points: Optional[_Points] = None
+) -> Iterator[MlaViolation]:
     e = group.identity
-    for x in range(group.order):
+    for x in _range(group, "A1", held, points):
         if table[x][x] != e:
             yield MlaViolation("A1", (x,), table[x][x], e)
 
 
-def _scan_a2(group: FiniteGroup, table: _Table, held: _Held = None) -> Iterator[MlaViolation]:
-    n, mul, conj = group.order, group.cayley, group.conj_table
-    zs = range(n) if held is None else find_generators(group)
-    for x in range(n):
+def _scan_a2(
+    group: FiniteGroup, table: _Table, held: _Held = None, points: Optional[_Points] = None
+) -> Iterator[MlaViolation]:
+    mul, conj = group.cayley, group.conj_table
+    pairs, zs = _range(group, "A2", held, points)
+    for x, ys in pairs:
         sx = table[x]
-        for y in range(n):
+        for y in ys:
             sxy = sx[y]
             cy = conj[y]
             my = mul[y]
@@ -228,41 +286,30 @@ def _scan_a2(group: FiniteGroup, table: _Table, held: _Held = None) -> Iterator[
                     yield MlaViolation("A2", (x, y, z), lhs, rhs)
 
 
-def _scan_a3(group: FiniteGroup, table: _Table, held: _Held = None) -> Iterator[MlaViolation]:
-    n, mul, conj = group.order, group.cayley, group.conj_table
-    xs = range(n) if held is None else find_generators(group)
+def _scan_a3(
+    group: FiniteGroup, table: _Table, held: _Held = None, points: Optional[_Points] = None
+) -> Iterator[MlaViolation]:
+    mul, conj = group.cayley, group.conj_table
+    xs, pairs = _range(group, "A3", held, points)
     for x in xs:
         cx = conj[x]
         mx = mul[x]
-        for y in range(n):
+        sx = table[x]
+        for y, zs in pairs:
             sy = table[y]
-            for z in range(n):
-                lhs = table[mx[y]][z]
-                rhs = mul[cx[sy[z]]][table[x][z]]
+            smxy = table[mx[y]]
+            for z in zs:
+                lhs = smxy[z]
+                rhs = mul[cx[sy[z]]][sx[z]]
                 if lhs != rhs:
                     yield MlaViolation("A3", (x, y, z), lhs, rhs)
 
 
-def _a4_range(group: FiniteGroup, held: _Held) -> Iterable[tuple[int, Iterable[tuple[int, Sequence[int]]]]]:
-    """A4's triples as (x, ((y, zs), ...)) in lexicographic order: all of
-    them, or the reduced range given ``held`` (module docstring)."""
-    n = group.order
-    if held is None:
-        return ((x, ((y, range(n)) for y in range(n))) for x in range(n))
-    if group.is_abelian and {"A1", "A2", "A3"} <= held:
-        s = find_generators(group)
-        return ((s[i], ((s[j], s[j + 1 :]) for j in range(i + 1, len(s)))) for i in range(len(s)))
-    if "A5" in held:
-        return (
-            (x, ((y, range(x, n)) for y in ys[bisect_left(ys, x) :]))
-            for x, ys in group.conjugation_pair_minima
-        )
-    return ((x, ((y, range(x, n)) for y in range(x, n))) for x in range(n))
-
-
-def _scan_a4(group: FiniteGroup, table: _Table, held: _Held = None) -> Iterator[MlaViolation]:
+def _scan_a4(
+    group: FiniteGroup, table: _Table, held: _Held = None, points: Optional[_Points] = None
+) -> Iterator[MlaViolation]:
     n, mul, conj, e = group.order, group.cayley, group.conj_table, group.identity
-    for x, rows in _a4_range(group, held):
+    for x, rows in _range(group, "A4", held, points):
         cx = conj[x]
         sx = table[x]
         zx = [conj[z][x] for z in range(n)]  # ^z x
@@ -278,15 +325,16 @@ def _scan_a4(group: FiniteGroup, table: _Table, held: _Held = None) -> Iterator[
                     yield MlaViolation("A4", (x, y, z), val, e)
 
 
-def _scan_a5(group: FiniteGroup, table: _Table, held: _Held = None) -> Iterator[MlaViolation]:
-    n, conj = group.order, group.conj_table
-    fixed = conj[group.identity]
-    zs = range(n) if held is None else [z for z in find_generators(group) if conj[z] != fixed]
+def _scan_a5(
+    group: FiniteGroup, table: _Table, held: _Held = None, points: Optional[_Points] = None
+) -> Iterator[MlaViolation]:
+    conj = group.conj_table
+    pairs, zs = _range(group, "A5", held, points)
     if not zs:
         return
-    for x in range(n):
+    for x, ys in pairs:
         sx = table[x]
-        for y in range(n):
+        for y in ys:
             sxy = sx[y]
             for z in zs:
                 cz = conj[z]

@@ -29,6 +29,7 @@ from .brackets import (
     LieBracket,
     _is_mla,
     _keeps_ideal,
+    _Points,
     _Table,
     bracket_orbit,
     end_mla,
@@ -310,8 +311,8 @@ def enumerate_gamma(
 
 
 class _PairingWalk(_SeedWalk):
-    def __init__(self, action: Action, star_k: LieBracket):
-        super().__init__(action.K, action.H, float("inf"))
+    def __init__(self, action: Action, star_k: LieBracket, budget: int = DEFAULT_NODE_BUDGET):
+        super().__init__(action.K, action.H, budget)
         K, inv_h = action.K, action.H.inverse
         self.sig, self.star = sig, star = action.sigma, star_k.star
         self.reverse = {(a, b): [inv_h[v] for v in sig[K.inverse[star[a][b]]]] for a, b in self.seeds}
@@ -351,10 +352,10 @@ def enumerate_pairings(
     reversal R, [y, x] = [x, y]^-1 or beta(y, x) = sigma_{(x*y)^-1}(beta(x, y))^-1,
     as 1 = [x y, x y] = ^x[y, x y] [x, x y] = ^x([y, x] [x, y]).
 
-    ``_PairingWalk`` runs the seed walk with no node budget: R at generator
-    pairs, T2 on generator rows (twist sigma_{(a*x) x}), T1 along the steps.
-    It keeps a table when T2 and T3 hold at each (x, y, z) with z a generator,
-    so at every z (the A2 and A5 arguments in ``brackets``). C1 and T1 follow:
+    ``_PairingWalk`` runs the seed walk: R at generator pairs, T2 on
+    generator rows (twist sigma_{(a*x) x}), T1 along the steps. It keeps a
+    table when T2 and T3 hold at each (x, y, z) with z a generator, so at
+    every z (the A2 and A5 arguments in ``brackets``). C1 and T1 follow:
 
     - R: [1, w] = 1 as row 1 is zero, and T2 at (w, 1, 1) gives [w, 1] = 1.
       On a step (x g, x, g), T1 and T2 give [x g, w] = ^x[g, w] [x, w] and
@@ -364,6 +365,12 @@ def enumerate_pairings(
     - T1: [x y, z] = [z, x y]^-1 = ([z, x] ^x[z, y])^-1 = ^x[y, z] [x, z].
     - C1 at (x, x) holds at 1 and at the generators, and along a step T1
       and T2 give [x g, x g] = ^x[g, x] [x, x] ^x[x, g], 1 by R and [x, x] = 1.
+
+    The walk here has the default node budget, which it never reaches: it
+    tries |H| values at each of C(|S_K|, 2) seeds, so it takes at most
+    |H| + |H|^2 + ... + |H|^C(|S_K|, 2) nodes, 5 460 when |H| |K| <= 64 (the
+    bound of ``Action.make``; the most is at |H| = 4 and K = Z2^4).
+    ``enumerate_induced`` gives the walk its config's budget.
     """
     _check_parts(H, K, action)
     if star_k.group.cayley != K.cayley:
@@ -391,16 +398,91 @@ def enumerate_tuples(action: Action, star_k: LieBracket) -> list[ConstructionDat
       [(h,x),(h,x)] = (h^2 Gamma_x(h) sigma_{x*x}(h^-2 Gamma_x(h^-1))
       beta(x,x), x*x) = 1, since x*x = 1, sigma_1 = id, beta(x,x) = 1,
       Gamma_x is an endomorphism and H is abelian.
+
+    ``_is_mla`` decides A2-A5 at the affine points of H (``_affine_points``):
+    the free arguments whose H-coordinates are all 1 but at most one, which
+    is a generator of H. Write H additively and the product's elements as
+    (h, x). Then (h, x)(k, y) = (h + sigma_x(k), x y), and the bracket is
+
+      [(h, x), (k, y)] = (h + k + Gamma_x(k) - sigma_{x*y}(h + k + Gamma_y(h))
+                          + beta(x, y),  x*y).
+
+    Fix an axiom's other arguments and the K-coordinates of its free ones.
+    Each sigma_x is an automorphism and each Gamma_x an endomorphism of the
+    abelian H, and beta does not depend on h, so a product, an inverse, a
+    conjugate or a bracket of elements whose K-coordinates are fixed and
+    whose H-coordinates are affine maps of the free H-coordinates is again
+    such an element. Both sides of A2-A5 are then elements with fixed
+    K-parts and H-parts f, g: H^m -> H affine. If the K-parts differ, the
+    axiom fails at every point. Else f - g = c + L with L additive, and
+    f = g everywhere exactly when c = 0 and L vanishes on the generators of
+    H^m (one coordinate a generator of H, the others 0): exactly when f = g
+    at 0 and at those generators. So, on the reduced ranges of ``brackets``:
+
+    - A2 and A5: x and y free, z over the generators of the product (the
+      non-central ones for A5);
+    - A3: x over the generators, y and z free;
+    - A4: J(x, y, z) = 1 with all three free, on the K-triples (a, b, c)
+      with a <= b and a <= c: J = 1 at (X, Y, Z) exactly when it is 1 at
+      (Y, Z, X), and rotating a triple of K-coordinates rotates its point
+      set onto the point set of the rotated triple. On an abelian product
+      ``_is_mla`` keeps its generator triples, which are fewer.
+
+    Every row of ``enumerate_gamma`` is an endomorphism: it extends
+    endomorphisms at the generators of K by Gamma_{x g} = Gamma_x .
+    sigma_x Gamma_g, a pointwise product of endomorphisms of the abelian H.
+    A ``GammaMap`` built without ``make`` need not have such rows, and then
+    the points need not decide the axioms.
     """
+    betas = enumerate_pairings(action.H, action.K, action, star_k)
+    return _kept_tuples(action, star_k, betas, _affine_points(action))
+
+
+def _affine_points(action: Action) -> _Points:
+    """The free pairs and the free triples of ``enumerate_tuples``' decision,
+    grouped as ``brackets._range`` takes them: the elements of the product
+    whose K-coordinates are any (x, y), or any (x, y, z) with x <= y and
+    x <= z, and whose H-coordinates are all 1 but at most one, which is a
+    generator of H."""
     H, K = action.H, action.K
-    betas = enumerate_pairings(H, K, action, star_k)
+    e, nH, nK = H.identity, H.order, K.order
+    hs = (e, *find_generators(H))
+
+    def after(*taken: int) -> tuple[int, ...]:
+        """The H-coordinates of the next free argument: 1 or a generator
+        while the earlier ones are all 1, else 1."""
+        return hs if all(h == e for h in taken) else (e,)
+
+    pairs = tuple(
+        (h + nH * x, tuple(k + nH * y for k in after(h) for y in range(nK))) for x in range(nK) for h in hs
+    )
+    triples = tuple(
+        (
+            h + nH * a,
+            tuple(
+                (k + nH * b, tuple(l + nH * c for l in after(h, k) for c in range(a, nK)))
+                for b in range(a, nK)
+                for k in after(h)
+            ),
+        )
+        for a in range(nK)
+        for h in hs
+    )
+    return pairs, triples
+
+
+def _kept_tuples(
+    action: Action, star_k: LieBracket, betas: list[PairingMap], points: _Points
+) -> list[ConstructionData]:
+    """The tuples of ``enumerate_tuples`` for the given betas."""
+    H, K = action.H, action.K
     base = ConstructionData(action, star_k, GammaMap.zero(H, K), PairingMap.trivial(H, K))
     tuples = (
         replace(base, gamma=gamma, beta=beta)
         for gamma in enumerate_gamma(H, K, action, star_k)
         for beta in betas
     )
-    return [data for data in tuples if _is_mla(action.product_group, data.induced_table)]
+    return [data for data in tuples if _is_mla(action.product_group, data.induced_table, points)]
 
 
 def enumerate_induced(
@@ -414,12 +496,21 @@ def enumerate_induced(
 
     raw_count equals the number of accepted tuples: distinct tuples always
     induce distinct tables because the components can be read back off the
-    table."""
+    table. The search on K and each pairing walk run within the config's
+    node budget, and exhausted is False when one of them is cut short."""
     config = config or SearchConfig()
     _check_parts(H, K, action)
     base = enumerate_brackets(K, _inner(config))
-    tables = [data.induced_table for star_k in base.items for data in enumerate_tuples(action, star_k)]
-    return _result(semidirect_product(action), tables, config.up_to_iso, base.exhausted)
+    points = _affine_points(action)
+    tables, exhausted = [], base.exhausted
+    for star_k in base.items:
+        # star_k passed A1-A5 in the search, as enumerate_pairings requires
+        walk = _PairingWalk(action, star_k, config.node_budget)
+        walk.run()
+        exhausted = exhausted and walk.exhausted
+        betas = [PairingMap(H, K, t) for t in sorted(walk.results)]
+        tables += (data.induced_table for data in _kept_tuples(action, star_k, betas, points))
+    return _result(semidirect_product(action), tables, config.up_to_iso, exhausted)
 
 
 def enumerate_mla_homs(K: FiniteGroup, star_k: LieBracket, H: FiniteGroup) -> list[GammaMap]:

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from itertools import product
 
 import pytest
@@ -17,6 +18,8 @@ from mla_forge.cli import parse_preset
 from mla_forge.construction import (
     Action,
     ConstructionData,
+    GammaMap,
+    PairingMap,
     check_gamma_identities,
     check_theorem_conditions,
     split_factor_subgroup,
@@ -664,6 +667,85 @@ def test_enumerate_tuples_keeps_the_tuples_that_pass_c1_to_c6(h_spec, k_spec, in
         tried += len(candidates)
         dropped += len(candidates) - len(kept)
     assert (tried, dropped) == (tuples, rejected)
+
+
+def _rotation_of_v4():
+    """Z2 x Z2 x| Z3, Z3 turning the three elements of order 2 (A4, the
+    alternating group): H with two generators, on a group that is not
+    abelian."""
+    H, K = parse_preset("Z2xZ2"), make_cyclic(3)
+    return Action.make(H, K, [(0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2)])
+
+
+@pytest.mark.parametrize(
+    "make_action",
+    [
+        lambda: Action.by_inversion(make_cyclic(3), V4, (1, 2)),
+        lambda: Action.by_inversion(make_cyclic(4), make_dihedral(4), (1, 3, 5, 7)),
+        _rotation_of_v4,
+        lambda: Action.trivial(make_cyclic(2), make_dihedral(4)),
+        lambda: Action.by_inversion(make_cyclic(8), make_cyclic(2), (1,)),
+        lambda: Action.trivial(make_cyclic(3), V4),
+    ],
+    ids=["Z3:V4", "Z4:D4", "Z2xZ2:Z3", "Z2xD4", "Z8:Z2", "Z3xV4"],
+)
+def test_affine_points_decide_every_induced_table(monkeypatch, make_action):
+    """The decision of enumerate_tuples, A1-A5 with the free arguments at
+    the affine points of H, equals ``brackets._is_mla`` on every tuple of
+    every Gamma that enumerate_gamma extends, C2 or not, and every beta of
+    enumerate_pairings, and on two one-cell changes of each beta: the proof
+    needs only endomorphism rows, not C1 or C2. The cases take H with two
+    generators (Z2xZ2), H whose elements are all 1 or generators (Z2) and an
+    abelian product, where A4 runs on generator triples."""
+    monkeypatch.setattr(search, "check_gamma_identities", lambda *args, **kwargs: [])
+    action = make_action()
+    H, K, G = action.H, action.K, action.product_group
+    points = search._affine_points(action)
+    rng = random.Random(0)
+    outcomes = []
+    for star_k in enumerate_brackets(K).items:
+        for gamma in enumerate_gamma(H, K, action, star_k):
+            for beta in enumerate_pairings(H, K, action, star_k):
+                betas = [beta.beta]
+                for _ in range(2):
+                    rows = [list(row) for row in beta.beta]
+                    x, y = rng.randrange(K.order), rng.randrange(K.order)
+                    rows[x][y] = (rows[x][y] + rng.randrange(1, H.order)) % H.order
+                    betas.append(rows)
+                for b in betas:
+                    data = ConstructionData(action, star_k, gamma, PairingMap.make(H, K, b))
+                    expected = brackets._is_mla(G, data.induced_table)
+                    assert brackets._is_mla(G, data.induced_table, points) == expected, (gamma.gamma, b)
+                    outcomes.append(expected)
+    assert True in outcomes and False in outcomes
+
+
+def test_affine_points_need_endomorphism_rows():
+    """The points decide the axioms only for Gamma rows that are
+    endomorphisms, which every Gamma of enumerate_gamma has. A ``GammaMap``
+    built without ``make`` need not have them: on Z8 x| Z2 with inversion,
+    Gamma_1 the identity but for Gamma_1(4) = 0 passes at the points and
+    fails A1-A5. So the points stay inside enumerate_tuples."""
+    H, K = make_cyclic(8), make_cyclic(2)
+    action = Action.by_inversion(H, K, (1,))
+    gamma = GammaMap(H, K, ((0,) * 8, (0, 1, 2, 3, 0, 5, 6, 7)))
+    data = ConstructionData(action, trivial_bracket(K), gamma, PairingMap.trivial(H, K))
+    G, table = action.product_group, data.induced_table
+    assert brackets._is_mla(G, table, search._affine_points(action))
+    assert not brackets._is_mla(G, table)
+    assert not check_theorem_conditions(data).passed
+
+
+def test_enumerate_induced_reports_a_pairing_walk_cut_short():
+    """Each pairing walk runs within the config's node budget. On Z8 x V4 the
+    search on V4 takes 4 nodes and each pairing walk 8, so a budget of 4
+    cuts the walks short and the result says so; 8 lets every walk end."""
+    H, K = make_cyclic(8), V4
+    action = Action.trivial(H, K)
+    cut = enumerate_induced(H, K, action, SearchConfig(node_budget=4))
+    assert (cut.raw_count, cut.class_count, cut.exhausted) == (10, 4, False)
+    whole = enumerate_induced(H, K, action, SearchConfig(node_budget=8))
+    assert (whole.raw_count, whole.class_count, whole.exhausted) == (20, 5, True)
 
 
 # -- gamma families as two-operation homomorphisms -----------------------------------
