@@ -13,12 +13,13 @@ The all-identity table and the commutator table always qualify. Every valid
 bracket also satisfies the derived identities x*1 = 1*x = 1 and
 y*x = (x*y)^-1, which the search relies on.
 
-Each axiom is also decided on a reduced range: a table of group elements
-passes the reduced scan exactly when it passes the full one. The ranges of
-A2, A3 and A5 hold whatever the other axioms do; A4's range shrinks with the
-axioms the table is already known to satisfy. S = find_generators(G)
-generates G, and every element of a finite group is a product of generators
-(S is empty only for the trivial group, whose one table passes every axiom):
+Each axiom also has a reduced range. The ranges of A1, A2, A3 and A5 are
+exact whatever the other axioms do: a table passes the reduced scan exactly
+when it passes the full one. A4's range assumes the other axioms, so
+``_is_mla`` scans it first and the others after (its docstring). S =
+find_generators(G) generates G, and every element of a finite group is a
+product of generators (S is empty only for the trivial group, whose one
+table passes every axiom):
 
   A2  z over S. For fixed x, A2 says f(y) = x*y is a crossed homomorphism,
       f(yz) = f(y) ^y f(z). At y = 1 and z in S it gives f(1) = 1, so z = 1
@@ -37,9 +38,8 @@ generates G, and every element of a finite group is a product of generators
       z1. On an abelian group A5 costs nothing.
   A4  With P(x, y, z) = (x*y) * ^y z and J(x, y, z) = P(x,y,z) P(y,z,x)
       P(z,x,y), A4 says J = 1 everywhere. ABC = 1 exactly when BCA = 1, so
-      J(x, y, z) = 1 exactly when J(y, z, x) = 1. Three ranges, the first
-      that applies:
-      - Given A1, A2 and A3 on an abelian group: the generator triples
+      J(x, y, z) = 1 exactly when J(y, z, x) = 1.
+      - On an abelian group, given A1, A2 and A3: the generator triples
         (s_i, s_j, s_k), i < j < k. Writing G additively, A2 and A3 make the
         bracket biadditive and A1 alternating, so y*x = -(x*y), and
         J(x, y, z) = (x*y)*z + (y*z)*x + (z*x)*y is trilinear;
@@ -47,8 +47,8 @@ generates G, and every element of a finite group is a product of generators
         rotation, so it is alternating. Every element is a sum of generators,
         so J(x, y, z) is a sum of values J(s_a, s_b, s_c), each 0 (two equal
         entries) or +- the value at one of these triples (none when |S| < 3).
-      - Given A5: the triples with x least in its conjugacy class, x <= y,
-        x <= z, and y least in its orbit under conjugation by the
+      - Otherwise, given A5: the triples with x least in its conjugacy class,
+        x <= y, x <= z, and y least in its orbit under conjugation by the
         centralizer of x (FiniteGroup.conjugation_pair_minima). A5 gives
         ^g(x*y) = ^g x * ^g y, hence P(^g x, ^g y, ^g z) = ^g P(x, y, z) and
         J(^g x, ^g y, ^g z) = ^g J(x, y, z), which is 1 exactly when
@@ -57,26 +57,31 @@ generates G, and every element of a finite group is a product of generators
         centralizer to make y least. Each step keeps whether J = 1, and each
         step that moves the triple lowers (first, second) lexicographically,
         so repeating them ends in this range.
-      - Otherwise: the triples with x <= y and x <= z, one rotation of each
-        triple putting its least entry first.
+
+The ranges are data: ``_full_ranges`` and ``_reduced_ranges`` build them
+for a group, and each scan loops over the arguments it is given. A caller
+that decides many tables builds them once, and one that knows smaller free
+arguments that decide the axioms on its tables hands those to
+``_reduced_ranges`` (``search._affine_points``).
 
 A table that passes A1-A3 and A5 costs about 3 |S| n^2 steps for those and,
 for A4, a few |S|^3 on an abelian group, else one step per triple of the
 conjugation range, a fraction of n^3/3 that falls with the number of
 conjugacy classes and the size of centralizers (on the order-16 to 32
 products of the benchmark, 13-54% of the triples with x <= y and x <= z).
-The star-table search decides its leaves with ``_is_mla``, which runs A4
-on that range right after A1 and before A2, A3 and A5: most leaves fail A4
-alone, and each then costs n steps for A1 and the A4 triples up to its
-first witness. ``search.enumerate_tuples`` decides its induced tables on
-H x| K with ``_is_mla`` too, on free arguments whose H-coordinates are all 1
-but at most one generator of H (proof there): A2, A3 and A5 cost about
+``_is_mla`` is the one pass/fail decision. The star-table search decides
+its leaves with it, and a leaf that fails A4 alone, as most do, costs n
+steps for A1 and the A4 triples up to its first witness.
+``search.enumerate_tuples`` decides its induced tables on H x| K
+with ``_is_mla`` too, on free arguments whose H-coordinates are all 1 but
+at most one generator of H (proof there): A2, A3 and A5 cost about
 |S| |K|^2 (1 + 2 |S_H|) steps, and A4 (1 + 3 |S_H|) per triple of K with
 its least entry first, or the generator triples on an abelian product. On
 Z4 x D4 that is 576 steps for A2 and for A3 instead of 3 072, and 816 A4
 triples instead of 6 070; on Z8 x| D4 (order 64), the same 576 and 816
 instead of 12 288 and 23 834. The reduced scans decide pass or fail only;
-witnesses always come from the full scans.
+witnesses always come from the full scans, which run only on a table
+``_is_mla`` fails.
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import AbstractSet, Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import BoundExceededError, ValidationError
 from .groups import (
@@ -104,9 +109,9 @@ DEFAULT_VIOLATION_CAP = 16
 AXIOM_NAMES = ("A1", "A2", "A3", "A4", "A5")
 
 _Table = tuple[tuple[int, ...], ...]
-_Held = Optional[AbstractSet[str]]  # axioms known to hold; None for a full scan
 _Pairs = Sequence[tuple[int, Sequence[int]]]  # (x, ys): the pairs (x, y) for y in ys
-_Points = tuple[_Pairs, Sequence[tuple[int, _Pairs]]]  # free pairs, and free triples as (x, pairs)
+_Triples = Sequence[tuple[int, _Pairs]]  # (x, pairs): the triples (x, y, z) for (y, z) in pairs
+_Ranges = dict[str, Any]  # each axiom's scan arguments (_full_ranges, _reduced_ranges)
 
 
 @dataclass(frozen=True)
@@ -143,70 +148,43 @@ def verify_mla(
 ) -> list[MlaViolation]:
     """Exhaustively check A1-A5; an empty list means a verified bracket.
 
-    The violations are those of the full scans: axioms in order A1..A5 and
-    witnesses within an axiom in lexicographic order, collected until
-    ``max_violations``, an int >= 1. The axioms are decided by
-    ``_axioms_held``, which is exact; the full scans run only from the first
-    axiom in A1..A5 order that fails, and a passing table runs none. The
-    list is the same for every cap as a scan of every axiom over every
-    triple.
+    ``_is_mla`` decides. A table it passes runs no full scan; for one it
+    fails, the violations are those of the full scans from A1: axioms in
+    order A1..A5 and witnesses within an axiom in lexicographic order,
+    collected until ``max_violations``, an int >= 1.
     """
     check_violation_cap(max_violations)
     n = group.order
     table = int_table(star.star if isinstance(star, LieBracket) else star, "star", (n, n), n)
-    held = _axioms_held(group, table)
-    first = next((i for i, axiom in enumerate(AXIOM_NAMES) if axiom not in held), None)
-    if first is None:
+    if _is_mla(group, table):
         return []
-    scans = (AXIOM_SCANS[a](group, table) for a in AXIOM_NAMES[first:])
+    full = _full_ranges(group)
+    scans = (AXIOM_SCANS[a](group, table, full[a]) for a in AXIOM_NAMES)
     return list(islice(chain.from_iterable(scans), max_violations))
 
 
-def _axioms_held(group: FiniteGroup, table: _Table) -> set[str]:
-    """The axioms a table of group elements satisfies: A1, A2, A3 and A5
-    decided on their reduced ranges (module docstring), which are exact
-    whatever the other axioms do, then A4 on the range those allow."""
-    held = {axiom for axiom in ("A1", "A2", "A3", "A5") if axiom_holds(group, table, axiom)}
-    if axiom_holds(group, table, "A4", held):
-        held.add("A4")
-    return held
-
-
-# The axioms _is_mla assumes when it picks A4's range.
-_A4_FIRST_HELD = frozenset({"A1", "A2", "A3", "A5"})
-
-
-def _is_mla(group: FiniteGroup, table: _Table, points: Optional[_Points] = None) -> bool:
-    """Whether a table of group elements passes A1-A5, as ``not verify_mla``
-    says, with A4 decided before A2, A3 and A5 (no ``int_table`` check):
+def _is_mla(group: FiniteGroup, table: _Table, ranges: Optional[_Ranges] = None) -> bool:
+    """Whether a table of group elements passes A1-A5 (no ``int_table``
+    check): the one pass/fail decision on bracket tables. ``ranges`` come
+    from ``_reduced_ranges``, by default for the group alone, and are
+    scanned in this order:
 
       1. A1 on the diagonal.
-      2. A4 on the range that A1, A2, A3 and A5 allow; a violation there is
-         a real A4 witness, so the table fails.
-      3. A2, A3 and A5 on their exact reduced ranges; if all three hold,
-         the axioms assumed in 2 hold, A4's range was exact, and A1-A5 hold.
-
-    ``points`` are free arguments that the caller knows to decide A2-A5 on
-    its tables (``_range``); A4 on them assumes nothing, so the steps stay
-    exact.
+      2. A4 on its reduced range, which assumes the other axioms; a
+         violation there is a real A4 witness, so the table fails.
+      3. A2, A3 and A5 on their reduced ranges, exact whatever the other
+         axioms do; if all three hold, A4's range was exact, and A1-A5 hold.
     """
-    return all(axiom_holds(group, table, a, _A4_FIRST_HELD, points) for a in ("A1", "A4", "A2", "A3", "A5"))
+    if ranges is None:
+        ranges = _reduced_ranges(group)
+    return all(axiom_holds(group, table, a, ranges[a]) for a in ("A1", "A4", "A2", "A3", "A5"))
 
 
-def axiom_holds(
-    group: FiniteGroup,
-    table: _Table,
-    axiom: str,
-    held: AbstractSet[str] = frozenset(),
-    points: Optional[_Points] = None,
-) -> bool:
-    """Whether a table of group elements satisfies one axiom, decided by the
-    scan on its reduced range (module docstring). ``held`` names axioms the
-    table is known to satisfy; A4's range is smaller when A5 is among them,
-    or A1-A3 on an abelian group, and is exact whatever the others do when
-    ``held`` is empty. ``points`` are free arguments for the range that the
-    caller knows to decide the axiom on its tables (``_range``)."""
-    return next(AXIOM_SCANS[axiom](group, table, held, points), None) is None
+def axiom_holds(group: FiniteGroup, table: _Table, axiom: str, rng: Any) -> bool:
+    """Whether a table of group elements has no violation of one axiom on
+    the range ``rng``: that axiom's entry of ``_full_ranges`` or
+    ``_reduced_ranges``."""
+    return next(AXIOM_SCANS[axiom](group, table, rng), None) is None
 
 
 def check_violation_cap(max_violations: int) -> None:
@@ -215,64 +193,52 @@ def check_violation_cap(max_violations: int) -> None:
         raise ValidationError(f"max_violations must be an integer >= 1, got {max_violations!r}")
 
 
-# One generator per axiom, each producing that axiom's violations lazily, in
-# lexicographic witness order, on a star table of the group's shape. With
-# ``held``, the axioms known to hold, the scan covers only the axiom's reduced
-# range (module docstring), and with ``points`` the free arguments of that
-# range come from the caller (``_is_mla``): the same formula on fewer
-# witnesses, for deciding pass or fail. ``_range`` gives every scan its
-# arguments.
+def _full_ranges(group: FiniteGroup) -> _Ranges:
+    """Every witness of each axiom, as the scans take their arguments."""
+    every = range(group.order)
+    pairs = [(x, every) for x in every]
+    triples = [(x, pairs) for x in every]
+    return {"A1": every, "A2": (pairs, every), "A3": (every, pairs), "A4": triples, "A5": (pairs, every)}
 
 
-def _range(group: FiniteGroup, axiom: str, held: _Held, points: Optional[_Points] = None):
-    """The arguments the scan of ``axiom`` runs over: every witness when
-    ``held`` is None, else the reduced range (module docstring) that ``held``
-    allows. A1 takes xs, A2 and A5 (pairs, zs), A3 (xs, pairs) and A4
-    triples; pairs are the free pairs, (x, y) for A2 and A5 and (y, z) for
-    A3. With ``held``, ``points`` replaces the free pairs and, unless A4 runs
-    on generator triples, A4's triples; the caller vouches that they decide
-    the axioms on its tables (``search.enumerate_tuples``)."""
-    n = group.order
-    every = range(n)
-    if axiom == "A1":
-        return every
-    s = every if held is None else find_generators(group)
-    if axiom == "A4" and held is not None:
-        if group.is_abelian and {"A1", "A2", "A3"} <= held:
-            return ((s[i], ((s[j], s[j + 1 :]) for j in range(i + 1, len(s)))) for i in range(len(s)))
-        if points is not None:
-            return points[1]
-        if "A5" in held:
-            return (
-                (x, ((y, range(x, n)) for y in ys[bisect_left(ys, x) :]))
-                for x, ys in group.conjugation_pair_minima
-            )
-        return ((x, ((y, range(x, n)) for y in range(x, n))) for x in every)
-    pairs = [(x, every) for x in every] if points is None else points[0]
-    if axiom == "A2":
-        return pairs, s
-    if axiom == "A3":
-        return s, pairs
-    if axiom == "A5":
-        conj = group.conj_table
-        return pairs, s if held is None else [z for z in s if conj[z] != conj[group.identity]]
-    return ((x, pairs) for x in every)
+def _reduced_ranges(
+    group: FiniteGroup, pairs: Optional[_Pairs] = None, triples: Optional[_Triples] = None
+) -> _Ranges:
+    """The reduced range of each axiom (module docstring). ``pairs``
+    replaces the free pairs of A2, A3 and A5 and ``triples`` A4's triples on
+    a non-abelian group; the caller vouches that they decide the axioms on
+    its tables (``search._affine_points``)."""
+    n, conj = group.order, group.conj_table
+    s = find_generators(group)
+    if pairs is None:
+        pairs = [(x, range(n)) for x in range(n)]
+    if group.is_abelian:
+        triples = [(s[i], [(s[j], s[j + 1 :]) for j in range(i + 1, len(s))]) for i in range(len(s))]
+    elif triples is None:
+        triples = [
+            (x, [(y, range(x, n)) for y in ys[bisect_left(ys, x) :]]) for x, ys in group.conjugation_pair_minima
+        ]
+    non_central = [z for z in s if conj[z] != conj[group.identity]]
+    return {"A1": range(n), "A2": (pairs, s), "A3": (s, pairs), "A4": triples, "A5": (pairs, non_central)}
 
 
-def _scan_a1(
-    group: FiniteGroup, table: _Table, held: _Held = None, points: Optional[_Points] = None
-) -> Iterator[MlaViolation]:
+# One generator per axiom, each producing that axiom's violations lazily on
+# a star table of the group's shape, over the arguments in ``rng``: A1 takes
+# xs, A2 and A5 (pairs, zs), A3 (xs, pairs) and A4 triples, where pairs are
+# (x, ys) for A2 and A5, (y, zs) for A3, and triples (x, pairs of (y, zs)).
+# On the full ranges the witnesses come in lexicographic order.
+
+
+def _scan_a1(group: FiniteGroup, table: _Table, rng: Sequence[int]) -> Iterator[MlaViolation]:
     e = group.identity
-    for x in _range(group, "A1", held, points):
+    for x in rng:
         if table[x][x] != e:
             yield MlaViolation("A1", (x,), table[x][x], e)
 
 
-def _scan_a2(
-    group: FiniteGroup, table: _Table, held: _Held = None, points: Optional[_Points] = None
-) -> Iterator[MlaViolation]:
+def _scan_a2(group: FiniteGroup, table: _Table, rng: tuple[_Pairs, Sequence[int]]) -> Iterator[MlaViolation]:
     mul, conj = group.cayley, group.conj_table
-    pairs, zs = _range(group, "A2", held, points)
+    pairs, zs = rng
     for x, ys in pairs:
         sx = table[x]
         for y in ys:
@@ -286,11 +252,9 @@ def _scan_a2(
                     yield MlaViolation("A2", (x, y, z), lhs, rhs)
 
 
-def _scan_a3(
-    group: FiniteGroup, table: _Table, held: _Held = None, points: Optional[_Points] = None
-) -> Iterator[MlaViolation]:
+def _scan_a3(group: FiniteGroup, table: _Table, rng: tuple[Sequence[int], _Pairs]) -> Iterator[MlaViolation]:
     mul, conj = group.cayley, group.conj_table
-    xs, pairs = _range(group, "A3", held, points)
+    xs, pairs = rng
     for x in xs:
         cx = conj[x]
         mx = mul[x]
@@ -305,16 +269,14 @@ def _scan_a3(
                     yield MlaViolation("A3", (x, y, z), lhs, rhs)
 
 
-def _scan_a4(
-    group: FiniteGroup, table: _Table, held: _Held = None, points: Optional[_Points] = None
-) -> Iterator[MlaViolation]:
+def _scan_a4(group: FiniteGroup, table: _Table, rng: _Triples) -> Iterator[MlaViolation]:
     n, mul, conj, e = group.order, group.cayley, group.conj_table, group.identity
-    for x, rows in _range(group, "A4", held, points):
+    for x, pairs in rng:
         cx = conj[x]
         sx = table[x]
         zx = [conj[z][x] for z in range(n)]  # ^z x
         szx = [table[z][x] for z in range(n)]  # z*x
-        for y, zs in rows:
+        for y, zs in pairs:
             sy = table[y]
             cy = conj[y]
             s_sxy = table[sx[y]]
@@ -325,11 +287,9 @@ def _scan_a4(
                     yield MlaViolation("A4", (x, y, z), val, e)
 
 
-def _scan_a5(
-    group: FiniteGroup, table: _Table, held: _Held = None, points: Optional[_Points] = None
-) -> Iterator[MlaViolation]:
+def _scan_a5(group: FiniteGroup, table: _Table, rng: tuple[_Pairs, Sequence[int]]) -> Iterator[MlaViolation]:
     conj = group.conj_table
-    pairs, zs = _range(group, "A5", held, points)
+    pairs, zs = rng
     if not zs:
         return
     for x, ys in pairs:

@@ -20,14 +20,17 @@ A = (h,x), B = (k,y) and C = (l,z):
 A failing C3..C6 is reported with the first failing (x, y, z, h, k, l) in
 that loop order, x outermost. The product encodes (h, x) as h + |H| x, so the
 axiom scan runs in the order (x, h, y, k, z, l) instead; the witness is the
-smallest failing triple under the documented key. A report always holds all
-six conditions; its first failure is taken in the order C1, C2, C6, C3, C4,
-C5, which is the condition ``induce_bracket``'s error names.
+smallest failing triple under the documented key. C3..C6 all hold when the
+one bracket decision, ``brackets._is_mla``, passes the induced table;
+otherwise each takes its verdict and witness from its axiom's full scan. A
+report always holds all six conditions; its first failure is taken in the
+order C1, C2, C6, C3, C4, C5, which is the condition ``induce_bracket``'s
+error names.
 
 This module checks and builds; it enumerates nothing. The Gamma families
 and pairing tables to try are listed by ``search.enumerate_gamma`` and
 ``search.enumerate_pairings``; ``search.enumerate_tuples`` keeps a tuple by
-the bracket decision on its induced table.
+the same bracket decision on its induced table.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ from .brackets import (
     AXIOM_SCANS,
     DEFAULT_VIOLATION_CAP,
     LieBracket,
-    _axioms_held,
+    _full_ranges,
+    _is_mla,
     check_violation_cap,
     is_ideal,
     trivial_bracket,
@@ -331,9 +335,9 @@ class ConditionReport:
 def check_theorem_conditions(data: ConstructionData) -> ConditionReport:
     """Evaluate all of C1..C6 exhaustively.
 
-    C1 and C2 are checked on the maps, C3..C6 on the induced table by
-    ``brackets._axioms_held``, which decides each axiom on its exact reduced
-    range. Only a failing condition runs the full scan, for its witness.
+    C1 and C2 are checked on the maps. C3..C6 are A3, A2, A4 and A5 of the
+    induced table: when ``brackets._is_mla`` passes it, all four hold;
+    otherwise each takes its verdict and witness from its axiom's full scan.
     Witnesses are the first failing tuples in loop order: (x,) for C1,
     (x, y, h) for C2 and (x, y, z, h, k, l) for C3..C6.
     For the trivial action C3, C4 and C6 reduce to bilinearity and conjugation
@@ -341,12 +345,12 @@ def check_theorem_conditions(data: ConstructionData) -> ConditionReport:
     that simplified form as a cross-check.
     """
     table = data.induced_table
-    held = _axioms_held(data.action.product_group, table)
+    passed = _is_mla(data.action.product_group, table)
     c1 = _c1_failure(data.beta.beta, data.H.identity, data.K.identity)
     c2 = check_gamma_identities(data.action, data.gamma, data.star_k, max_violations=1)
     witnesses = {"C1": None if c1 is None else (c1,), "C2": c2[0].witness if c2 else None}
     for name, axiom in CONDITION_AXIOMS.items():
-        witnesses[name] = None if axiom in held else _axiom_witness(data, table, axiom)
+        witnesses[name] = None if passed else _axiom_witness(data, table, axiom)
     return ConditionReport(
         tuple((name, ConditionStatus(witnesses[name] is None, witnesses[name])) for name in CONDITION_NAMES)
     )
@@ -361,9 +365,9 @@ def _axiom_witness(
     violation fixes x; the smallest witness lies among the violations with
     that x, and the scan stops at the first one beyond it.
     """
-    nH = data.H.order
+    nH, group = data.H.order, data.action.product_group
     best: Optional[tuple[int, ...]] = None
-    for v in AXIOM_SCANS[axiom](data.action.product_group, table):
+    for v in AXIOM_SCANS[axiom](group, table, _full_ranges(group)[axiom]):
         a, b, c = v.witness
         if best is not None and a // nH != best[0]:
             break

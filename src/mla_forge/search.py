@@ -29,7 +29,8 @@ from .brackets import (
     LieBracket,
     _is_mla,
     _keeps_ideal,
-    _Points,
+    _Ranges,
+    _reduced_ranges,
     _Table,
     bracket_orbit,
     end_mla,
@@ -188,7 +189,7 @@ class _StarTableSearch(_SeedWalk):
     (A5) or ``brackets._keeps_ideal`` fails for ``require_ideal``; A3 on
     the other rows, (x g)*z = ^x(g*z) (x*z); a table is kept when every row
     keeps the ideal rule and ``brackets._is_mla`` passes it (A1-A5, A4
-    first).
+    first) on the group's reduced ranges, built once per search.
     """
 
     def __init__(self, group: FiniteGroup, config: SearchConfig):
@@ -200,6 +201,7 @@ class _StarTableSearch(_SeedWalk):
         self.twists = dict.fromkeys(self.gens, conj)
         # a central z adds no condition
         self.a5 = {a: [conj[z] for z in self.gens if conj[z][a] == a and conj[z] != fixed] for a in self.gens}
+        self.ranges = _reduced_ranges(group)
 
     def _step(self, x: int, g: int, rx: tuple[int, ...], rg: tuple[int, ...]) -> tuple[int, ...]:
         mul, cx = self.group.cayley, self.group.conj_table[x]
@@ -211,7 +213,7 @@ class _StarTableSearch(_SeedWalk):
 
     def _accept(self, table: _Table) -> bool:
         ideal_kept = self.ideal is None or all(_keeps_ideal(self.ideal, x, row) for x, row in enumerate(table))
-        return ideal_kept and _is_mla(self.group, table)
+        return ideal_kept and _is_mla(self.group, table, self.ranges)
 
 
 def _classify(group: FiniteGroup, tables: Sequence[_Table]) -> list[_Table]:
@@ -438,12 +440,12 @@ def enumerate_tuples(action: Action, star_k: LieBracket) -> list[ConstructionDat
     return _kept_tuples(action, star_k, betas, _affine_points(action))
 
 
-def _affine_points(action: Action) -> _Points:
-    """The free pairs and the free triples of ``enumerate_tuples``' decision,
-    grouped as ``brackets._range`` takes them: the elements of the product
-    whose K-coordinates are any (x, y), or any (x, y, z) with x <= y and
-    x <= z, and whose H-coordinates are all 1 but at most one, which is a
-    generator of H."""
+def _affine_points(action: Action) -> _Ranges:
+    """The reduced ranges of ``enumerate_tuples``' decision: those of the
+    product (``brackets._reduced_ranges``) with the free pairs and the free
+    triples at the elements whose K-coordinates are any (x, y), or any
+    (x, y, z) with x <= y and x <= z, and whose H-coordinates are all 1 but
+    at most one, which is a generator of H."""
     H, K = action.H, action.K
     e, nH, nK = H.identity, H.order, K.order
     hs = (e, *find_generators(H))
@@ -468,11 +470,11 @@ def _affine_points(action: Action) -> _Points:
         for a in range(nK)
         for h in hs
     )
-    return pairs, triples
+    return _reduced_ranges(action.product_group, pairs, triples)
 
 
 def _kept_tuples(
-    action: Action, star_k: LieBracket, betas: list[PairingMap], points: _Points
+    action: Action, star_k: LieBracket, betas: list[PairingMap], ranges: _Ranges
 ) -> list[ConstructionData]:
     """The tuples of ``enumerate_tuples`` for the given betas."""
     H, K = action.H, action.K
@@ -482,7 +484,7 @@ def _kept_tuples(
         for gamma in enumerate_gamma(H, K, action, star_k)
         for beta in betas
     )
-    return [data for data in tuples if _is_mla(action.product_group, data.induced_table, points)]
+    return [data for data in tuples if _is_mla(action.product_group, data.induced_table, ranges)]
 
 
 def enumerate_induced(
@@ -501,7 +503,7 @@ def enumerate_induced(
     config = config or SearchConfig()
     _check_parts(H, K, action)
     base = enumerate_brackets(K, _inner(config))
-    points = _affine_points(action)
+    ranges = _affine_points(action)
     tables, exhausted = [], base.exhausted
     for star_k in base.items:
         # star_k passed A1-A5 in the search, as enumerate_pairings requires
@@ -509,7 +511,7 @@ def enumerate_induced(
         walk.run()
         exhausted = exhausted and walk.exhausted
         betas = [PairingMap(H, K, t) for t in sorted(walk.results)]
-        tables += (data.induced_table for data in _kept_tuples(action, star_k, betas, points))
+        tables += (data.induced_table for data in _kept_tuples(action, star_k, betas, ranges))
     return _result(semidirect_product(action), tables, config.up_to_iso, exhausted)
 
 

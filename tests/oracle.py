@@ -77,32 +77,54 @@ def axiom_violations(group: FiniteGroup, table) -> list[tuple[str, tuple[int, ..
     """Every violation of A1..A5, as (axiom, witness, left, right), by the
     definitions over every element and triple: axioms in order A1..A5,
     witnesses in lexicographic order (the order ``verify_mla`` documents).
-    No reduced ranges, no precomputed tables."""
+    No reduced ranges and no conjugation table: ^u v is u v u^-1 from the
+    multiplication table and inverses."""
     n, e = group.order, group.identity
-    mul, inv = group.mul, group.inv
-
-    def conj(u, v):  # ^u v = u v u^-1
-        return mul(mul(u, v), inv(u))
-
-    def star(a, b):
-        return table[a][b]
-
-    sides = {
-        "A2": lambda x, y, z: (star(x, mul(y, z)), mul(star(x, y), conj(y, star(x, z)))),
-        "A3": lambda x, y, z: (star(mul(x, y), z), mul(conj(x, star(y, z)), star(x, z))),
-        "A4": lambda x, y, z: (
-            mul(mul(star(star(x, y), conj(y, z)), star(star(y, z), conj(z, x))), star(star(z, x), conj(x, y))),
-            e,
-        ),
-        "A5": lambda x, y, z: (conj(z, star(x, y)), star(conj(z, x), conj(z, y))),
-    }
-    out = [("A1", (x,), star(x, x), e) for x in range(n) if star(x, x) != e]
+    sides = _axiom_sides(group, table)
+    out = [("A1", (x,), table[x][x], e) for x in range(n) if table[x][x] != e]
     for axiom, both in sides.items():
         for x, y, z in product(range(n), repeat=3):
             left, right = both(x, y, z)
             if left != right:
                 out.append((axiom, (x, y, z), left, right))
     return out
+
+
+def first_axiom_violation(group: FiniteGroup, table) -> Optional[tuple[str, tuple[int, ...], int, int]]:
+    """A violation of A1..A5 by the same definitions, or None when the table
+    is a bracket: A1 on each element, then each triple in lexicographic
+    order against A2..A5, stopping at the first that fails."""
+    n, e = group.order, group.identity
+    for x in range(n):
+        if table[x][x] != e:
+            return ("A1", (x,), table[x][x], e)
+    sides = _axiom_sides(group, table)
+    for x, y, z in product(range(n), repeat=3):
+        for axiom, both in sides.items():
+            left, right = both(x, y, z)
+            if left != right:
+                return (axiom, (x, y, z), left, right)
+    return None
+
+
+def _axiom_sides(group: FiniteGroup, table):
+    """The two sides of A2..A5 at (x, y, z), from the group's multiplication
+    table and inverses."""
+    e, mul, inv = group.identity, group.cayley, group.inverse
+
+    def conj(u, v):  # ^u v = u v u^-1
+        return mul[mul[u][v]][inv[u]]
+
+    t = table
+    return {
+        "A2": lambda x, y, z: (t[x][mul[y][z]], mul[t[x][y]][conj(y, t[x][z])]),
+        "A3": lambda x, y, z: (t[mul[x][y]][z], mul[conj(x, t[y][z])][t[x][z]]),
+        "A4": lambda x, y, z: (
+            mul[mul[t[t[x][y]][conj(y, z)]][t[t[y][z]][conj(z, x)]]][t[t[z][x]][conj(x, y)]],
+            e,
+        ),
+        "A5": lambda x, y, z: (conj(z, t[x][y]), t[conj(z, x)][conj(z, y)]),
+    }
 
 
 def naive_bracket_tables(group: FiniteGroup):

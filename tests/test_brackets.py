@@ -1,6 +1,6 @@
 import functools
 import tracemalloc
-from itertools import combinations, product
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -126,9 +126,9 @@ def _search_leaves(group, config=None):
     """Every table the star-table search hands to its leaf decision."""
     leaves = []
 
-    def leaf_check(g, table):
+    def leaf_check(g, table, ranges):
         leaves.append(table)
-        return brackets._is_mla(g, table)
+        return brackets._is_mla(g, table, ranges)
 
     with mock.patch.object(search, "_is_mla", leaf_check):
         enumerate_brackets(group, config or SearchConfig(max_group_order=16))
@@ -149,8 +149,8 @@ def _one_cell_corruptions(group, table):
 
 
 def reduced_range_catalog():
-    """(group, table) pairs on which verify_mla decides A2, A3 and A5 on
-    generators and A4 on its reduced ranges.
+    """(group, table) pairs on which ``_is_mla`` decides A2, A3 and A5 on
+    generators and A4 on its reduced range.
 
     - Leaves the search rejects on Z2^3, Z2 x Q8 and Z2 x D4: each fails A4
       only; Z2 x D4 is non-abelian with a central generator.
@@ -210,25 +210,14 @@ def test_verify_mla_matches_the_axiom_oracle():
 
 
 def test_reduced_ranges_decide_each_axiom():
-    """Each axiom's reduced scan fails exactly when the axiom does, whatever
-    the other axioms do: check_theorem_conditions decides C3-C6 this way,
-    each on its own."""
+    """The reduced scans of A1, A2, A3 and A5 fail exactly when the axiom
+    does, whatever the other axioms do: _is_mla relies on this to make its
+    A4 range exact (A4's reduced range assumes the other axioms)."""
     for group, table, expected in _catalog_with_oracle():
-        failing = {a for a in brackets.AXIOM_NAMES if not brackets.axiom_holds(group, table, a)}
-        assert failing == {v[0] for v in expected}
-
-
-def test_a4_range_given_the_axioms_that_hold():
-    """A4 decided on the range that the axioms known to hold allow, for every
-    set of axioms that hold on the table, passes exactly when the oracle
-    says: the conjugation range given A5, generator triples given A1-A3 on
-    an abelian group, and the context-free range given none."""
-    for group, table, expected in _catalog_with_oracle():
-        failing = {v[0] for v in expected}
-        holding = [a for a in ("A1", "A2", "A3", "A5") if a not in failing]
-        for k in range(len(holding) + 1):
-            for held in combinations(holding, k):
-                assert brackets.axiom_holds(group, table, "A4", set(held)) == ("A4" not in failing)
+        ranges = brackets._reduced_ranges(group)
+        axioms = ("A1", "A2", "A3", "A5")
+        failing = {a for a in axioms if not brackets.axiom_holds(group, table, a, ranges[a])}
+        assert failing == {v[0] for v in expected} - {"A4"}
 
 
 def test_reduced_range_catalog_reaches_each_case():
@@ -304,11 +293,12 @@ def _leaf_decision_searches():
 @pytest.mark.parametrize("group, config", _leaf_decision_searches())
 def test_a4_first_leaf_decision_matches_verify_mla(group, config):
     """The search's leaf decision, A4 first on the range the other axioms
-    allow, accepts a table exactly when verify_mla finds no violation."""
+    allow, accepts a table exactly when it is a bracket, as the oracle's
+    scan of the definitions finds (verify_mla's verdict is this decision)."""
     leaves = _search_leaves(group, config)
     assert leaves
     for table in leaves:
-        assert brackets._is_mla(group, table) == (not verify_mla(group, table, max_violations=1))
+        assert brackets._is_mla(group, table) == (oracle.first_axiom_violation(group, table) is None)
 
 
 def test_a4_first_leaf_decision_on_the_reduced_range_catalog():
@@ -326,9 +316,10 @@ def test_a4_first_leaf_decision_rejects_a_table_that_passes_a4_on_generators():
     rows = [[g.identity] * g.order for _ in range(g.order)]
     rows[s1][s2], rows[s2][s1] = s3, g.inverse[s3]
     table = tuple(map(tuple, rows))
-    assumed = {"A1", "A2", "A3", "A5"}
-    assert brackets.axiom_holds(g, table, "A1") and brackets.axiom_holds(g, table, "A4", assumed)
-    assert not brackets.axiom_holds(g, table, "A2") and not brackets.axiom_holds(g, table, "A3")
+    ranges = brackets._reduced_ranges(g)
+    assert brackets.axiom_holds(g, table, "A1", ranges["A1"]) and brackets.axiom_holds(g, table, "A4", ranges["A4"])
+    assert not brackets.axiom_holds(g, table, "A2", ranges["A2"])
+    assert not brackets.axiom_holds(g, table, "A3", ranges["A3"])
     assert not brackets._is_mla(g, table)
 
 

@@ -357,28 +357,56 @@ def test_induce_failing_conditions_prints_witness(tmp_path, capsys):
     assert "witness" in out
 
 
-def test_construction_failing_c3_to_c6_prints_the_recorded_witnesses(tmp_path, capsys):
-    """Z3 x| V4 with elements 1 and 2 inverting, star_K(1, 2) = 1 and Gamma,
-    beta zero passes C1 and C2 and fails C3-C6. induce names C6, the first
-    failure in evaluation order; verify reports every witness."""
+def _failing_constructions():
+    """(data, induce's text and JSON output, verify's JSON output) of two
+    constructions that pass C1 and C2 and fail C3-C6 differently.
+
+    - Z3 x| V4 with elements 1 and 2 inverting, star_K(1, 2) = 1 and Gamma,
+      beta zero fails all of C3-C6.
+    - Z8 x| D4 (order 64) with the reflections 4-7 inverting, star_K and
+      beta trivial and Gamma multiplication by 2i at b^i and b^i a (elements
+      i and 4 + i) fails C6 alone, so the full scans show C3, C4 and C5
+      hold.
+    """
     H, K = make_cyclic(3), groups.direct_product(make_cyclic(2), make_cyclic(2))
-    act = Action.by_inversion(H, K, inverting=(1, 2))
     star_k = LieBracket.make(K, [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]])
-    path = tmp_path / "c3_to_c6.json"
-    io.save_construction(ConstructionData.make(act, star_k, GammaMap.zero(H, K), PairingMap.trivial(H, K)), path)
-    assert run(capsys, "induce", "--data", str(path)) == (
-        1, "condition C6 fails at witness (1, 3, 0, 0, 0, 1)\n", ""
+    z3_v4 = ConstructionData.make(
+        Action.by_inversion(H, K, inverting=(1, 2)), star_k, GammaMap.zero(H, K), PairingMap.trivial(H, K)
     )
-    assert run(capsys, "induce", "--data", str(path), "--format", "json") == (
-        1, '{"failed_condition":"C6","witness":[1,3,0,0,0,1]}\n', ""
+    H, K = make_cyclic(8), make_dihedral(4)
+    gamma = GammaMap.make(H, K, [[2 * (x % 4) * h % 8 for h in range(8)] for x in range(8)])
+    z8_d4 = ConstructionData.make(
+        Action.by_inversion(H, K, inverting=(4, 5, 6, 7)), trivial_bracket(K), gamma, PairingMap.trivial(H, K)
     )
-    assert run(capsys, "verify", "--construction", str(path), "--format", "json") == (
-        1,
-        '{"C1":{"pass":true,"witness":null},"C2":{"pass":true,"witness":null},'
-        '"C3":{"pass":false,"witness":[1,0,2,0,1,0]},"C4":{"pass":false,"witness":[1,1,2,1,0,0]},'
-        '"C5":{"pass":false,"witness":[1,2,2,0,1,0]},"C6":{"pass":false,"witness":[1,3,0,0,0,1]}}\n',
-        "",
-    )
+    return [
+        (
+            z3_v4,
+            "condition C6 fails at witness (1, 3, 0, 0, 0, 1)\n",
+            '{"failed_condition":"C6","witness":[1,3,0,0,0,1]}\n',
+            '{"C1":{"pass":true,"witness":null},"C2":{"pass":true,"witness":null},'
+            '"C3":{"pass":false,"witness":[1,0,2,0,1,0]},"C4":{"pass":false,"witness":[1,1,2,1,0,0]},'
+            '"C5":{"pass":false,"witness":[1,2,2,0,1,0]},"C6":{"pass":false,"witness":[1,3,0,0,0,1]}}\n',
+        ),
+        (
+            z8_d4,
+            "condition C6 fails at witness (0, 1, 4, 1, 0, 0)\n",
+            '{"failed_condition":"C6","witness":[0,1,4,1,0,0]}\n',
+            '{"C1":{"pass":true,"witness":null},"C2":{"pass":true,"witness":null},'
+            '"C3":{"pass":true,"witness":null},"C4":{"pass":true,"witness":null},'
+            '"C5":{"pass":true,"witness":null},"C6":{"pass":false,"witness":[0,1,4,1,0,0]}}\n',
+        ),
+    ]
+
+
+def test_construction_failing_c3_to_c6_prints_the_recorded_witnesses(tmp_path, capsys):
+    """induce names the first failure in evaluation order; verify reports
+    every condition, with the witnesses of the full scans."""
+    for data, induce_text, induce_json, verify_json in _failing_constructions():
+        path = tmp_path / "c3_to_c6.json"
+        io.save_construction(data, path)
+        assert run(capsys, "induce", "--data", str(path)) == (1, induce_text, "")
+        assert run(capsys, "induce", "--data", str(path), "--format", "json") == (1, induce_json, "")
+        assert run(capsys, "verify", "--construction", str(path), "--format", "json") == (1, verify_json, "")
 
 
 @pytest.mark.parametrize("command", [("verify", "--construction"), ("induce", "--data")], ids=lambda c: c[0])

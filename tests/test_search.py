@@ -254,10 +254,10 @@ def test_every_leaf_is_a_full_table(monkeypatch, spec, ideal):
     config = SearchConfig(max_group_order=24, require_ideal=ideal_sub)
     leaves = []
 
-    def checked_leaf(group, table):
+    def checked_leaf(group, table, ranges):
         assert all(v != -1 for row in table for v in row)
         leaves.append(table)
-        return brackets._is_mla(group, table)
+        return brackets._is_mla(group, table, ranges)
 
     monkeypatch.setattr(search, "_is_mla", checked_leaf)
     result = enumerate_brackets(g, config)
@@ -734,6 +734,51 @@ def test_affine_points_need_endomorphism_rows():
     assert brackets._is_mla(G, table, search._affine_points(action))
     assert not brackets._is_mla(G, table)
     assert not check_theorem_conditions(data).passed
+
+
+def _identity_points(action):
+    """The reduced ranges of the product with the free arguments at the
+    all-1 point of H only: ``_affine_points`` without its generator points."""
+    H, K = action.H, action.K
+    e, nH, nK = H.identity, H.order, K.order
+    pairs = [(e + nH * x, [e + nH * y for y in range(nK)]) for x in range(nK)]
+    triples = [
+        (e + nH * a, [(e + nH * b, [e + nH * c for c in range(a, nK)]) for b in range(a, nK)]) for a in range(nK)
+    ]
+    return brackets._reduced_ranges(action.product_group, pairs, triples)
+
+
+D4_STAR = (
+    (0, 0, 0, 0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 1, 1, 1, 1),
+    (0, 0, 0, 0, 2, 2, 2, 2),
+    (0, 0, 0, 0, 3, 3, 3, 3),
+    (0, 3, 2, 1, 0, 3, 2, 1),
+    (0, 3, 2, 1, 1, 0, 3, 2),
+    (0, 3, 2, 1, 2, 1, 0, 3),
+    (0, 3, 2, 1, 3, 2, 1, 0),
+)
+
+
+@pytest.mark.parametrize(
+    "action, star, gamma",
+    [
+        (Action.trivial(make_cyclic(2), make_dihedral(4)), D4_STAR, ((0, 0), (0, 1)) * 4),
+        (Action.trivial(make_cyclic(3), V4), ((0,) * 4,) * 4, ((0, 0, 0), (0, 0, 0), (0, 1, 2), (0, 1, 2))),
+    ],
+    ids=["Z2xD4", "Z3xV4"],
+)
+def test_affine_points_need_the_generator_points(action, star, gamma):
+    """The all-1 point of H alone does not decide the axioms: on each case a
+    tuple with beta trivial and Gamma the identity of H at some elements of
+    K (an endomorphism family that fails C2) passes A1-A5 at that point and
+    fails at the affine points, as it fails A1-A5."""
+    H, K, G = action.H, action.K, action.product_group
+    data = ConstructionData(action, LieBracket.make(K, star), GammaMap.make(H, K, gamma), PairingMap.trivial(H, K))
+    table = data.induced_table
+    assert brackets._is_mla(G, table, _identity_points(action))
+    assert not brackets._is_mla(G, table, search._affine_points(action))
+    assert not brackets._is_mla(G, table)
 
 
 def test_enumerate_induced_reports_a_pairing_walk_cut_short():
