@@ -39,6 +39,7 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     Subgroup,
+    automorphism_count,
     automorphism_generators,
     automorphisms,
     direct_product,

@@ -81,7 +81,8 @@ Z4 x D4 that is 576 steps for A2 and for A3 instead of 3 072, and 816 A4
 triples instead of 6 070; on Z8 x| D4 (order 64), the same 576 and 816
 instead of 12 288 and 23 834. The reduced scans decide pass or fail only;
 witnesses always come from the full scans, which run only on a table
-``_is_mla`` fails.
+``_is_mla`` fails, and then only for A4 and the axioms whose reduced scans
+fail (``_violations``).
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, islice
+from operator import itemgetter
 from typing import AbstractSet, Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import BoundExceededError, ValidationError
@@ -151,16 +153,31 @@ def verify_mla(
     ``_is_mla`` decides. A table it passes runs no full scan; for one it
     fails, the violations are those of the full scans from A1: axioms in
     order A1..A5 and witnesses within an axiom in lexicographic order,
-    collected until ``max_violations``, an int >= 1.
+    collected until ``max_violations``, an int >= 1. The full scan of an
+    axiom whose reduced scan passes is skipped (``_violations``).
     """
     check_violation_cap(max_violations)
     n = group.order
     table = int_table(star.star if isinstance(star, LieBracket) else star, "star", (n, n), n)
-    if _is_mla(group, table):
+    reduced = _reduced_ranges(group)
+    if _is_mla(group, table, reduced):
         return []
     full = _full_ranges(group)
-    scans = (AXIOM_SCANS[a](group, table, full[a]) for a in AXIOM_NAMES)
+    scans = (_violations(group, table, a, reduced, full) for a in AXIOM_NAMES)
     return list(islice(chain.from_iterable(scans), max_violations))
+
+
+def _violations(
+    group: FiniteGroup, table: _Table, axiom: str, reduced: _Ranges, full: _Ranges
+) -> Iterator[MlaViolation]:
+    """The violations of one axiom on its full range, in lexicographic
+    order. The reduced ranges of A1, A2, A3 and A5 are exact whatever the
+    other axioms do (module docstring), so a table that passes one of these
+    there has no violation of it, and its full scan is skipped. A4's reduced
+    range assumes the other axioms, so A4 always scans in full."""
+    if axiom != "A4" and axiom_holds(group, table, axiom, reduced[axiom]):
+        return iter(())
+    return AXIOM_SCANS[axiom](group, table, full[axiom])
 
 
 def _is_mla(group: FiniteGroup, table: _Table, ranges: Optional[_Ranges] = None) -> bool:
@@ -383,28 +400,71 @@ def bracket_orbit(
 
     Two brackets on a group are the same structure exactly when one's table
     is in the other's orbit. ``autos`` is any generating set of Aut as image
-    tables (the full ``automorphisms`` list qualifies); by default
-    ``automorphism_generators``. Reversal is a transpose and commutes with
-    every relabeling, so Aut x <reversal> is a group and closing {table}
-    under the generators and reversal gives the whole orbit, at
-    |orbit| x (|autos| + 1) relabelings whatever |Aut| is. The closure is
-    depth-first, and each table is yielded when first found.
+    tables (the full ``automorphisms`` list qualifies); by default the
+    strong generators of the group's stabiliser chain,
+    ``automorphism_generators``, so Aut is never listed. Reversal is a
+    transpose and commutes with every relabeling, so Aut x <reversal> is a
+    group and closing {table} under the generators and reversal gives the
+    whole orbit, at |orbit| x (|autos| + 1) relabelings whatever |Aut| is.
+    The closure (``_orbit_keys``) is depth-first, and each table is yielded
+    when first found.
     """
-    if autos is None:
-        autos = automorphism_generators(bracket.group)
-    star = bracket.star
-    seen = {star}
-    stack = [star]
-    yield star
+    group = bracket.group
+    n = group.order
+    moves = _orbit_moves(n, automorphism_generators(group) if autos is None else autos)
+    for key in _orbit_keys(_table_key(bracket.star), moves):
+        yield tuple(tuple(key[i : i + n]) for i in range(0, n * n, n))
+
+
+# The orbit kernel works on a table as ``bytes`` of its n^2 entries, row by
+# row (n <= MAX_GROUP_ORDER < 256): a bytes key hashes once and keeps its
+# hash, where a tuple of rows rehashes on every set lookup. A relabeling is
+# ``key.translate`` by the map's values, then a move of the cells by one
+# prebuilt ``itemgetter``; reversal moves the cells only.
+
+_Move = tuple[bytes, Callable[[bytes], tuple[int, ...]]]
+_NO_RELABEL = bytes(range(256))
+
+
+def _table_key(table: _Table) -> bytes:
+    return bytes(chain.from_iterable(table))
+
+
+def _orbit_moves(n: int, autos: Sequence[tuple[int, ...]]) -> list[_Move]:
+    """The moves of reversal and of each map in ``autos`` on the keys of
+    n x n tables. Along phi, star'[phi x][phi y] = phi(star[x][y]), so cell
+    (a, b) of the image takes phi of cell (pre a, pre b), with pre the
+    inverse of phi (``pushforward_table``). On one cell every move is the
+    identity, so there are none (and ``itemgetter(0)`` would give an int,
+    which ``bytes`` reads as a length)."""
+    if n == 1:
+        return []
+    cells = range(n * n)
+    moves = [(_NO_RELABEL, itemgetter(*[p % n * n + p // n for p in cells]))]
+    for phi in autos:
+        pre = [0] * n
+        for x, v in enumerate(phi):
+            pre[v] = x
+        values = bytes(phi) + bytes(256 - n)
+        moves.append((values, itemgetter(*[pre[p // n] * n + pre[p % n] for p in cells])))
+    return moves
+
+
+def _orbit_keys(key: bytes, moves: Sequence[_Move]) -> Iterator[bytes]:
+    """The closure of {key} under the moves, depth-first, each key yielded
+    once when first found: the one orbit loop of ``bracket_orbit`` and
+    ``search._classify``."""
+    seen = {key}
+    stack = [key]
+    yield key
     while stack:
         table = stack.pop()
-        found = [tuple(zip(*table))]
-        found.extend(pushforward_table(phi, table) for phi in autos)
-        for t in found:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-                yield t
+        for values, cells in moves:
+            found = bytes(cells(table.translate(values)))
+            if found not in seen:
+                seen.add(found)
+                stack.append(found)
+                yield found
 
 
 def end_mla(group: FiniteGroup) -> tuple[FiniteGroup, LieBracket]:

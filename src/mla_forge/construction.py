@@ -22,7 +22,9 @@ that loop order, x outermost. The product encodes (h, x) as h + |H| x, so the
 axiom scan runs in the order (x, h, y, k, z, l) instead; the witness is the
 smallest failing triple under the documented key. C3..C6 all hold when the
 one bracket decision, ``brackets._is_mla``, passes the induced table;
-otherwise each takes its verdict and witness from its axiom's full scan. A
+otherwise each takes its verdict and witness from its axiom's full scan,
+which C3, C4 and C6 skip when their axiom's exact reduced scan passes
+(``brackets._violations``). A
 report always holds all six conditions; its first failure is taken in the
 order C1, C2, C6, C3, C4, C5, which is the condition ``induce_bracket``'s
 error names.
@@ -38,14 +40,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .brackets import (
-    AXIOM_SCANS,
     DEFAULT_VIOLATION_CAP,
     LieBracket,
+    MlaViolation,
     _full_ranges,
     _is_mla,
+    _reduced_ranges,
+    _violations,
     check_violation_cap,
     is_ideal,
     trivial_bracket,
@@ -337,37 +341,40 @@ def check_theorem_conditions(data: ConstructionData) -> ConditionReport:
 
     C1 and C2 are checked on the maps. C3..C6 are A3, A2, A4 and A5 of the
     induced table: when ``brackets._is_mla`` passes it, all four hold;
-    otherwise each takes its verdict and witness from its axiom's full scan.
+    otherwise each takes its verdict and witness from its axiom's full scan
+    (``brackets._violations``: none for an axiom other than A4 whose
+    reduced scan passes).
     Witnesses are the first failing tuples in loop order: (x,) for C1,
     (x, y, h) for C2 and (x, y, z, h, k, l) for C3..C6.
     For the trivial action C3, C4 and C6 reduce to bilinearity and conjugation
     invariance of beta; tests/oracle.py (direct_conditions_hold) transcribes
     that simplified form as a cross-check.
     """
-    table = data.induced_table
-    passed = _is_mla(data.action.product_group, table)
+    table, group = data.induced_table, data.action.product_group
+    reduced = _reduced_ranges(group)
+    passed = _is_mla(group, table, reduced)
     c1 = _c1_failure(data.beta.beta, data.H.identity, data.K.identity)
     c2 = check_gamma_identities(data.action, data.gamma, data.star_k, max_violations=1)
     witnesses = {"C1": None if c1 is None else (c1,), "C2": c2[0].witness if c2 else None}
+    full = _full_ranges(group)
     for name, axiom in CONDITION_AXIOMS.items():
-        witnesses[name] = None if passed else _axiom_witness(data, table, axiom)
+        violations = () if passed else _violations(group, table, axiom, reduced, full)
+        witnesses[name] = _axiom_witness(data.H.order, violations)
     return ConditionReport(
         tuple((name, ConditionStatus(witnesses[name] is None, witnesses[name])) for name in CONDITION_NAMES)
     )
 
 
-def _axiom_witness(
-    data: ConstructionData, table: tuple[tuple[int, ...], ...], axiom: str
-) -> Optional[tuple[int, ...]]:
-    """The first (x, y, z, h, k, l) at which the induced table fails the axiom.
+def _axiom_witness(nH: int, violations: Iterable[MlaViolation]) -> Optional[tuple[int, ...]]:
+    """The first (x, y, z, h, k, l) among an axiom's violations on the
+    induced table, or None.
 
-    The scan runs over (A, B, C) with A = h + |H| x outermost, so its first
-    violation fixes x; the smallest witness lies among the violations with
-    that x, and the scan stops at the first one beyond it.
+    The full scan runs over (A, B, C) with A = h + |H| x outermost, so its
+    first violation fixes x; the smallest witness lies among the violations
+    with that x, and the scan stops at the first one beyond it.
     """
-    nH, group = data.H.order, data.action.product_group
     best: Optional[tuple[int, ...]] = None
-    for v in AXIOM_SCANS[axiom](group, table, _full_ranges(group)[axiom]):
+    for v in violations:
         a, b, c = v.witness
         if best is not None and a // nH != best[0]:
             break

@@ -341,6 +341,12 @@ class FiniteGroup:
         return _greedy_reach_set(self.cayley, self.identity)
 
     @cached_property
+    def _aut_chain(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """Aut's strong generators and basic orbit lengths
+        (``_stabiliser_chain``), built on first use."""
+        return _stabiliser_chain(self)
+
+    @cached_property
     def is_abelian(self) -> bool:
         c = self.cayley
         return all(c[a][b] == c[b][a] for a in range(self.order) for b in range(self.order))
@@ -584,6 +590,7 @@ def _extend_from_generators(
     codomain: FiniteGroup,
     values: Sequence[int],
     twist: Optional[Sequence[Sequence[int]]] = None,
+    walk: Optional[tuple[Sequence[int], Sequence[int]]] = None,
 ) -> Optional[tuple[int, ...]]:
     """The map f with f(g_i) = values[i] on the generators g_i of
     :func:`find_generators` and f(x g) = f(x) twist[x](f(g)) for every x and
@@ -596,9 +603,15 @@ def _extend_from_generators(
     is checked against it otherwise, so the table is accepted iff the rule
     holds for every x and generator g; for a homomorphism or a crossed
     homomorphism it then holds for every product x w, by induction on the
-    length of the word w.
+    length of the word w. ``walk`` = (generators, elements) replaces it by
+    the walk of a subgroup, the elements being the identity and the y of
+    the generators' ``generator_steps``; f is then built on that subgroup
+    and is -1 elsewhere.
     """
-    gens, _, order = domain._walk
+    if walk is None:
+        gens, _, order = domain._walk
+    else:
+        gens, order = walk
     image = tuple(zip(gens, values, strict=True))
     mul_d, mul_c = domain.cayley, codomain.cayley
     val = [-1] * domain.order
@@ -654,35 +667,131 @@ def automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
 
 
 def automorphism_generators(group: FiniteGroup) -> list[tuple[int, ...]]:
-    """A generating set of Aut(group) as image tables, in the order of
-    ``automorphisms``.
+    """A generating set of Aut(group) as image tables, sorted and
+    irredundant: the strong generators of the stabiliser chain whose base is
+    ``find_generators(group)`` (``_stabiliser_chain``), built once per group
+    without listing Aut.
 
-    Chosen greedily from the sorted list: a map is kept when it lies outside
-    the subgroup that the maps kept before it generate. The identity is never
-    kept, so a group with no automorphism but the identity has none.
+    No map lies in the subgroup that the maps before it generate, and the
+    identity is never kept, so a group with no automorphism but the identity
+    has none.
     """
-    autos = automorphisms(group)
-    gens: list[tuple[int, ...]] = []
-    reached = {autos[0]}
-    for phi in autos:
-        if len(reached) == len(autos):
-            break
-        if phi in reached:
-            continue
-        gens.append(phi)
-        # Dimino's step: the new subgroup is a union of cosets S r of the
-        # old subgroup S, and (S r) h = S (r h), so following each new
-        # coset's representative r by every kept map h finds every coset.
-        old = list(reached)
-        reps = [phi]
-        reached.update(tuple(m[v] for v in phi) for m in old)
-        for r in reps:
-            for h in gens:
-                rh = tuple(r[v] for v in h)
-                if rh not in reached:
-                    reps.append(rh)
-                    reached.update(tuple(m[v] for v in rh) for m in old)
-    return gens
+    return list(group._aut_chain[0])
+
+
+def automorphism_count(group: FiniteGroup) -> int:
+    """|Aut(group)|, without listing Aut: the product of the basic orbit
+    lengths of the stabiliser chain (``_stabiliser_chain``)."""
+    return prod(group._aut_chain[1])
+
+
+def _stabiliser_chain(group: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Strong generators of Aut(group), sorted, and the basic orbit lengths
+    of the stabiliser chain on the base S = ``find_generators(group)`` =
+    (s_1, ..., s_k) (Holt, Eick & O'Brien, *Handbook of Computational Group
+    Theory*, 2005, §4.4).
+
+    Let A_i be the automorphisms that fix s_1..s_i: Aut = A_0 >= A_1 >= ...
+    >= A_k = 1, the last since S generates the group. The levels are worked
+    from i = k down to 1, and on entering level i the maps found so far
+    generate A_i. The orbit of s_i under them is closed, and for each
+    candidate y outside it (an element with the invariants of s_i,
+    ``_aut_invariants``) one automorphism that fixes s_1..s_{i-1} and sends
+    s_i to y is searched for (``_aut_search``). A hit joins the maps and the
+    orbit is closed again; a miss rules out the orbit of y under the maps
+    found, since a found h with h(y) = y' and some f in A_{i-1} with
+    f(s_i) = y' would give h^-1 f sending s_i to y. At the end of the level
+    the orbit is the basic orbit s_i^A_{i-1}, so the maps generate A_{i-1}
+    (a map g of A_{i-1} sends s_i where some generated h does, and h^-1 g
+    lies in A_i), and |A_{i-1}| = |orbit| |A_i|.
+
+    Every element below s_i lies in <s_1..s_{i-1}> (``find_generators`` is
+    greedy), so a map found at level i agrees with the identity below s_i and
+    sends s_i to some y > s_i, while the maps of deeper levels fix s_i.
+    Found from level k up, and within a level at increasing y, the maps come
+    sorted, and each sends s_i outside the orbit that the maps before it
+    reach.
+    """
+    base = find_generators(group)
+    kind = _aut_invariants(group)
+    cands = [[y for y in range(group.order) if kind[y] == kind[s]] for s in base]
+    walks = []  # (s_1..s_j, the elements of <s_1..s_j> in walk order) for each j
+    for j in range(len(base) + 1):
+        steps = generator_steps(group.cayley, group.identity, base[:j])
+        walks.append((base[:j], (group.identity, *(y for y, _, _ in steps))))
+    maps: list[tuple[int, ...]] = []
+    lengths = []
+    for i in reversed(range(len(base))):
+        orbit = _orbit_of(base[i], maps)
+        missed: set[int] = set()
+        for y in cands[i]:
+            if y in orbit or y in missed:
+                continue
+            phi = _aut_search(group, kind, cands, walks, [*base[:i], y])
+            if phi is None:
+                missed |= _orbit_of(y, maps)
+            else:
+                maps.append(phi)
+                orbit = _orbit_of(base[i], maps)
+        lengths.append(len(orbit))
+    return tuple(maps), tuple(lengths)
+
+
+def _aut_invariants(group: FiniteGroup) -> list[int]:
+    """Per element, a number that every automorphism keeps: the index, in
+    order of first occurrence, of its order, the size of its centralizer and
+    its number of square roots."""
+    n, mul = group.order, group.cayley
+    roots = [0] * n
+    for y in range(n):
+        roots[mul[y][y]] += 1
+    keys = [(group.element_order(x), sum(mul[x][y] == mul[y][x] for y in range(n)), roots[x]) for x in range(n)]
+    index: dict[tuple[int, int, int], int] = {}
+    return [index.setdefault(key, len(index)) for key in keys]
+
+
+def _orbit_of(point: int, maps: Sequence[tuple[int, ...]]) -> set[int]:
+    """The orbit of ``point`` under the group the maps generate."""
+    orbit, frontier = {point}, [point]
+    for x in frontier:  # grows while it is walked
+        for phi in maps:
+            if phi[x] not in orbit:
+                orbit.add(phi[x])
+                frontier.append(phi[x])
+    return orbit
+
+
+def _aut_search(
+    group: FiniteGroup,
+    kind: list[int],
+    cands: list[list[int]],
+    walks: list[tuple[tuple[int, ...], tuple[int, ...]]],
+    images: list[int],
+) -> Optional[tuple[int, ...]]:
+    """An automorphism sending the base element s_j to images[j] for each
+    j < len(images) and the rest of the base to candidates (``cands``),
+    tried in increasing order depth-first, or None.
+
+    An assignment to s_1..s_j is dropped as soon as it is no injective
+    homomorphism on <s_1..s_j> that keeps the invariants ``kind``: the
+    generator kernel ``_extend_from_generators`` builds it along the walk of
+    <s_1..s_j>. At j = k that walk is the group's own, and a map kept there
+    is a bijective endomorphism.
+    """
+    j = len(images)
+    phi = _extend_from_generators(group, group, images, walk=walks[j])
+    elements = walks[j][1]
+    if phi is None or len({phi[x] for x in elements}) < len(elements):
+        return None
+    if any(kind[phi[x]] != kind[x] for x in elements):
+        return None
+    if j == len(walks) - 1:
+        return phi
+    for y in cands[j]:
+        phi = _aut_search(group, kind, cands, walks, [*images, y])
+        if phi is not None:
+            return phi
+    return None
 
 
 def endomorphism_count(group: FiniteGroup) -> int:

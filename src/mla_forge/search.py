@@ -14,8 +14,11 @@ that is, when one's table lies in the other's ``brackets.bracket_orbit``.
 Classification sweeps the sorted tables once and marks each orbit as it
 goes, so it serves both closed sets (every bracket on a group) and sets
 that Aut does not preserve (induced brackets with a fixed split). Each
-orbit is found by closure under a generating set of Aut and reversal, so
-its cost follows the orbit's size, not |Aut|.
+orbit is closed under reversal and the strong generators of Aut's
+stabiliser chain (``groups.automorphism_generators``, built once per group
+without listing Aut), on tables keyed as ``bytes`` (``brackets._orbit_keys``,
+the loop ``bracket_orbit`` runs too), so its cost follows the orbit's size,
+not |Aut|.
 """
 
 from __future__ import annotations
@@ -29,10 +32,12 @@ from .brackets import (
     LieBracket,
     _is_mla,
     _keeps_ideal,
+    _orbit_keys,
+    _orbit_moves,
     _Ranges,
     _reduced_ranges,
     _Table,
-    bracket_orbit,
+    _table_key,
     end_mla,
     is_ideal,
     verify_mla,
@@ -223,15 +228,18 @@ def _classify(group: FiniteGroup, tables: Sequence[_Table]) -> list[_Table]:
     Aut or reversal. The sweep makes each table not yet assigned a
     representative and assigns every member of its orbit found in the set.
     A smaller member of the same class would have been swept first, so
-    each representative is the least member of its class.
+    each representative is the least member of its class. Orbits are
+    closed on byte keys (``brackets._orbit_keys``) under reversal and the
+    strong generators of Aut's stabiliser chain.
     """
-    gens = automorphism_generators(group)
-    unassigned = set(tables)
+    moves = _orbit_moves(group.order, automorphism_generators(group))
+    keys = [_table_key(t) for t in tables]
+    unassigned = set(keys)
     reps = []
-    for t in tables:
-        if t in unassigned:
+    for t, key in zip(tables, keys):
+        if key in unassigned:
             reps.append(t)
-            unassigned.difference_update(bracket_orbit(LieBracket(group, t), gens))
+            unassigned.difference_update(_orbit_keys(key, moves))
     return reps
 
 

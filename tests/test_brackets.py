@@ -1,4 +1,5 @@
 import functools
+import random
 import tracemalloc
 from itertools import product
 from unittest import mock
@@ -488,6 +489,27 @@ def test_orbit_under_a_large_automorphism_group():
     assert len(autos) == 20160
     images = {oracle.relabel_table(f, br.star, reverse) for f in autos for reverse in (False, True)}
     assert set(orbit) == images
+
+
+@pytest.mark.parametrize("spec", ["D4", "Q8", "Z4xD4"])
+def test_byte_relabeling_matches_pushforward_table(spec):
+    """Each move of the orbit kernel, on the byte key of a table, gives the
+    key of the table's reversal (the first move) or of its relabeling along
+    one strong generator: on every bracket of the group and on random
+    tables of its shape."""
+    g = parse_preset(spec)
+    n = g.order
+    gens = automorphism_generators(g)
+    rng = random.Random(7)
+    tables = [b.star for b in enumerate_brackets(g, SearchConfig(max_group_order=32)).items]
+    tables += [tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n)) for _ in range(5)]
+    (rev_values, rev_cells), *moves = brackets._orbit_moves(n, gens)
+    assert len(moves) == len(gens)
+    for t in tables:
+        key = brackets._table_key(t)
+        assert bytes(rev_cells(key.translate(rev_values))) == brackets._table_key(tuple(zip(*t)))
+        for phi, (values, cells) in zip(gens, moves):
+            assert bytes(cells(key.translate(values))) == brackets._table_key(pushforward_table(phi, t))
 
 
 def test_orbit_yields_each_table_once_with_the_full_aut_list():

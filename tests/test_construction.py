@@ -50,9 +50,11 @@ from mla_forge.search import (
     enumerate_gamma,
     enumerate_induced,
     enumerate_pairings,
+    enumerate_tuples,
 )
 
 import oracle
+from mla_forge import brackets, construction
 from mla_forge.cli import parse_preset
 
 
@@ -340,6 +342,38 @@ def test_smallest_tuple_failing_c3_to_c6():
     assert {name: st.witness for name, st in full.statuses} == witnesses
     assert witnesses == oracle.condition_witnesses(H, K, act.sigma, star_k.star, data.gamma.gamma, data.beta.beta)
     assert full.first_failure() == ("C6", full.status("C6"))
+
+
+def test_skipped_full_scans_leave_reports_and_violations_unchanged(monkeypatch):
+    """verify_mla and the C1-C6 report skip the full scan of A2, A3 or A5
+    when its reduced scan passes. On the 32 tuples of Z8 x| D4 (reflections
+    4-7 inverting) that ``enumerate_tuples`` rejects, which fail C6 alone,
+    both are the same as with every full scan run."""
+    H, K = make_cyclic(8), make_dihedral(4)
+    act = Action.by_inversion(H, K, (4, 5, 6, 7))
+    failing = []
+    for star_k in enumerate_brackets(K).items:
+        kept = enumerate_tuples(act, star_k)
+        for gamma in enumerate_gamma(H, K, act, star_k):
+            failing += [
+                data
+                for beta in enumerate_pairings(H, K, act, star_k)
+                if (data := ConstructionData(act, star_k, gamma, beta)) not in kept
+            ]
+    assert len(failing) == 32
+    G = act.product_group
+    skipping = [(verify_mla(G, d.induced_table), check_theorem_conditions(d)) for d in failing]
+
+    def full_scan(group, table, axiom, reduced, full):
+        return brackets.AXIOM_SCANS[axiom](group, table, full[axiom])
+
+    monkeypatch.setattr(brackets, "_violations", full_scan)
+    monkeypatch.setattr(construction, "_violations", full_scan)
+    scanning = [(verify_mla(G, d.induced_table), check_theorem_conditions(d)) for d in failing]
+    assert skipping == scanning
+    for violations, report in skipping:
+        assert {v.axiom for v in violations} == {"A5"}
+        assert [name for name, st in report.statuses if not st.passed] == ["C6"]
 
 
 # -- direct specialization ----------------------------------------------------------

@@ -15,6 +15,7 @@ from mla_forge.groups import (
     FiniteGroup,
     Subgroup,
     abelian_label,
+    automorphism_count,
     automorphism_generators,
     automorphisms,
     direct_product,
@@ -469,6 +470,24 @@ def test_automorphism_generators_generate_aut(group):
     for i, g in enumerate(gens):
         assert g not in closure(gens[:i])
     assert automorphism_generators(group) == gens
+
+
+@pytest.mark.parametrize(
+    "spec, count",
+    [("D4", 8), ("Q8", 24), ("Z2xD4", 64), ("Z2xZ2xZ2xZ2", 20160), ("Z3xZ3xZ3", 11232),
+     ("Z2xZ2xD4", 3072), ("Z4xZ2xD4", 4096)],
+)
+def test_automorphism_count_is_the_length_of_the_list(spec, count):
+    """The product of the chain's basic orbit lengths is |Aut| as listed."""
+    group = parse_preset(spec)
+    assert automorphism_count(group) == len(automorphisms(group)) == count
+
+
+def test_automorphism_count_of_z2_to_the_fifth_is_the_order_of_gl5():
+    """|Aut(Z2^5)| = |GL(5, 2)|, about 10^7 maps, counted without listing one
+    beyond the chain's strong generators."""
+    group = parse_preset("Z2xZ2xZ2xZ2xZ2")
+    assert automorphism_count(group) == prod(2**5 - 2**i for i in range(5)) == 9_999_360
 
 
 def test_presets_check_the_order_bound_before_building():

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from mla_forge import brackets, construction, search
+from mla_forge import brackets, construction, groups, search
 from mla_forge.brackets import (
     LieBracket,
     bracket_orbit,
@@ -27,6 +27,7 @@ from mla_forge.construction import (
 from mla_forge.errors import BoundExceededError, ValidationError
 from mla_forge.groups import (
     Subgroup,
+    automorphism_generators,
     direct_product,
     find_generators,
     homomorphisms,
@@ -166,6 +167,51 @@ def test_classify_takes_the_least_table_of_the_set_not_of_the_orbit():
     assert sorted(cut)[1] in reps
     assert reps == sorted(min(orbit & set(subset)) for orbit in orbits)
     assert len(reps) == len(orbits)
+
+
+def test_classify_on_the_trivial_group_and_on_z2():
+    """On Z1 (one cell, where a one-index ``itemgetter`` returns no tuple)
+    the one table is its own class. Aut(Z2) is trivial, so on Z2 the
+    classes of any set of tables are its reversal orbits."""
+    z1 = make_cyclic(1)
+    assert _classify(z1, [((0,),)]) == [((0,),)]
+    assert list(bracket_orbit(LieBracket(z1, ((0,),)))) == [((0,),)]
+    z2 = make_cyclic(2)
+    assert automorphism_generators(z2) == []
+    tables = sorted(((a, b), (c, d)) for a, b, c, d in product(range(2), repeat=4))
+    reps = sorted({min(t, tuple(zip(*t))) for t in tables})
+    assert _classify(z2, tables) == reps
+    assert len(reps) == 12  # 8 symmetric tables and 4 pairs
+
+
+def test_classification_lists_no_automorphisms(monkeypatch):
+    """Classifying brackets and induced brackets runs on the chain's strong
+    generators alone: with every listing of Aut made to fail, on groups
+    built afresh, the counts and representatives come out unchanged."""
+
+    def classify():
+        H, K = make_cyclic(4), make_dihedral(4)
+        results = (
+            enumerate_brackets(parse_preset("Z2xD4"), SearchConfig(max_group_order=16, up_to_iso=True)),
+            enumerate_induced(H, K, Action.trivial(H, K), SearchConfig(up_to_iso=True)),
+        )
+        return [(r.raw_count, r.class_count, [b.star for b in r.items]) for r in results]
+
+    expected = classify()
+
+    def no_listing(*args):
+        raise AssertionError("Aut was listed")
+
+    generator_maps = groups._generator_maps
+
+    def homomorphisms_only(domain, codomain, bijective):
+        if bijective:
+            no_listing()
+        return generator_maps(domain, codomain, bijective)
+
+    monkeypatch.setattr(groups, "automorphisms", no_listing)
+    monkeypatch.setattr(groups, "_generator_maps", homomorphisms_only)
+    assert classify() == expected
 
 
 def test_enumerate_counts():
