@@ -7,6 +7,14 @@ A group argument is either a path to a group JSON file or a preset name:
 ``Zn`` (cyclic), ``Dn`` (dihedral of order 2n), ``Qm`` (quaternion of order
 m, m divisible by 4), products ``AxB``, and split products
 ``A:B:sigma=FILE`` where FILE holds {"sigma": [[int]]}.
+
+One argument parser serves every :func:`main` call of a process: it is built
+by :func:`build_parser` on the first call, not at import, and reused after.
+That is safe because the parser keeps no state between calls: ``parse_args``
+returns a fresh namespace each time, help and error text are formatted when
+printed, and the command is looked up by name (``cmd_<command>``) when
+``main`` runs, so a ``cmd_*`` function replaced after the first call is the
+one called.
 """
 
 from __future__ import annotations
@@ -342,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bracket", help="bracket file, or the names 'trivial' / 'commutator'")
     p.add_argument("--construction", help="construction data file (checks C1..C6)")
     common(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("enumerate", help="enumerate bracket structures on a group")
     p.add_argument("--group", required=True)
@@ -351,35 +358,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", help="directory for the enumerated bracket files")
     common(p)
     p.add_argument("--node-budget", type=int, default=None, dest="node_budget")
-    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("induce", help="build the bracket induced by a construction file")
     p.add_argument("--data", required=True)
     p.add_argument("--out", help="output bracket file")
     common(p)
-    p.set_defaults(func=cmd_induce)
 
     p = sub.add_parser("decompose", help="extract construction data from a bracket")
     p.add_argument("--group", required=True, help="product preset, e.g. Z4xD4 or A:B:sigma=FILE")
     p.add_argument("--bracket", required=True)
     p.add_argument("--emit", help="directory for the extracted component files")
     common(p)
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("scenarios", help="run the built-in regression catalog")
     p.add_argument("--only", help="run a single scenario by name")
     p.add_argument("--list", action="store_true", help="list scenario names without running")
     common(p)
     p.add_argument("--node-budget", type=int, default=None, dest="node_budget")
-    p.set_defaults(func=cmd_scenarios)
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None  # built by the first main call
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (NotIdealError, ReconstructionMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH

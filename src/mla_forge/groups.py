@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import gcd, inf, prod
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BoundExceededError, InvalidGroupError, ValidationError
@@ -173,10 +174,16 @@ def _group_violations(
 
 
 def _associative_at(cayley: Sequence[Sequence[int]], z: int) -> bool:
-    """(x y) z = x (y z) for every x and y: with row = cayley[x], col[x y] is
-    (x y) z and row[col[y]] is x (y z)."""
+    """(x y) z = x (y z) for every x and y, one whole row x at a time: with
+    row = cayley[x] and col[y] = y z, picking col at the entries of row gives
+    (x y) z over y, and picking row at the entries of col gives x (y z).
+
+    On one element ``itemgetter`` picks an int, not a tuple; both sides are
+    then ints and compare the same way.
+    """
     col = [row[z] for row in cayley]
-    return all(col[xy] == row[yz] for row in cayley for xy, yz in zip(row, col))
+    at_col = itemgetter(*col)
+    return all(itemgetter(*row)(col) == at_col(row) for row in cayley)
 
 
 def generator_steps(
@@ -498,14 +505,18 @@ def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
 def _pair_product(
     H: FiniteGroup, K: FiniteGroup, sigma: Sequence[Sequence[int]], name: str
 ) -> FiniteGroup:
+    """The table of the pairs (h, x) = :func:`pair_index` (h, x) under
+    (h, x)(k, y) = (h * sigma_x(k), x y), built by rows: row (h, x) is
+    H[h][sigma_x(k)] + |H|*K[x][y] over y and then k, one comprehension per
+    row. ``from_table`` still checks every product."""
     nH, nK = H.order, K.order
-    size = nH * nK
-    _check_order_bound(size)
-    cayley = [[0] * size for _ in range(size)]
-    for h, x, k, y in product(range(nH), range(nK), range(nH), range(nK)):
-        hh = H.cayley[h][sigma[x][k]]
-        xx = K.cayley[x][y]
-        cayley[pair_index(h, x, nH)][pair_index(k, y, nH)] = pair_index(hh, xx, nH)
+    _check_order_bound(nH * nK)
+    cayley = []
+    for x in range(nK):
+        sx, offsets = sigma[x], [nH * xy for xy in K.cayley[x]]
+        for h in range(nH):
+            hrow = H.cayley[h]
+            cayley.append([hrow[s] + off for off in offsets for s in sx])
     gens = tuple(pair_index(g, K.identity, nH) for g in find_generators(H)) + tuple(
         pair_index(H.identity, g, nH) for g in find_generators(K)
     )

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import mla_forge
-from mla_forge import groups
+from mla_forge import cli, groups
 from mla_forge import serialization as io
 from mla_forge.brackets import LieBracket, commutator_bracket, trivial_bracket
 from mla_forge.cli import main, parse_preset
@@ -590,3 +590,84 @@ def test_readme_example_prints_the_recorded_bytes(capsys, name):
     code, out, _ = run(capsys, *README_EXAMPLES[name])
     assert code == 0
     assert out == (README_OUTPUTS / f"{name}.stdout").read_text(encoding="utf-8")
+
+
+# -- one parser per process ------------------------------------------------------------
+
+
+def test_one_parser_serves_every_main_call_of_a_process(tmp_path, capsys, monkeypatch):
+    """The README examples print their pins twice in one process, with an
+    argparse error, a search cut short by its budget and a budget read from
+    the environment between the two passes; each of those prints what it
+    printed the first time, and the parser is built once, on the first call."""
+    built = []
+    original = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    io.save_bracket(trivial_bracket(parse_preset("Z3xZ2")), tmp_path / "b.json")
+    ideal = ["decompose", "--group", "Z3xZ2", "--bracket", str(tmp_path / "b.json"), "--ideal", "H"]
+
+    def argparse_error():
+        with pytest.raises(SystemExit) as exc:
+            main(ideal)
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    def budget_cut():
+        return run(capsys, "enumerate", "--group", "D4", "--node-budget", "5", "--format", "json")
+
+    def budget_from_env():
+        monkeypatch.setenv("MLA_FORGE_BUDGET", "2")
+        try:
+            return run(capsys, "enumerate", "--group", "D4", "--format", "json")
+        finally:
+            monkeypatch.delenv("MLA_FORGE_BUDGET")
+
+    def readme_pass():
+        for name, argv in README_EXAMPLES.items():
+            code, out, _ = run(capsys, *argv)
+            assert (code, out) == (0, (README_OUTPUTS / f"{name}.stdout").read_text(encoding="utf-8")), name
+
+    between = (argparse_error, budget_cut, budget_from_env)
+    readme_pass()
+    firsts = [call() for call in between]
+    readme_pass()
+    assert [call() for call in between] == firsts
+    assert firsts[0][0] == 2 and "unrecognized arguments: --ideal H" in firsts[0][2]
+    assert firsts[1][0] == firsts[2][0] == 3
+    assert json.loads(firsts[1][1])["exhausted"] is False and json.loads(firsts[2][1])["exhausted"] is False
+    assert len(built) == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    """The parser is built by the first main call, not when the module is
+    imported."""
+    src = str(Path(mla_forge.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    script = (
+        "from mla_forge import cli\n"
+        "assert cli._parser is None\n"
+        "cli.main(['scenarios', '--list'])\n"
+        "assert cli._parser is not None\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_main_calls_the_command_function_in_the_module_when_it_runs(capsys, monkeypatch):
+    """A cmd_* function replaced after the parser was built is the one called."""
+    assert main(["scenarios", "--list"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: print(f"patched {args.group}") or 7)
+    assert run(capsys, "verify", "--group", "D3") == (7, "patched D3\n", "")

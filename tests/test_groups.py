@@ -161,6 +161,42 @@ def test_semidirect_rejects_nonabelian_h():
         make_semidirect(H, K, trivial)
 
 
+def product_cases():
+    """(H, K, sigma) by name: split products by inversion (the reflections of
+    D_n are n..2n-1), by scaling and on a non-cyclic H, one of order 64, and
+    direct products with a Z1 factor."""
+    z, d = make_cyclic, make_dihedral
+    v4 = direct_product(z(2), z(2))
+
+    def inverting(H, K, reflections):
+        return [list(H.inverse) if x in reflections else list(range(H.order)) for x in range(K.order)]
+
+    def trivial(H, K):
+        return [list(range(H.order)) for _ in range(K.order)]
+
+    return {
+        "Z3:D3": (z(3), d(3), inverting(z(3), d(3), (3, 4, 5))),
+        "Z5:Z4": (z(5), z(4), [[(pow(2, x, 5) * h) % 5 for h in range(5)] for x in range(4)]),
+        "V4:Z2": (v4, z(2), [[0, 1, 2, 3], [0, 2, 1, 3]]),
+        "Z8:D4": (z(8), d(4), inverting(z(8), d(4), (4, 5, 6, 7))),
+        "Z1xD4": (z(1), d(4), trivial(z(1), d(4))),
+        "D4xZ1": (d(4), z(1), trivial(d(4), z(1))),
+        "Z1xZ1": (z(1), z(1), trivial(z(1), z(1))),
+    }
+
+
+@pytest.mark.parametrize("name", product_cases())
+def test_pair_product_table_is_the_pair_formula_cell_by_cell(name):
+    """The table built by rows holds pair_index(H[h][sigma_x(k)], K[x][y]) at
+    (pair_index(h, x), pair_index(k, y))."""
+    H, K, sigma = product_cases()[name]
+    nH = H.order
+    table = groups._pair_product(H, K, sigma, name).cayley
+    for h, x, k, y in product(range(nH), range(K.order), range(nH), range(K.order)):
+        want = groups.pair_index(H.cayley[h][sigma[x][k]], K.cayley[x][y], nH)
+        assert table[groups.pair_index(h, x, nH)][groups.pair_index(k, y, nH)] == want, (h, x, k, y)
+
+
 @pytest.mark.parametrize("names", [[1, 2, 3, 4], 4, ["0", "1", "2", None]], ids=["ints", "not-a-list", "none"])
 def test_from_table_rejects_element_names_that_are_not_strings(names):
     with pytest.raises(ValidationError, match="element_names"):
@@ -207,6 +243,36 @@ def test_verify_group_broken_associativity_reports_triple():
             x, y, z = v.witness
             assert table[table[x][y]][z] != table[x][table[y][z]]
             break
+
+
+# A latin table of order 5 with the two-sided identity 0 that is not
+# associative: every z other than the identity has a failing (x, y).
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def all_pairs_associative_at(cayley, z):
+    """Light's test at z over every pair (x, y) in turn: the reference for
+    the row-at-a-time ``groups._associative_at``."""
+    col = [row[z] for row in cayley]
+    return all(col[xy] == row[yz] for row in cayley for xy, yz in zip(row, col))
+
+
+@pytest.mark.parametrize(
+    "table, verdicts",
+    [
+        (make_cyclic(1).cayley, [True]),  # itemgetter with one index picks an int
+        (make_dihedral(4).cayley, [True] * 8),
+        (make_quaternion(2).cayley, [True] * 8),
+        (LOOP5, [True, False, False, False, False]),
+    ],
+    ids=["Z1", "D4", "Q8", "loop5"],
+)
+def test_associative_at_compares_whole_rows_with_the_all_pairs_verdict(table, verdicts):
+    n = len(table)
+    got = [groups._associative_at(table, z) for z in range(n)]
+    assert got == [all_pairs_associative_at(table, z) for z in range(n)] == verdicts
+    full = [all(table[table[x][y]][z] == table[x][table[y][z]] for x in range(n) for y in range(n)) for z in range(n)]
+    assert got == full
 
 
 def test_verify_group_accepts_valid():
@@ -334,6 +400,7 @@ def oracle_catalog():
     for name in ("Z6", "Z8", "D3", "D4", "Q8", "Z2xZ4", "Z2xZ2xZ2", "Z12", "D6", "Z4xZ4", "Z2xD4", "V4:Z2"):
         cases += [("switch", t, None) for t in intercalate_switches(groups[name], rng, 15)]
     cases += [("loop", random_loop(rng.randint(4, 7), rng), None) for _ in range(80)]
+    cases.append(("loop", LOOP5, None))
     for _ in range(100):
         n = rng.randint(2, 12)
         alpha, beta = rng.sample(range(n), n), rng.sample(range(n), n)
