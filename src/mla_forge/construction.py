@@ -64,11 +64,10 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     Subgroup,
-    _check_order_bound,
     _is_homomorphism,
+    _pair_product,
     int_row,
     int_table,
-    make_semidirect,
     pair_index,
     validate_action_tables,
 )
@@ -88,9 +87,6 @@ class Action:
 
     @classmethod
     def make(cls, H: FiniteGroup, K: FiniteGroup, sigma: Sequence[Sequence[int]]) -> "Action":
-        _check_order_bound(H.order * K.order)
-        if not H.is_abelian:
-            raise ValidationError("actions are only supported on abelian H")
         return cls(H, K, validate_action_tables(H, K, sigma))
 
     @classmethod
@@ -102,9 +98,8 @@ class Action:
     def by_inversion(cls, H: FiniteGroup, K: FiniteGroup, inverting: Sequence[int]) -> "Action":
         """Elements listed in ``inverting`` act by h -> h^-1, the rest trivially."""
         ident = tuple(range(H.order))
-        inv = tuple(H.inverse)
         flipped = set(int_row(inverting, "inverting", K.order))
-        return cls.make(H, K, tuple(inv if x in flipped else ident for x in range(K.order)))
+        return cls.make(H, K, tuple(H.inverse if x in flipped else ident for x in range(K.order)))
 
     @property
     def is_trivial(self) -> bool:
@@ -113,8 +108,8 @@ class Action:
 
     @cached_property
     def product_group(self) -> FiniteGroup:
-        """H x| K, built once per action."""
-        return make_semidirect(self.H, self.K, self.sigma)
+        """H x| K, built once per action from the tables ``make`` checked."""
+        return _pair_product(self.H, self.K, self.sigma, f"{self.H.name}:{self.K.name}")
 
 
 def semidirect_product(action: Action) -> FiniteGroup:

@@ -195,8 +195,8 @@ def generator_steps(
     step. In a finite group the identity and the steps' y are the subgroup
     the generators generate.
 
-    Run on raw tables and seed sets; a group keeps the walk of its own
-    generators, built once (``FiniteGroup._walk``).
+    Run on raw tables and seed sets; a group keeps the walks of its own
+    generators, built once by its check (``FiniteGroup._walk``).
     """
     gens = tuple(gens)
     order = [identity]
@@ -214,23 +214,25 @@ def generator_steps(
 
 def _greedy_reach_set(
     cayley: Sequence[Sequence[int]], identity: int
-) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...], tuple[tuple[int, ...], ...]]:
     """Elements S, added greedily: the first element that right
     multiplication by S does not yet reach from ``identity``, a two-sided
     identity of the table, until it reaches every element; with the n - 1
-    ``generator_steps`` of S and the elements in step order. Each added
-    element is reached, as identity * s = s, so this ends on any such table.
-    On a group S generates it, and each element added at least doubles the
-    subgroup reached, so |S| <= log2(n).
+    ``generator_steps`` of S and, for j = 0..|S|, the elements that s_1..s_j
+    reach, in the order of their steps. Each added element is reached, as
+    identity * s = s, so this ends on any such table. On a group S generates
+    it, and each element added at least doubles the subgroup reached, so
+    |S| <= log2(n).
     """
     n = len(cayley)
     gens: list[int] = []
     steps: list[tuple[int, int, int]] = []
-    while len(steps) < n - 1:
-        reached = {identity, *(y for y, _, _ in steps)}
-        gens.append(next(x for x in range(n) if x not in reached))
+    reach = [(identity,)]
+    while len(reach[-1]) < n:
+        gens.append(min(set(range(n)).difference(reach[-1])))
         steps = generator_steps(cayley, identity, gens)
-    return tuple(gens), tuple(steps), (identity, *(y for y, _, _ in steps))
+        reach.append((identity, *(y for y, _, _ in steps)))
+    return tuple(gens), tuple(steps), tuple(reach)
 
 
 class FiniteGroup:
@@ -238,8 +240,13 @@ class FiniteGroup:
 
     Elements are the indices 0..order-1; ``cayley[x][y]`` is the product x*y.
     Instances are only built through :meth:`from_table` or the preset
-    constructors, so the table is always a verified group.
+    constructors, so the table is always a verified group. ``_walk`` is the
+    group's one walk, which ``from_table`` keeps from its check
+    (:func:`_greedy_reach_set`): S = :func:`find_generators`, the
+    ``generator_steps`` of S and, for each j, the elements of <s_1..s_j>.
     """
+
+    _walk: tuple[tuple[int, ...], tuple[tuple[int, int, int], ...], tuple[tuple[int, ...], ...]]
 
     def __init__(
         self,
@@ -282,7 +289,7 @@ class FiniteGroup:
         if names is not None and not all(isinstance(s, str) for s in names):
             raise ValidationError("element_names must be a list of strings")
         group = cls(name, rows, identity, inverse, gens, names)
-        group._walk = walk  # the walk Light's test read, kept in the cached_property slot
+        group._walk = walk
         return group
 
     def __repr__(self) -> str:
@@ -340,14 +347,6 @@ class FiniteGroup:
         return tuple(out)
 
     @cached_property
-    def _walk(self) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...], tuple[int, ...]]:
-        """The group's one walk: :func:`find_generators`, their
-        ``generator_steps`` and the elements in step order. ``from_table``
-        stores the walk its check built; another instance builds it on
-        first use."""
-        return _greedy_reach_set(self.cayley, self.identity)
-
-    @cached_property
     def _aut_chain(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """Aut's strong generators and basic orbit lengths
         (``_stabiliser_chain``), built on first use."""
@@ -372,13 +371,10 @@ class FiniteGroup:
 
 
 def find_generators(group: FiniteGroup) -> tuple[int, ...]:
-    """Greedy generating set: repeatedly add the first element outside the
-    closure so far. Deterministic, at most log2(order) generators.
-
-    The generator choice of every algorithm in the package and the base of
-    the group's walk (``FiniteGroup._walk``), built once per group; a group's
-    declared ``generators`` are metadata that no algorithm reads.
-    """
+    """The generator choice of every algorithm in the package: S of the
+    group's walk (:func:`_greedy_reach_set`, ``FiniteGroup._walk``), built
+    once per group; a group's declared ``generators`` are metadata that no
+    algorithm reads."""
     return group._walk[0]
 
 
@@ -465,8 +461,12 @@ def pair_index(h: int, x: int, h_order: int) -> int:
 def validate_action_tables(
     H: FiniteGroup, K: FiniteGroup, sigma: Sequence[Sequence[int]]
 ) -> tuple[tuple[int, ...], ...]:
-    """Check sigma is a homomorphism K -> Aut(H) given as per-element tables,
-    and return the tables as int tuples."""
+    """The one action check, of ``Action.make`` and :func:`make_semidirect`:
+    |H||K| <= MAX_GROUP_ORDER, H abelian and sigma a homomorphism
+    K -> Aut(H) as per-element tables, returned as int tuples."""
+    _check_order_bound(H.order * K.order)
+    if not H.is_abelian:
+        raise ValidationError("actions are only supported on abelian H")
     rows = int_table(sigma, "sigma", (K.order, H.order), H.order)
     for x, row in enumerate(rows):
         if len(set(row)) != H.order:
@@ -491,15 +491,12 @@ def make_semidirect(
     (h, x)(k, y) = (h * sigma_x(k), x y). A trivial action gives the direct
     product table.
     """
-    if not H.is_abelian:
-        raise ValidationError("semidirect construction requires abelian H")
     return _pair_product(H, K, validate_action_tables(H, K, sigma), name or f"{H.name}:{K.name}")
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     """Direct product, named AxB, with the same pair encoding as make_semidirect."""
-    sigma = [list(range(A.order)) for _ in range(B.order)]
-    return _pair_product(A, B, sigma, f"{A.name}x{B.name}")
+    return _pair_product(A, B, [range(A.order)] * B.order, f"{A.name}x{B.name}")
 
 
 def _pair_product(
@@ -601,35 +598,29 @@ def _extend_from_generators(
     codomain: FiniteGroup,
     values: Sequence[int],
     twist: Optional[Sequence[Sequence[int]]] = None,
-    walk: Optional[tuple[Sequence[int], Sequence[int]]] = None,
 ) -> Optional[tuple[int, ...]]:
-    """The map f with f(g_i) = values[i] on the generators g_i of
-    :func:`find_generators` and f(x g) = f(x) twist[x](f(g)) for every x and
-    generator g, as an image table, or None when there is none. ``twist[x]``
-    permutes the codomain; without it f is a homomorphism, with conjugation
-    (twist[x] = ^x) a crossed homomorphism, which is a bracket row by A2.
+    """The map f with f(g_i) = values[i] on the first j = len(values)
+    generators g_i of :func:`find_generators` and f(x g) = f(x) twist[x](f(g))
+    for every x and each such g, as an image table that is -1 outside
+    <g_1..g_j>, or None when there is none. ``twist[x]`` permutes the
+    codomain; without it f is a homomorphism, with conjugation (twist[x] = ^x)
+    a crossed homomorphism, which is a bracket row by A2.
 
-    The schedule is the domain's walk (``FiniteGroup._walk``): walking its
-    elements in step order, each product x g sets f(x g) if it is unset and
-    is checked against it otherwise, so the table is accepted iff the rule
-    holds for every x and generator g; for a homomorphism or a crossed
-    homomorphism it then holds for every product x w, by induction on the
-    length of the word w. ``walk`` = (generators, elements) replaces it by
-    the walk of a subgroup, the elements being the identity and the y of
-    the generators' ``generator_steps``; f is then built on that subgroup
-    and is -1 elsewhere.
+    The schedule is the domain's walk of <g_1..g_j> (``FiniteGroup._walk``):
+    walking its elements in step order, each product x g sets f(x g) if it is
+    unset and is checked against it otherwise, so the table is accepted iff
+    the rule holds for every x and generator g; for a homomorphism or a
+    crossed homomorphism it then holds for every product x w, by induction on
+    the length of the word w.
     """
-    if walk is None:
-        gens, _, order = domain._walk
-    else:
-        gens, order = walk
-    image = tuple(zip(gens, values, strict=True))
+    gens, _, reach = domain._walk
+    image = tuple(zip(gens, values))
     mul_d, mul_c = domain.cayley, codomain.cayley
     val = [-1] * domain.order
     val[domain.identity] = codomain.identity
     for g, fg in image:
         val[g] = fg
-    for x in order:
+    for x in reach[len(values)]:
         row, crow = mul_d[x], mul_c[val[x]]
         act = twist[x] if twist is not None else None
         for g, fg in image:
@@ -700,7 +691,8 @@ def _stabiliser_chain(group: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], 
     """Strong generators of Aut(group), sorted, and the basic orbit lengths
     of the stabiliser chain on the base S = ``find_generators(group)`` =
     (s_1, ..., s_k) (Holt, Eick & O'Brien, *Handbook of Computational Group
-    Theory*, 2005, §4.4).
+    Theory*, 2005, §4.4), searched along the walks of <s_1..s_j> that the
+    group's check kept (``FiniteGroup._walk``).
 
     Let A_i be the automorphisms that fix s_1..s_i: Aut = A_0 >= A_1 >= ...
     >= A_k = 1, the last since S generates the group. The levels are worked
@@ -726,10 +718,6 @@ def _stabiliser_chain(group: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], 
     base = find_generators(group)
     kind = _aut_invariants(group)
     cands = [[y for y in range(group.order) if kind[y] == kind[s]] for s in base]
-    walks = []  # (s_1..s_j, the elements of <s_1..s_j> in walk order) for each j
-    for j in range(len(base) + 1):
-        steps = generator_steps(group.cayley, group.identity, base[:j])
-        walks.append((base[:j], (group.identity, *(y for y, _, _ in steps))))
     maps: list[tuple[int, ...]] = []
     lengths = []
     for i in reversed(range(len(base))):
@@ -738,7 +726,7 @@ def _stabiliser_chain(group: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], 
         for y in cands[i]:
             if y in orbit or y in missed:
                 continue
-            phi = _aut_search(group, kind, cands, walks, [*base[:i], y])
+            phi = _aut_search(group, kind, cands, [*base[:i], y])
             if phi is None:
                 missed |= _orbit_of(y, maps)
             else:
@@ -776,7 +764,6 @@ def _aut_search(
     group: FiniteGroup,
     kind: list[int],
     cands: list[list[int]],
-    walks: list[tuple[tuple[int, ...], tuple[int, ...]]],
     images: list[int],
 ) -> Optional[tuple[int, ...]]:
     """An automorphism sending the base element s_j to images[j] for each
@@ -785,21 +772,21 @@ def _aut_search(
 
     An assignment to s_1..s_j is dropped as soon as it is no injective
     homomorphism on <s_1..s_j> that keeps the invariants ``kind``: the
-    generator kernel ``_extend_from_generators`` builds it along the walk of
-    <s_1..s_j>. At j = k that walk is the group's own, and a map kept there
-    is a bijective endomorphism.
+    generator kernel ``_extend_from_generators`` builds it along the group's
+    walk of <s_1..s_j>. At j = k that walk is the whole group's, and a map
+    kept there is a bijective endomorphism.
     """
     j = len(images)
-    phi = _extend_from_generators(group, group, images, walk=walks[j])
-    elements = walks[j][1]
+    phi = _extend_from_generators(group, group, images)
+    elements = group._walk[2][j]
     if phi is None or len({phi[x] for x in elements}) < len(elements):
         return None
     if any(kind[phi[x]] != kind[x] for x in elements):
         return None
-    if j == len(walks) - 1:
+    if j == len(cands):
         return phi
     for y in cands[j]:
-        phi = _aut_search(group, kind, cands, walks, [*images, y])
+        phi = _aut_search(group, kind, cands, [*images, y])
         if phi is not None:
             return phi
     return None

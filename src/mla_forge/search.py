@@ -507,8 +507,11 @@ def enumerate_induced(
     raw_count equals the number of accepted tuples: distinct tuples always
     induce distinct tables because the components can be read back off the
     table. The search on K and each pairing walk run within the config's
-    node budget, and exhausted is False when one of them is cut short."""
+    node budget, and exhausted is False when one of them is cut short.
+    ``require_ideal`` is rejected: the induced search has no ideal filter."""
     config = config or SearchConfig()
+    if config.require_ideal is not None:
+        raise ValidationError("enumerate_induced does not support require_ideal")
     _check_parts(H, K, action)
     base = enumerate_brackets(K, _inner(config))
     ranges = _affine_points(action)

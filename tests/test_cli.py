@@ -89,6 +89,17 @@ def test_verify_commutator_bracket(capsys):
     assert "bracket ok" in out
 
 
+def test_verify_trivial_bracket(capsys):
+    code, out, _ = run(capsys, "verify", "--group", "D3", "--bracket", "trivial")
+    assert (code, out) == (0, "bracket ok\n")
+
+
+def test_verify_without_a_group_or_construction_is_input_error(capsys):
+    code, out, err = run(capsys, "verify")
+    assert (code, out) == (2, "")
+    assert "verify needs --group or --construction" in err
+
+
 def test_verify_group_file_with_violations(tmp_path, capsys):
     bad = {"name": "bad", "order": 2, "cayley": [[0, 1], [1, 1]]}
     path = tmp_path / "bad.json"

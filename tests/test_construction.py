@@ -126,6 +126,46 @@ def test_inversion_rejects_what_is_not_an_element_of_k(inverting):
         Action.by_inversion(make_cyclic(3), make_cyclic(2), inverting)
 
 
+def tuple_with(**parts):
+    """ConstructionData.make on the S3 action with the trivial parts, except
+    the ``parts`` given."""
+    act = s3_action()
+    H, K = act.H, act.K
+    trivial = {"star_k": trivial_bracket(K), "gamma": GammaMap.zero(H, K), "beta": PairingMap.trivial(H, K)}
+    return ConstructionData.make(act, **{**trivial, **parts})
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: Action.make(make_cyclic(3), make_cyclic(2), [[0, 1, 2], [1, 2, 0]]), "not an automorphism of H"),
+        (lambda: Action.make(make_cyclic(3), make_cyclic(2), [[0, 2, 1], [0, 1, 2]]), "identity of K"),
+        (lambda: Action.make(make_dihedral(3), make_cyclic(2), [list(range(6))] * 2), "abelian H"),
+        (lambda: groups.make_semidirect(make_dihedral(3), make_cyclic(2), [list(range(6))] * 2), "abelian H"),
+        (lambda: GammaMap.make(make_cyclic(3), make_cyclic(2), [[0, 1, 2], [0, 0, 0]]), "zero endomorphism"),
+        (lambda: tuple_with(star_k=trivial_bracket(make_cyclic(3))), "star_k is not a bracket on K"),
+        (lambda: tuple_with(gamma=GammaMap.zero(make_cyclic(4), make_cyclic(2))), "gamma does not match"),
+        (lambda: tuple_with(beta=PairingMap.trivial(make_cyclic(3), make_cyclic(4))), "beta does not match"),
+    ],
+    ids=["sigma-not-automorphism", "sigma-at-identity", "action-on-nonabelian-h", "semidirect-on-nonabelian-h",
+         "gamma-at-identity", "star-on-other-k", "gamma-on-other-h", "beta-on-other-k"],
+)
+def test_action_family_and_tuple_checks_name_the_fault(make, match):
+    with pytest.raises(ValidationError, match=match):
+        make()
+
+
+def test_an_action_is_checked_once_from_make_to_its_product(monkeypatch):
+    """``Action.make`` checks sigma, and ``product_group`` builds from the
+    checked tables without checking them again."""
+    original, calls = groups.validate_action_tables, []
+    for module in (groups, construction):
+        monkeypatch.setattr(module, "validate_action_tables", lambda *args: calls.append(args) or original(*args))
+    product = Action.by_inversion(make_cyclic(4), make_dihedral(4), (4, 5, 6, 7)).product_group
+    assert product.order == 32
+    assert len(calls) == 1
+
+
 def test_checking_sigma_and_gamma_rows_walks_h_once_whatever_the_order_of_k(monkeypatch):
     """The rows of an action and of a Gamma family are each checked against
     H's one walk: the steps of H are built once, not once per element of K."""
@@ -525,6 +565,21 @@ def test_decompose_rejects_bracket_nontrivial_on_h():
 
     with pytest.raises(ReconstructionMismatchError):
         decompose_bracket(act, LieBracket.make(G, star))
+
+
+@pytest.mark.parametrize(
+    "check, bracket, match",
+    [
+        (decompose_bracket, lambda G: trivial_bracket(make_cyclic(6)), "does not live on the product"),
+        (decompose_bracket, lambda G: LieBracket.make(G, [[1] * 6] * 6), "not a verified structure"),
+        (section_independence_check, lambda G: trivial_bracket(make_cyclic(6)), "does not live on the product"),
+    ],
+    ids=["decompose-foreign", "decompose-unverified", "section-foreign"],
+)
+def test_readers_of_a_product_bracket_reject_a_foreign_or_unverified_one(check, bracket, match):
+    act = s3_action()
+    with pytest.raises(ValidationError, match=match):
+        check(act, bracket(act.product_group))
 
 
 def test_decompose_roundtrip_over_enumerated_tuples():

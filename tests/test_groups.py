@@ -279,6 +279,42 @@ def test_verify_group_accepts_valid():
     assert verify_group(make_cyclic(4).cayley) == []
 
 
+def inverse_switches(n):
+    """A latin table of order n = 2m with the two-sided identity 0 in which
+    every x and -x with 0 < x < m/2, and their translates by m, have no
+    two-sided inverse: the Cayley table of Z_n with, for each such x, the
+    2x2 subsquare on rows x, x + m and columns -x, -x + m switched. That
+    moves the identity in rows x and x + m, and in columns -x and -x + m, to
+    the other cell of the subsquare, so each of these elements keeps one
+    one-sided inverse and gets another on the other side."""
+    m = n // 2
+    table = [[(x + y) % n for y in range(n)] for x in range(n)]
+    for x in range(1, (m + 1) // 2):
+        a, b = -x % n, (m - x) % n
+        for r in (x, x + m):
+            table[r][a], table[r][b] = table[r][b], table[r][a]
+    return table
+
+
+@pytest.mark.parametrize(
+    "table, axioms",
+    [
+        ([], ["shape"]),
+        ([[0, 1], [1]], ["shape"]),
+        ([[0, 1], [1, 2]], ["shape"]),
+        ([[0] * 16] * 16, ["latin-row", "latin-column"] * 16),
+        (inverse_switches(34), ["inverse"] * VIOLATION_CAP),
+    ],
+    ids=["empty", "ragged", "out-of-range", "latin-at-cap", "inverse-at-cap"],
+)
+def test_verify_group_stops_at_a_shape_fault_or_at_the_cap(table, axioms):
+    """A table of the wrong shape is reported by its first fault alone; the
+    latin and inverse checks stop at VIOLATION_CAP, before associativity."""
+    got = verify_group(table)
+    assert [v.axiom for v in got] == axioms
+    assert got == full_scan_group_violations(table)
+
+
 # -- verify_group against the full-scan oracle -----------------------------------
 
 
@@ -807,6 +843,19 @@ def test_find_generators_generate():
         assert subgroup_generated(g, gens).order == g.order
 
 
+def test_a_group_keeps_the_walk_of_each_prefix_of_its_generators():
+    """For each j the group's walk holds the elements of <s_1..s_j> in the
+    order of their generator_steps, which the generator kernel reads as its
+    schedule: each element after the identity is one step from an earlier."""
+    for g in preset_catalog():
+        gens, steps, reach = g._walk
+        assert steps == tuple(groups.generator_steps(g.cayley, g.identity, gens))
+        assert len(reach) == len(gens) + 1
+        for j, elements in enumerate(reach):
+            prefix_steps = groups.generator_steps(g.cayley, g.identity, gens[:j])
+            assert elements == (g.identity, *(y for y, _, _ in prefix_steps))
+
+
 def test_find_generators_is_computed_once_per_group(monkeypatch):
     g = make_dihedral(6)
     first = find_generators(g)
@@ -831,3 +880,14 @@ def test_a_group_keeps_the_walk_its_check_built(monkeypatch):
     assert len(calls) == 2
     assert find_generators(g) == (1,)
     assert len(calls) == 2
+
+
+def test_the_aut_chain_walks_no_table(monkeypatch):
+    """The stabiliser chain extends its maps along the walks of <s_1..s_j>
+    that the group's check kept, so it runs no generator_steps of its own."""
+    g = parse_preset("Z2xZ2xD4")
+    calls = []
+    original = groups.generator_steps
+    monkeypatch.setattr(groups, "generator_steps", lambda *args: calls.append(args) or original(*args))
+    assert automorphism_count(g) == 3072
+    assert calls == []

@@ -353,6 +353,38 @@ def test_star_table_search_nodes_and_tables_are_pinned(spec, budget, ideal, node
     assert hashlib.sha256(repr(sorted(walk.results)).encode()).hexdigest()[:16] == digest
 
 
+def test_the_a5_row_prune_cuts_nodes_and_no_table():
+    """The A5 prune on generator rows is no copy of the leaf check: without
+    it the walk on Z2xD4 finds the same 64 tables in 2576 nodes, not 784."""
+    g = parse_preset("Z2xD4")
+    walks = [search._StarTableSearch(g, SearchConfig(max_group_order=24)) for _ in range(2)]
+    walks[1].a5 = {a: [] for a in walks[1].a5}
+    for walk in walks:
+        walk.run()
+    pruned, unpruned = walks
+    assert sorted(pruned.results) == sorted(unpruned.results) and len(pruned.results) == 64
+    assert (pruned.nodes, unpruned.nodes) == (784, 2576)
+
+
+@pytest.mark.parametrize(
+    "search_on_it, match",
+    [
+        (
+            lambda: enumerate_brackets(make_dihedral(3), SearchConfig(require_ideal=Subgroup(make_cyclic(6), (0,)))),
+            "require_ideal is not a subgroup of the target group",
+        ),
+        (
+            lambda: enumerate_mla_homs(make_dihedral(4), trivial_bracket(make_dihedral(3)), make_cyclic(4)),
+            "star_k is not a bracket on K",
+        ),
+    ],
+    ids=["ideal-of-another-group", "star-on-another-group"],
+)
+def test_searches_reject_parts_on_another_group(search_on_it, match):
+    with pytest.raises(ValidationError, match=match):
+        search_on_it()
+
+
 def test_require_ideal_with_three_generators():
     g = parse_preset("Z2xZ2xZ2")
     ideal = subgroup_generated(g, {1})
@@ -630,13 +662,27 @@ def test_enumerate_induced_contains_trivial():
 
 def test_enumerate_induced_builds_the_product_once(monkeypatch):
     builds = []
-    build = construction.make_semidirect
-    monkeypatch.setattr(construction, "make_semidirect", lambda *a, **kw: builds.append(a) or build(*a, **kw))
+    build = construction._pair_product
+    monkeypatch.setattr(construction, "_pair_product", lambda *a, **kw: builds.append(a) or build(*a, **kw))
     H, K = make_cyclic(3), make_cyclic(2)
     for calls in (1, 2):
         res = enumerate_induced(H, K, Action.by_inversion(H, K, inverting=(1,)))
         assert res.raw_count == 3
         assert len(builds) == calls
+
+
+def test_enumerate_induced_rejects_require_ideal():
+    """The induced search has no ideal filter, so it rejects require_ideal
+    instead of ignoring it: on Z2 x D4 with the trivial action the normal
+    subgroup {0, 5} is an ideal of only 8 of the 24 induced brackets."""
+    H, K = make_cyclic(2), make_dihedral(4)
+    action = Action.trivial(H, K)
+    N = Subgroup(action.product_group, (0, 5))
+    res = enumerate_induced(H, K, action, SearchConfig(max_group_order=32))
+    assert N.is_normal and res.raw_count == 24
+    assert sum(is_ideal(b, N) for b in res.items) == 8
+    with pytest.raises(ValidationError, match="require_ideal"):
+        enumerate_induced(H, K, action, SearchConfig(max_group_order=32, require_ideal=N))
 
 
 def test_enumerate_induced_checks_the_action_before_the_walk(monkeypatch):

@@ -121,3 +121,19 @@ def test_malformed_json_raises_validation_error(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ValidationError):
         io.load_group(path)
+
+
+@pytest.mark.parametrize(
+    "load, text, match",
+    [
+        (io.load_bracket, "[]", "bracket document must be a JSON object"),
+        (io.load_construction, "[[0]]", "construction document must be a JSON object"),
+        (io.load_sigma, '{"tables": [[0]]}', "has no 'sigma' field"),
+    ],
+    ids=["bracket-not-an-object", "construction-not-an-object", "sigma-field-missing"],
+)
+def test_documents_of_the_wrong_form_are_rejected(tmp_path, load, text, match):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError, match=match):
+        load(path)
