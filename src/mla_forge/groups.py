@@ -369,6 +369,16 @@ class FiniteGroup:
         """Sorted multiset of element orders; an isomorphism invariant."""
         return tuple(sorted(self.element_order(a) for a in range(self.order)))
 
+    @cached_property
+    def _invariants(self) -> tuple[tuple[int, int, int], ...]:
+        """Per element, its order, centralizer size and number of square
+        roots, which isomorphisms keep: raw tuples, so two groups compare."""
+        n, mul = self.order, self.cayley
+        squares = [mul[y][y] for y in range(n)]
+        return tuple(
+            (self.element_order(x), sum(mul[x][y] == mul[y][x] for y in range(n)), squares.count(x)) for x in range(n)
+        )
+
 
 def find_generators(group: FiniteGroup) -> tuple[int, ...]:
     """The generator choice of every algorithm in the package: S of the
@@ -639,40 +649,64 @@ def _is_homomorphism(domain: FiniteGroup, codomain: FiniteGroup, images: Sequenc
     return _extend_from_generators(domain, codomain, values) == tuple(images)
 
 
-def _generator_maps(domain: FiniteGroup, codomain: FiniteGroup, bijective: bool) -> Iterator[tuple[int, ...]]:
-    """Every homomorphism domain -> codomain as an image table, only the
-    bijections when ``bijective``.
+def _generator_maps(
+    domain: FiniteGroup, codomain: FiniteGroup, cands: list[list[int]], bijective: bool, prefix: Sequence[int] = ()
+) -> Iterator[tuple[int, ...]]:
+    """The one search over generator images: every homomorphism domain ->
+    codomain (an image table) that sends the first generators s_j of
+    :func:`find_generators` to ``prefix`` and the later ones into
+    ``cands[j]``, only the bijections when ``bijective`` (for groups of one
+    order), in the lexicographic order of the generator images.
 
-    The images of the domain's generators range, in product order, over the
-    codomain elements whose order divides the generator's order (equals it
-    when ``bijective``).
+    Depth-first, it drops an assignment to s_1..s_j as soon as
+    ``_extend_from_generators`` finds no homomorphism on <s_1..s_j> along the
+    domain's walk of it or, when ``bijective``, the map changes an invariant
+    (``FiniteGroup._invariants``) there. That drops every map that is not
+    injective on <s_1..s_j>: a homomorphism that keeps element orders sends
+    no element but the identity to the identity.
     """
-    orders = [codomain.element_order(y) for y in range(codomain.order)]
-    cand = []
-    for g in find_generators(domain):
-        og = domain.element_order(g)
-        cand.append([y for y, oy in enumerate(orders) if (oy == og if bijective else og % oy == 0)])
-    for images in product(*cand):
-        ext = _extend_from_generators(domain, codomain, images)
-        if ext is not None and (not bijective or len(set(ext)) == domain.order == codomain.order):
-            yield ext
+    reach = domain._walk[2]
+    kind_d, kind_c = (domain._invariants, codomain._invariants) if bijective else ((), ())
+    stack = [tuple(prefix)]
+    while stack:  # the top is the least assignment not yet tried
+        images = stack.pop()
+        phi = _extend_from_generators(domain, codomain, images)
+        if phi is None or bijective and any(kind_c[phi[x]] != kind_d[x] for x in reach[len(images)]):
+            continue
+        if len(images) == len(cands):
+            yield phi
+        else:
+            stack += [images + (y,) for y in reversed(cands[len(images)])]
+
+
+def _invariant_candidates(domain: FiniteGroup, codomain: FiniteGroup) -> list[list[int]]:
+    """For each generator s of :func:`find_generators` (domain), the codomain
+    elements, increasing, with the invariants of s: the images an isomorphism may give s."""
+    kind = domain._invariants
+    return [[y for y, k in enumerate(codomain._invariants) if k == kind[s]] for s in find_generators(domain)]
 
 
 def homomorphisms(domain: FiniteGroup, codomain: FiniteGroup) -> list[tuple[int, ...]]:
-    """All homomorphisms domain -> codomain as image tables, sorted."""
-    return sorted(_generator_maps(domain, codomain, False))
+    """All homomorphisms domain -> codomain as image tables, sorted: the
+    search ``_generator_maps`` with the images of each generator ranging over
+    the codomain elements whose order divides the generator's."""
+    orders = [codomain.element_order(y) for y in range(codomain.order)]
+    gen_orders = [domain.element_order(g) for g in find_generators(domain)]
+    cands = [[y for y, oy in enumerate(orders) if og % oy == 0] for og in gen_orders]
+    return sorted(_generator_maps(domain, codomain, cands, False))
 
 
 def automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
-    """All automorphisms as image tables, sorted, so the identity map comes first."""
-    return sorted(_generator_maps(group, group, True))
+    """All automorphisms as image tables, sorted, so the identity map comes
+    first: the search ``_generator_maps`` over the invariant candidates."""
+    return sorted(_generator_maps(group, group, _invariant_candidates(group, group), True))
 
 
 def automorphism_generators(group: FiniteGroup) -> list[tuple[int, ...]]:
     """A generating set of Aut(group) as image tables, sorted and
     irredundant: the strong generators of the stabiliser chain whose base is
     ``find_generators(group)`` (``_stabiliser_chain``), built once per group
-    without listing Aut.
+    without listing Aut, each found by the search ``_generator_maps``.
 
     No map lies in the subgroup that the maps before it generate, and the
     identity is never kept, so a group with no automorphism but the identity
@@ -691,16 +725,16 @@ def _stabiliser_chain(group: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], 
     """Strong generators of Aut(group), sorted, and the basic orbit lengths
     of the stabiliser chain on the base S = ``find_generators(group)`` =
     (s_1, ..., s_k) (Holt, Eick & O'Brien, *Handbook of Computational Group
-    Theory*, 2005, §4.4), searched along the walks of <s_1..s_j> that the
-    group's check kept (``FiniteGroup._walk``).
+    Theory*, 2005, §4.4), each map the first of the one search over
+    generator images, ``_generator_maps``.
 
     Let A_i be the automorphisms that fix s_1..s_i: Aut = A_0 >= A_1 >= ...
     >= A_k = 1, the last since S generates the group. The levels are worked
     from i = k down to 1, and on entering level i the maps found so far
     generate A_i. The orbit of s_i under them is closed, and for each
-    candidate y outside it (an element with the invariants of s_i,
-    ``_aut_invariants``) one automorphism that fixes s_1..s_{i-1} and sends
-    s_i to y is searched for (``_aut_search``). A hit joins the maps and the
+    candidate y outside it (``_invariant_candidates``, built once per chain)
+    the search takes, with the prefix s_1..s_{i-1}, y, one automorphism that
+    fixes s_1..s_{i-1} and sends s_i to y. A hit joins the maps and the
     orbit is closed again; a miss rules out the orbit of y under the maps
     found, since a found h with h(y) = y' and some f in A_{i-1} with
     f(s_i) = y' would give h^-1 f sending s_i to y. At the end of the level
@@ -716,8 +750,7 @@ def _stabiliser_chain(group: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], 
     reach.
     """
     base = find_generators(group)
-    kind = _aut_invariants(group)
-    cands = [[y for y in range(group.order) if kind[y] == kind[s]] for s in base]
+    cands = _invariant_candidates(group, group)
     maps: list[tuple[int, ...]] = []
     lengths = []
     for i in reversed(range(len(base))):
@@ -726,7 +759,7 @@ def _stabiliser_chain(group: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], 
         for y in cands[i]:
             if y in orbit or y in missed:
                 continue
-            phi = _aut_search(group, kind, cands, [*base[:i], y])
+            phi = next(_generator_maps(group, group, cands, True, [*base[:i], y]), None)
             if phi is None:
                 missed |= _orbit_of(y, maps)
             else:
@@ -734,19 +767,6 @@ def _stabiliser_chain(group: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], 
                 orbit = _orbit_of(base[i], maps)
         lengths.append(len(orbit))
     return tuple(maps), tuple(lengths)
-
-
-def _aut_invariants(group: FiniteGroup) -> list[int]:
-    """Per element, a number that every automorphism keeps: the index, in
-    order of first occurrence, of its order, the size of its centralizer and
-    its number of square roots."""
-    n, mul = group.order, group.cayley
-    roots = [0] * n
-    for y in range(n):
-        roots[mul[y][y]] += 1
-    keys = [(group.element_order(x), sum(mul[x][y] == mul[y][x] for y in range(n)), roots[x]) for x in range(n)]
-    index: dict[tuple[int, int, int], int] = {}
-    return [index.setdefault(key, len(index)) for key in keys]
 
 
 def _orbit_of(point: int, maps: Sequence[tuple[int, ...]]) -> set[int]:
@@ -760,38 +780,6 @@ def _orbit_of(point: int, maps: Sequence[tuple[int, ...]]) -> set[int]:
     return orbit
 
 
-def _aut_search(
-    group: FiniteGroup,
-    kind: list[int],
-    cands: list[list[int]],
-    images: list[int],
-) -> Optional[tuple[int, ...]]:
-    """An automorphism sending the base element s_j to images[j] for each
-    j < len(images) and the rest of the base to candidates (``cands``),
-    tried in increasing order depth-first, or None.
-
-    An assignment to s_1..s_j is dropped as soon as it is no injective
-    homomorphism on <s_1..s_j> that keeps the invariants ``kind``: the
-    generator kernel ``_extend_from_generators`` builds it along the group's
-    walk of <s_1..s_j>. At j = k that walk is the whole group's, and a map
-    kept there is a bijective endomorphism.
-    """
-    j = len(images)
-    phi = _extend_from_generators(group, group, images)
-    elements = group._walk[2][j]
-    if phi is None or len({phi[x] for x in elements}) < len(elements):
-        return None
-    if any(kind[phi[x]] != kind[x] for x in elements):
-        return None
-    if j == len(cands):
-        return phi
-    for y in cands[j]:
-        phi = _aut_search(group, kind, cands, [*images, y])
-        if phi is not None:
-            return phi
-    return None
-
-
 def endomorphism_count(group: FiniteGroup) -> int:
     """|End(H)| of an abelian group, without enumerating: the product of
     gcd(d_i, d_j) over all pairs of invariant factors, since Hom(Z_a, Z_b)
@@ -801,10 +789,12 @@ def endomorphism_count(group: FiniteGroup) -> int:
 
 
 def is_isomorphic(a: FiniteGroup, b: FiniteGroup) -> Optional[tuple[int, ...]]:
-    """An explicit isomorphism a -> b as an image table, or None."""
-    if a.order != b.order or a.is_abelian != b.is_abelian or a.order_profile != b.order_profile:
+    """An explicit isomorphism a -> b as an image table, or None: the first
+    bijection of the search ``_generator_maps``, each generator of a sent to
+    the elements of b that share its invariants."""
+    if a.order != b.order:
         return None
-    return next(_generator_maps(a, b, True), None)
+    return next(_generator_maps(a, b, _invariant_candidates(a, b), True), None)
 
 
 def invariant_factors(group: FiniteGroup) -> tuple[int, ...]:

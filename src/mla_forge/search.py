@@ -621,7 +621,7 @@ def verify_coprime_determination(
 
 
 def tau(n: int) -> int:
-    """Number of positive divisors."""
-    if n < 1:
-        raise ValidationError(f"tau requires a positive integer, got {n}")
+    """Number of positive divisors of an int n >= 1 (a bool is not an int here)."""
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"tau requires a positive integer, got {n!r}")
     return sum(1 for d in range(1, n + 1) if n % d == 0)

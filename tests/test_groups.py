@@ -527,7 +527,11 @@ def test_automorphism_counts():
     assert len(automorphisms(make_dihedral(4))) == 8
 
 
-@pytest.mark.parametrize("group", [make_cyclic(6), make_dihedral(3), make_dihedral(4), make_quaternion(2)])
+@pytest.mark.parametrize(
+    "group",
+    [make_cyclic(6), make_dihedral(3), make_dihedral(4), make_quaternion(2),
+     inverting_product(make_cyclic(4), make_cyclic(4), (2,))],
+)
 def test_automorphisms_match_bijection_scan(group):
     assert automorphisms(group) == bijection_scan_automorphisms(group)
 
@@ -699,6 +703,20 @@ def test_d4_not_isomorphic_to_q8():
     assert is_isomorphic(make_dihedral(4), make_quaternion(2)) is None
 
 
+def test_isomorphism_search_prunes_on_invariants_alone():
+    """Z4:Z4, the generator of K inverting H, and Z2xQ8 have one order, one
+    order profile and are both non-abelian, yet are not isomorphic: Z4:Z4 has
+    3 squares and Z2xQ8 has 2. Z2xZ2xD3 and Z2xD6 are one group in two
+    presentations, with four and three generators."""
+    z4z4, z2q8 = inverting_product(make_cyclic(4), make_cyclic(4), (2,)), parse_preset("Z2xQ8")
+    assert z4z4.order_profile == z2q8.order_profile and not z4z4.is_abelian and not z2q8.is_abelian
+    assert [len({g.cayley[x][x] for x in range(g.order)}) for g in (z4z4, z2q8)] == [3, 2]
+    assert is_isomorphic(z4z4, z2q8) is None and is_isomorphic(z2q8, z4z4) is None
+    a, b = parse_preset("Z2xZ2xD3"), parse_preset("Z2xD6")
+    m = is_isomorphic(a, b)
+    assert m is not None and sorted(m) == list(range(b.order)) and groups._is_homomorphism(a, b, m)
+
+
 def test_isomorphism_reflexive_symmetric_and_valid():
     catalog = [make_cyclic(6), make_dihedral(4), make_quaternion(2)]
     for g in catalog:
@@ -706,6 +724,9 @@ def test_isomorphism_reflexive_symmetric_and_valid():
         assert m is not None
         assert groups._is_homomorphism(g, g, m)
         assert sorted(m) == list(range(g.order))
+        # the search tries images in increasing order, and every element below
+        # a generator s_i lies in <s_1..s_{i-1}>: the identity comes first
+        assert m == tuple(range(g.order))
     a = direct_product(make_cyclic(2), make_cyclic(3))
     b = make_cyclic(6)
     assert (is_isomorphic(a, b) is None) == (is_isomorphic(b, a) is None)

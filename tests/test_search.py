@@ -186,8 +186,12 @@ def test_classify_on_the_trivial_group_and_on_z2():
 
 def test_classification_lists_no_automorphisms(monkeypatch):
     """Classifying brackets and induced brackets runs on the chain's strong
-    generators alone: with every listing of Aut made to fail, on groups
-    built afresh, the counts and representatives come out unchanged."""
+    generators alone: with every listing of Aut and every isomorphism test
+    made to fail, on groups built afresh, the counts and representatives come
+    out unchanged. The chain takes at most one map of the search over
+    generator images per candidate image of a base element, far fewer than
+    |Aut| (64 for Z2xD4, 128 for Z4xD4); the homomorphisms that
+    ``enumerate_gamma`` lists are not bijective and not counted."""
 
     def classify():
         H, K = make_cyclic(4), make_dihedral(4)
@@ -203,15 +207,22 @@ def test_classification_lists_no_automorphisms(monkeypatch):
         raise AssertionError("Aut was listed")
 
     generator_maps = groups._generator_maps
+    taken: dict = {}
 
-    def homomorphisms_only(domain, codomain, bijective):
-        if bijective:
-            no_listing()
-        return generator_maps(domain, codomain, bijective)
+    def counting(domain, codomain, cands, bijective, prefix=()):
+        for phi in generator_maps(domain, codomain, cands, bijective, prefix):
+            if bijective:
+                taken[domain] = taken.get(domain, 0) + 1
+            yield phi
 
     monkeypatch.setattr(groups, "automorphisms", no_listing)
-    monkeypatch.setattr(groups, "_generator_maps", homomorphisms_only)
+    monkeypatch.setattr(groups, "is_isomorphic", no_listing)
+    monkeypatch.setattr(groups, "_generator_maps", counting)
     assert classify() == expected
+    assert {G.order for G in taken} >= {16, 32}  # Z2xD4 and Z4xD4, with D4 for the induced search
+    for G, count in taken.items():
+        bound = sum(map(len, groups._invariant_candidates(G, G)))
+        assert count <= bound < groups.automorphism_count(G)
 
 
 def test_enumerate_counts():
@@ -970,3 +981,11 @@ def test_tau_values():
     assert tau(12) == 6
     with pytest.raises(ValidationError):
         tau(0)
+
+
+@pytest.mark.parametrize("value", [True, 1.5, "3", 0], ids=repr)
+def test_tau_rejects_what_is_not_a_positive_int(value):
+    """A bool is not coerced to 1, and a float or a string is rejected, not
+    met by a TypeError from the comparison or the range."""
+    with pytest.raises(ValidationError, match=rf"^tau requires a positive integer, got {value!r}$"):
+        tau(value)
