@@ -48,7 +48,6 @@ from .groups import (
     make_cyclic,
     make_dihedral,
     make_quaternion,
-    make_semidirect,
     subgroup_generated,
     verify_group,
 )

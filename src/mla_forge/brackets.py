@@ -180,11 +180,11 @@ def _violations(
     return AXIOM_SCANS[axiom](group, table, full[axiom])
 
 
-def _is_mla(group: FiniteGroup, table: _Table, ranges: Optional[_Ranges] = None) -> bool:
+def _is_mla(group: FiniteGroup, table: _Table, ranges: _Ranges) -> bool:
     """Whether a table of group elements passes A1-A5 (no ``int_table``
     check): the one pass/fail decision on bracket tables. ``ranges`` come
-    from ``_reduced_ranges``, by default for the group alone, and are
-    scanned in this order:
+    from ``_reduced_ranges``, built once by a caller that decides many
+    tables, and are scanned in this order:
 
       1. A1 on the diagonal.
       2. A4 on its reduced range, which assumes the other axioms; a
@@ -192,8 +192,6 @@ def _is_mla(group: FiniteGroup, table: _Table, ranges: Optional[_Ranges] = None)
       3. A2, A3 and A5 on their reduced ranges, exact whatever the other
          axioms do; if all three hold, A4's range was exact, and A1-A5 hold.
     """
-    if ranges is None:
-        ranges = _reduced_ranges(group)
     return all(axiom_holds(group, table, a, ranges[a]) for a in ("A1", "A4", "A2", "A3", "A5"))
 
 
@@ -392,26 +390,21 @@ def pushforward_table(
     return tuple(tuple(images[row[p]] for p in pre) for row in rows)
 
 
-def bracket_orbit(
-    bracket: LieBracket, autos: Optional[Sequence[tuple[int, ...]]] = None
-) -> Iterator[tuple[tuple[int, ...], ...]]:
+def bracket_orbit(bracket: LieBracket) -> Iterator[tuple[tuple[int, ...], ...]]:
     """The tables equivalent to ``bracket``, each yielded once: its orbit
     under the automorphisms of its group and argument reversal.
 
     Two brackets on a group are the same structure exactly when one's table
-    is in the other's orbit. ``autos`` is any generating set of Aut as image
-    tables (the full ``automorphisms`` list qualifies); by default the
-    strong generators of the group's stabiliser chain,
-    ``automorphism_generators``, so Aut is never listed. Reversal is a
-    transpose and commutes with every relabeling, so Aut x <reversal> is a
-    group and closing {table} under the generators and reversal gives the
-    whole orbit, at |orbit| x (|autos| + 1) relabelings whatever |Aut| is.
+    is in the other's orbit. Reversal is a transpose and commutes with every
+    relabeling, so Aut x <reversal> is a group, and closing {table} under
+    reversal and the strong generators of Aut's stabiliser chain
+    (``automorphism_generators``; Aut is never listed) gives the whole
+    orbit, at |orbit| x (|generators| + 1) relabelings whatever |Aut| is.
     The closure (``_orbit_keys``) is depth-first, and each table is yielded
     when first found.
     """
-    group = bracket.group
-    n = group.order
-    moves = _orbit_moves(n, automorphism_generators(group) if autos is None else autos)
+    n = bracket.group.order
+    moves = _orbit_moves(n, automorphism_generators(bracket.group))
     for key in _orbit_keys(_table_key(bracket.star), moves):
         yield tuple(tuple(key[i : i + n]) for i in range(0, n * n, n))
 

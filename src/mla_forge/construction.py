@@ -64,12 +64,12 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _check_order_bound,
     _is_homomorphism,
     _pair_product,
     int_row,
     int_table,
     pair_index,
-    validate_action_tables,
 )
 
 CONDITION_NAMES = ("C1", "C2", "C3", "C4", "C5", "C6")
@@ -87,7 +87,24 @@ class Action:
 
     @classmethod
     def make(cls, H: FiniteGroup, K: FiniteGroup, sigma: Sequence[Sequence[int]]) -> "Action":
-        return cls(H, K, validate_action_tables(H, K, sigma))
+        """The one action check: |H||K| <= MAX_GROUP_ORDER, H abelian and
+        sigma a homomorphism K -> Aut(H) as per-element tables, kept as int
+        tuples for ``product_group``, which does not check them again."""
+        _check_order_bound(H.order * K.order)
+        if not H.is_abelian:
+            raise ValidationError("actions are only supported on abelian H")
+        rows = int_table(sigma, "sigma", (K.order, H.order), H.order)
+        for x, row in enumerate(rows):
+            if len(set(row)) != H.order:
+                raise ValidationError(f"action table for element {x} is not a permutation of H")
+            if not _is_homomorphism(H, H, row):
+                raise ValidationError(f"action table for element {x} is not an automorphism of H")
+        if rows[K.identity] != tuple(range(H.order)):
+            raise ValidationError("action at the identity of K must be the identity map")
+        for x, y in product(range(K.order), repeat=2):
+            if tuple(rows[x][h] for h in rows[y]) != rows[K.cayley[x][y]]:
+                raise ValidationError(f"action is not a homomorphism: fails at ({x},{y})")
+        return cls(H, K, rows)
 
     @classmethod
     def trivial(cls, H: FiniteGroup, K: FiniteGroup) -> "Action":
@@ -389,11 +406,11 @@ def induce_bracket(data: ConstructionData, check: bool = True) -> LieBracket:
     return LieBracket(data.action.product_group, data.induced_table)
 
 
-def split_factor_subgroup(action: Action, group: FiniteGroup) -> Subgroup:
-    """The embedded copy of H inside the pair-encoded product."""
+def split_factor_subgroup(action: Action) -> Subgroup:
+    """The embedded copy of H, the pairs (h, 1), in ``action.product_group``."""
     nH = action.H.order
     members = tuple(sorted(pair_index(h, action.K.identity, nH) for h in range(nH)))
-    return Subgroup(group, members)
+    return Subgroup(action.product_group, members)
 
 
 def decompose_bracket(action: Action, bracket: LieBracket) -> ConstructionData:
@@ -423,7 +440,7 @@ def decompose_bracket(action: Action, bracket: LieBracket) -> ConstructionData:
         raise ValidationError("bracket does not live on the product of the given action")
     if verify_mla(bracket.group, bracket):
         raise ValidationError("bracket is not a verified structure")
-    h_sub = split_factor_subgroup(action, bracket.group)
+    h_sub = split_factor_subgroup(action)
     if not is_ideal(bracket, h_sub):
         raise NotIdealError("H is not an ideal of the given bracket")
 

@@ -44,12 +44,20 @@ def int_table(
 ) -> tuple[tuple[int, ...], ...]:
     """``table`` as a tuple of int tuples, each row checked by :func:`int_row`
     with ``bound``; with ``shape`` = (rows, cols) it must have that many rows
-    of that length."""
+    of that length, and without it, as a Cayley table, at most
+    MAX_GROUP_ORDER rows. The row count is checked before any row is read,
+    and every row's length before any entry, so a table too large is
+    rejected before it is copied."""
     try:
-        rows = tuple(tuple(row) for row in table)
+        rows = list(table)
+        if shape is None:
+            _check_order_bound(len(rows))
+        elif len(rows) != shape[0]:
+            raise ValidationError(f"{what} table must have shape {shape[0]} x {shape[1]}")
+        rows = [tuple(row) for row in rows]
     except TypeError:
         raise ValidationError(f"{what} must be a table of rows")
-    if shape is not None and (len(rows) != shape[0] or any(len(row) != shape[1] for row in rows)):
+    if shape is not None and any(len(row) != shape[1] for row in rows):
         raise ValidationError(f"{what} table must have shape {shape[0]} x {shape[1]}")
     return tuple(int_row(row, what, bound) for row in rows)
 
@@ -90,8 +98,8 @@ def verify_group(
 
     Returns every violation found (up to VIOLATION_CAP); an empty list means
     the table is a group and, if generators were supplied, that they generate
-    it. Entries and generators that are not integers, and tables above
-    MAX_GROUP_ORDER, are input errors and raise instead.
+    it. Tables above MAX_GROUP_ORDER, checked first, and entries and
+    generators that are not integers are input errors and raise instead.
 
     Associativity is decided by Light's test (Clifford & Preston, *The
     Algebraic Theory of Semigroups* I, 1961, §1.2). Let Z be the set of z
@@ -116,7 +124,6 @@ def _group_violations(
     """:func:`verify_group` on integer entries, with the identity found or None
     and the walk that Light's test read S from (:func:`_greedy_reach_set`),
     or None; on a table without violations both are found."""
-    _check_order_bound(len(cayley))
     out: list[GroupViolation] = []
     n = len(cayley)
     if n == 0:
@@ -468,44 +475,9 @@ def pair_index(h: int, x: int, h_order: int) -> int:
     return h + h_order * x
 
 
-def validate_action_tables(
-    H: FiniteGroup, K: FiniteGroup, sigma: Sequence[Sequence[int]]
-) -> tuple[tuple[int, ...], ...]:
-    """The one action check, of ``Action.make`` and :func:`make_semidirect`:
-    |H||K| <= MAX_GROUP_ORDER, H abelian and sigma a homomorphism
-    K -> Aut(H) as per-element tables, returned as int tuples."""
-    _check_order_bound(H.order * K.order)
-    if not H.is_abelian:
-        raise ValidationError("actions are only supported on abelian H")
-    rows = int_table(sigma, "sigma", (K.order, H.order), H.order)
-    for x, row in enumerate(rows):
-        if len(set(row)) != H.order:
-            raise ValidationError(f"action table for element {x} is not a permutation of H")
-        if not _is_homomorphism(H, H, row):
-            raise ValidationError(f"action table for element {x} is not an automorphism of H")
-    if rows[K.identity] != tuple(range(H.order)):
-        raise ValidationError("action at the identity of K must be the identity map")
-    for x, y in product(range(K.order), repeat=2):
-        sx = rows[x]
-        if tuple(sx[h] for h in rows[y]) != rows[K.cayley[x][y]]:
-            raise ValidationError(f"action is not a homomorphism: fails at ({x},{y})")
-    return rows
-
-
-def make_semidirect(
-    H: FiniteGroup, K: FiniteGroup, sigma: Sequence[Sequence[int]], name: Optional[str] = None
-) -> FiniteGroup:
-    """Semidirect product H x| K for an action of K on abelian H.
-
-    Pairs (h, x) are encoded as h + |H|*x and multiply by
-    (h, x)(k, y) = (h * sigma_x(k), x y). A trivial action gives the direct
-    product table.
-    """
-    return _pair_product(H, K, validate_action_tables(H, K, sigma), name or f"{H.name}:{K.name}")
-
-
 def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
-    """Direct product, named AxB, with the same pair encoding as make_semidirect."""
+    """Direct product, named AxB: the table of the pairs :func:`pair_index`
+    under the trivial action, as ``construction.Action`` builds H x| K."""
     return _pair_product(A, B, [range(A.order)] * B.order, f"{A.name}x{B.name}")
 
 

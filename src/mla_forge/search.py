@@ -321,7 +321,7 @@ def enumerate_gamma(
 
 
 class _PairingWalk(_SeedWalk):
-    def __init__(self, action: Action, star_k: LieBracket, budget: int = DEFAULT_NODE_BUDGET):
+    def __init__(self, action: Action, star_k: LieBracket, budget: int):
         super().__init__(action.K, action.H, budget)
         K, inv_h = action.K, action.H.inverse
         self.sig, self.star = sig, star = action.sigma, star_k.star
@@ -387,9 +387,15 @@ def enumerate_pairings(
         raise ValidationError("star_k is not a bracket on K")
     if verify_mla(K, star_k, max_violations=1):
         raise ValidationError("star_k is not a verified bracket on K")
-    walk = _PairingWalk(action, star_k)
+    return _pairings(action, star_k, DEFAULT_NODE_BUDGET)[0]
+
+
+def _pairings(action: Action, star_k: LieBracket, budget: int) -> tuple[list[PairingMap], bool]:
+    """The one run of ``_PairingWalk``: its tables as pairing maps, sorted,
+    and whether it ended within ``budget`` nodes. star_k must pass A1-A5."""
+    walk = _PairingWalk(action, star_k, budget)
     walk.run()
-    return [PairingMap(H, K, t) for t in sorted(walk.results)]
+    return [PairingMap(action.H, action.K, t) for t in sorted(walk.results)], walk.exhausted
 
 
 def enumerate_tuples(action: Action, star_k: LieBracket) -> list[ConstructionData]:
@@ -485,11 +491,9 @@ def _kept_tuples(
     action: Action, star_k: LieBracket, betas: list[PairingMap], ranges: _Ranges
 ) -> list[ConstructionData]:
     """The tuples of ``enumerate_tuples`` for the given betas."""
-    H, K = action.H, action.K
-    base = ConstructionData(action, star_k, GammaMap.zero(H, K), PairingMap.trivial(H, K))
     tuples = (
-        replace(base, gamma=gamma, beta=beta)
-        for gamma in enumerate_gamma(H, K, action, star_k)
+        ConstructionData(action, star_k, gamma, beta)
+        for gamma in enumerate_gamma(action.H, action.K, action, star_k)
         for beta in betas
     )
     return [data for data in tuples if _is_mla(action.product_group, data.induced_table, ranges)]
@@ -517,11 +521,9 @@ def enumerate_induced(
     ranges = _affine_points(action)
     tables, exhausted = [], base.exhausted
     for star_k in base.items:
-        # star_k passed A1-A5 in the search, as enumerate_pairings requires
-        walk = _PairingWalk(action, star_k, config.node_budget)
-        walk.run()
-        exhausted = exhausted and walk.exhausted
-        betas = [PairingMap(H, K, t) for t in sorted(walk.results)]
+        # star_k passed A1-A5 in the search, as _pairings requires
+        betas, walked = _pairings(action, star_k, config.node_budget)
+        exhausted = exhausted and walked
         tables += (data.induced_table for data in _kept_tuples(action, star_k, betas, ranges))
     return _result(semidirect_product(action), tables, config.up_to_iso, exhausted)
 
@@ -595,7 +597,7 @@ def verify_coprime_determination(
             induced_class_count=induced.class_count,
             exhausted=induced.exhausted,
         )
-    h_sub = split_factor_subgroup(action, G)
+    h_sub = split_factor_subgroup(action)
     all_ideal = True
     all_beta_trivial = True
     for bracket in full.items:

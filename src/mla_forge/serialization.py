@@ -87,9 +87,10 @@ def save_group(group: FiniteGroup, path: Union[str, Path]) -> None:
 # -- brackets ---------------------------------------------------------------
 
 
-def bracket_to_doc(bracket: LieBracket, group_ref: Optional[str] = None) -> dict:
-    group: Any = group_ref if group_ref is not None else group_to_doc(bracket.group)
-    return {"group": group, "star": [list(row) for row in bracket.star]}
+def bracket_to_doc(bracket: LieBracket) -> dict:
+    """The bracket with its group embedded; a document whose group is a path
+    to a group file is read (``bracket_from_doc``) but never written."""
+    return {"group": group_to_doc(bracket.group), "star": [list(row) for row in bracket.star]}
 
 
 def bracket_from_doc(
@@ -117,8 +118,9 @@ def load_bracket(path: Union[str, Path], group: Optional[FiniteGroup] = None) ->
     return bracket_from_doc(_load_json(p), base_dir=p.parent, group=group)
 
 
-def save_bracket(bracket: LieBracket, path: Union[str, Path], group_ref: Optional[str] = None) -> None:
-    Path(path).write_text(canonical_dumps(bracket_to_doc(bracket, group_ref)), encoding="utf-8")
+def save_bracket(bracket: LieBracket, path: Union[str, Path]) -> None:
+    """Write ``bracket_to_doc`` of the bracket, its group embedded."""
+    Path(path).write_text(canonical_dumps(bracket_to_doc(bracket)), encoding="utf-8")
 
 
 # -- construction data ------------------------------------------------------

@@ -138,7 +138,8 @@ def _search_leaves(group, config=None):
 
 def _rejected_leaves(group, every):
     """Every ``every``-th table the star-table search rejects at a leaf."""
-    return [t for t in _search_leaves(group) if not brackets._is_mla(group, t)][::every]
+    ranges = brackets._reduced_ranges(group)
+    return [t for t in _search_leaves(group) if not brackets._is_mla(group, t, ranges)][::every]
 
 
 def _one_cell_corruptions(group, table):
@@ -298,13 +299,14 @@ def test_a4_first_leaf_decision_matches_verify_mla(group, config):
     scan of the definitions finds (verify_mla's verdict is this decision)."""
     leaves = _search_leaves(group, config)
     assert leaves
+    ranges = brackets._reduced_ranges(group)
     for table in leaves:
-        assert brackets._is_mla(group, table) == (oracle.first_axiom_violation(group, table) is None)
+        assert brackets._is_mla(group, table, ranges) == (oracle.first_axiom_violation(group, table) is None)
 
 
 def test_a4_first_leaf_decision_on_the_reduced_range_catalog():
     for group, table, expected in _catalog_with_oracle():
-        assert brackets._is_mla(group, table) == (not expected)
+        assert brackets._is_mla(group, table, brackets._reduced_ranges(group)) == (not expected)
 
 
 def test_a4_first_leaf_decision_rejects_a_table_that_passes_a4_on_generators():
@@ -321,7 +323,7 @@ def test_a4_first_leaf_decision_rejects_a_table_that_passes_a4_on_generators():
     assert brackets.axiom_holds(g, table, "A1", ranges["A1"]) and brackets.axiom_holds(g, table, "A4", ranges["A4"])
     assert not brackets.axiom_holds(g, table, "A2", ranges["A2"])
     assert not brackets.axiom_holds(g, table, "A3", ranges["A3"])
-    assert not brackets._is_mla(g, table)
+    assert not brackets._is_mla(g, table, ranges)
 
 
 def _in_conjugation_range(group, triple, by_class=False):
@@ -430,6 +432,13 @@ def test_trivial_not_equivalent_to_commutator():
     assert trivial.star not in set(bracket_orbit(comm))
 
 
+def _orbit_from_aut_list(g, star):
+    """The images of a table under every automorphism of ``automorphisms``
+    and the transpose: its Aut x reversal orbit, from the full list."""
+    transpose = tuple(zip(*star))
+    return {pushforward_table(phi, t) for phi in automorphisms(g) for t in (star, transpose)}
+
+
 def test_d4_seed_b_vs_b3_reversal_equivalence():
     # the two structures seeded a*b = b and a*b = b^3 are each other's
     # reversal; no automorphism carries one to the other, but the
@@ -441,7 +450,9 @@ def test_d4_seed_b_vs_b3_reversal_equivalence():
     items = enumerate_brackets(g).items
     by_cell = {br.star[4][1]: br for br in items}
     b1, b3 = by_cell[1], by_cell[3]
-    assert b3.star in set(bracket_orbit(b1, autos))
+    orbit = set(bracket_orbit(b1))
+    assert b3.star in orbit
+    assert orbit == _orbit_from_aut_list(g, b1.star)
     assert b3.star not in {pushforward_table(phi, b1.star) for phi in autos}
     assert reverse_bracket(b1).star == b3.star
     # the automorphism b -> b^3, a -> a also carries one to the other's reversal
@@ -482,7 +493,7 @@ def test_orbit_under_a_large_automorphism_group():
     assert not verify_mla(g, br)
     gens = automorphism_generators(g)
     with mock.patch.object(brackets, "pushforward_table", wraps=brackets.pushforward_table) as relabel:
-        orbit = list(bracket_orbit(br, gens))
+        orbit = list(bracket_orbit(br))
     assert len(orbit) == len(set(orbit)) == 105
     assert relabel.call_count <= len(orbit) * len(gens)
     autos = oracle.bijection_scan_automorphisms(g)
@@ -516,11 +527,10 @@ def test_orbit_yields_each_table_once_with_the_full_aut_list():
     from mla_forge.search import enumerate_brackets
 
     g = make_dihedral(4)
-    autos = automorphisms(g)
     for br in enumerate_brackets(g).items:
-        by_list = list(bracket_orbit(br, autos))
-        assert len(by_list) == len(set(by_list))
-        assert set(by_list) == set(bracket_orbit(br))
+        orbit = list(bracket_orbit(br))
+        assert len(orbit) == len(set(orbit))
+        assert set(orbit) == _orbit_from_aut_list(g, br.star)
 
 
 def test_reversal_is_pointwise_inverse_on_valid_brackets():

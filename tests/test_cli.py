@@ -169,7 +169,8 @@ def test_bracket_file_on_another_group_is_input_error(tmp_path, capsys, command,
     d4 = make_dihedral(4)
     io.save_group(d4, tmp_path / "d4.json")
     path = tmp_path / "b.json"
-    io.save_bracket(commutator_bracket(d4), path, group_ref=group_ref)
+    star = [list(row) for row in commutator_bracket(d4).star]
+    path.write_text(json.dumps({"group": group_ref or io.group_to_doc(d4), "star": star}))
     assert run(capsys, "verify", "--group", "D4", "--bracket", str(path)) == (0, "bracket ok\n", "")
     code, out, err = run(capsys, command, "--group", group, "--bracket", str(path))
     assert (code, out) == (2, "")

@@ -141,14 +141,13 @@ def tuple_with(**parts):
         (lambda: Action.make(make_cyclic(3), make_cyclic(2), [[0, 1, 2], [1, 2, 0]]), "not an automorphism of H"),
         (lambda: Action.make(make_cyclic(3), make_cyclic(2), [[0, 2, 1], [0, 1, 2]]), "identity of K"),
         (lambda: Action.make(make_dihedral(3), make_cyclic(2), [list(range(6))] * 2), "abelian H"),
-        (lambda: groups.make_semidirect(make_dihedral(3), make_cyclic(2), [list(range(6))] * 2), "abelian H"),
         (lambda: GammaMap.make(make_cyclic(3), make_cyclic(2), [[0, 1, 2], [0, 0, 0]]), "zero endomorphism"),
         (lambda: tuple_with(star_k=trivial_bracket(make_cyclic(3))), "star_k is not a bracket on K"),
         (lambda: tuple_with(gamma=GammaMap.zero(make_cyclic(4), make_cyclic(2))), "gamma does not match"),
         (lambda: tuple_with(beta=PairingMap.trivial(make_cyclic(3), make_cyclic(4))), "beta does not match"),
     ],
-    ids=["sigma-not-automorphism", "sigma-at-identity", "action-on-nonabelian-h", "semidirect-on-nonabelian-h",
-         "gamma-at-identity", "star-on-other-k", "gamma-on-other-h", "beta-on-other-k"],
+    ids=["sigma-not-automorphism", "sigma-at-identity", "action-on-nonabelian-h", "gamma-at-identity",
+         "star-on-other-k", "gamma-on-other-h", "beta-on-other-k"],
 )
 def test_action_family_and_tuple_checks_name_the_fault(make, match):
     with pytest.raises(ValidationError, match=match):
@@ -156,14 +155,15 @@ def test_action_family_and_tuple_checks_name_the_fault(make, match):
 
 
 def test_an_action_is_checked_once_from_make_to_its_product(monkeypatch):
-    """``Action.make`` checks sigma, and ``product_group`` builds from the
-    checked tables without checking them again."""
-    original, calls = groups.validate_action_tables, []
-    for module in (groups, construction):
-        monkeypatch.setattr(module, "validate_action_tables", lambda *args: calls.append(args) or original(*args))
-    product = Action.by_inversion(make_cyclic(4), make_dihedral(4), (4, 5, 6, 7)).product_group
-    assert product.order == 32
-    assert len(calls) == 1
+    """``Action.make`` checks each sigma row once, |K| automorphism checks in
+    all, and ``product_group`` builds from the checked tables without
+    checking them again."""
+    original, calls = construction._is_homomorphism, []
+    monkeypatch.setattr(construction, "_is_homomorphism", lambda *args: calls.append(args) or original(*args))
+    action = Action.by_inversion(make_cyclic(4), make_dihedral(4), (4, 5, 6, 7))
+    assert len(calls) == 8
+    assert action.product_group.order == 32
+    assert len(calls) == 8
 
 
 def test_checking_sigma_and_gamma_rows_walks_h_once_whatever_the_order_of_k(monkeypatch):
@@ -625,7 +625,7 @@ def test_decomposed_data_passes_every_condition():
             actions.append(Action.by_inversion(H, K, [x for x in range(K.order) if hom[x]]))
         for action in actions:
             G = action.product_group
-            ideal = split_factor_subgroup(action, G)
+            ideal = split_factor_subgroup(action)
             for bracket in enumerate_brackets(G, SearchConfig(max_group_order=16, require_ideal=ideal)).items:
                 try:
                     data = decompose_bracket(action, bracket)

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mla_forge import groups
+from mla_forge.brackets import LieBracket
 from mla_forge.cli import parse_preset
+from mla_forge.construction import Action
 from mla_forge.errors import BoundExceededError, ValidationError
 from mla_forge.groups import (
     VIOLATION_CAP,
@@ -28,7 +30,6 @@ from mla_forge.groups import (
     make_cyclic,
     make_dihedral,
     make_quaternion,
-    make_semidirect,
     subgroup_generated,
     verify_group,
 )
@@ -135,7 +136,7 @@ def test_quaternion_one_is_z4():
 
 def test_semidirect_inversion_gives_s3():
     H, K = make_cyclic(3), make_cyclic(2)
-    g = make_semidirect(H, K, inversion_action(H, K))
+    g = Action.make(H, K, inversion_action(H, K)).product_group
     assert g.order == 6
     assert not g.is_abelian
     assert is_isomorphic(g, make_dihedral(3)) is not None
@@ -144,7 +145,7 @@ def test_semidirect_inversion_gives_s3():
 def test_semidirect_trivial_equals_direct_product():
     H, K = make_cyclic(4), make_dihedral(3)
     trivial = [list(range(H.order)) for _ in range(K.order)]
-    assert make_semidirect(H, K, trivial).cayley == direct_product(H, K).cayley
+    assert Action.make(H, K, trivial).product_group.cayley == direct_product(H, K).cayley
 
 
 def test_semidirect_center_contains_direct_factor():
@@ -152,13 +153,6 @@ def test_semidirect_center_contains_direct_factor():
     assert g.order == 32
     for h in range(4):  # embedded H = indices 0..3
         assert all(g.mul(h, x) == g.mul(x, h) for x in range(32))
-
-
-def test_semidirect_rejects_nonabelian_h():
-    H, K = make_dihedral(3), make_cyclic(2)
-    trivial = [list(range(H.order)) for _ in range(K.order)]
-    with pytest.raises(ValidationError):
-        make_semidirect(H, K, trivial)
 
 
 def product_cases():
@@ -324,7 +318,7 @@ def inverting_product(H, K, kernel_seeds):
     has index 2)."""
     kernel = set(subgroup_generated(K, kernel_seeds).members)
     sigma = [list(range(H.order)) if x in kernel else list(H.inverse) for x in range(K.order)]
-    return make_semidirect(H, K, sigma)
+    return Action.make(H, K, sigma).product_group
 
 
 def pinned_groups():
@@ -340,8 +334,10 @@ def pinned_groups():
         out[spec] = parse_preset(spec)
     out["Z3:Z2"] = inverting_product(z(3), z(2), ())
     out["Z8:Z2"] = inverting_product(z(8), z(2), ())
-    out["Z5:Z4"] = make_semidirect(z(5), z(4), [[(pow(2, x, 5) * h) % 5 for h in range(5)] for x in range(4)])
-    out["V4:Z2"] = make_semidirect(v4, z(2), [[0, 1, 2, 3], [0, 2, 1, 3]])
+    out["Z5:Z4"] = Action.make(
+        z(5), z(4), [[(pow(2, x, 5) * h) % 5 for h in range(5)] for x in range(4)]
+    ).product_group
+    out["V4:Z2"] = Action.make(v4, z(2), [[0, 1, 2, 3], [0, 2, 1, 3]]).product_group
     out["Z3:V4"] = inverting_product(z(3), v4, (3,))
     out["Z3:D3"] = inverting_product(z(3), make_dihedral(3), (1,))
     out["Z4:D4"] = inverting_product(z(4), make_dihedral(4), (1,))
@@ -628,6 +624,30 @@ def test_tables_above_the_order_bound_are_rejected_before_checking():
         FiniteGroup.from_table("Z65", table)
 
 
+class UnreadRow:
+    """A table row that fails the test when it is read."""
+
+    def __iter__(self):
+        raise AssertionError("a row was read")
+
+
+def test_a_table_is_rejected_by_its_row_count_before_any_row_is_read():
+    """A Cayley table above MAX_GROUP_ORDER fails on the bound, and a star
+    table with more rows than the group's order on its shape, from the row
+    count alone; then every row's length is checked before any entry, so a
+    short last row is reported before a bad entry in the first."""
+    with pytest.raises(BoundExceededError):
+        FiniteGroup.from_table("big", [UnreadRow()] * 65)
+    with pytest.raises(BoundExceededError):
+        verify_group([UnreadRow()] * 65)
+    with pytest.raises(ValidationError, match="star table must have shape 8 x 8"):
+        LieBracket.make(make_dihedral(4), [UnreadRow()] * 9)
+    rows = [[0] * 8 for _ in range(8)]
+    rows[0][0], rows[7] = "x", [0] * 7
+    with pytest.raises(ValidationError, match="star table must have shape 8 x 8"):
+        LieBracket.make(make_dihedral(4), rows)
+
+
 # -- subgroups -----------------------------------------------------------------
 
 
@@ -808,7 +828,7 @@ def test_identify_outside_catalog():
     # elements of v4: 0, a=1, b=2, ab=3; the 3-cycle a -> b -> ab
     shift = [0, 2, 3, 1]
     shift2 = [shift[v] for v in shift]
-    a4 = make_semidirect(v4, z3, [list(range(4)), shift, shift2], name="A4")
+    a4 = Action.make(v4, z3, [list(range(4)), shift, shift2]).product_group
     label = identify_small_group(a4)
     assert label.startswith("unidentified order-12")
 

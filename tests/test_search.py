@@ -594,7 +594,7 @@ def test_pairing_leaf_check_rejects_a_table_that_breaks_only_t2_or_t3(inverting,
     )
     t3 = all(beta[x][y] == action.sigma[z][beta[x][y]] for x, y, z in product(range(2), repeat=3))
     assert {"T2": t2, "T3": t3} == {"T2": broken != "T2", "T3": broken != "T3"}
-    assert not search._PairingWalk(action, star_k)._accept(beta)
+    assert not search._PairingWalk(action, star_k, search.DEFAULT_NODE_BUDGET)._accept(beta)
 
 
 def test_enumerate_pairings_rejects_a_star_that_is_not_a_bracket():
@@ -715,19 +715,23 @@ def test_enumerate_induced_checks_the_action_before_the_walk(monkeypatch):
         ("Z3", "D4", (4, 5, 6, 7), 12, 7),
         ("Z6", "Z4", (1, 3), 6, 4),
         ("Z5", "Z2xZ2", (1, 3), 10, 6),
+        ("Z3", "Z2xZ2xZ2", (4, 5, 6, 7), 84, 14),
     ],
-    ids=["Z3:D3", "Z4xV4", "Z4:V4", "Z4:D3", "Z3:D4", "Z6:Z4", "Z5:V4"],
+    ids=["Z3:D3", "Z4xV4", "Z4:V4", "Z4:D3", "Z3:D4", "Z6:Z4", "Z5:V4", "Z3:Z2^3"],
 )
 def test_induced_set_is_the_brackets_with_h_as_ideal(h_spec, k_spec, inverting, tables, classes):
     """The paper's correspondence on products that are not coprime: the
     induced brackets are exactly the brackets of H x| K with H as an ideal.
     H is cyclic, so every such bracket is trivial on H, as the split
-    parametrization needs."""
+    parametrization needs. Z3:Z2^3, isomorphic to Z2xZ2xD3, is the first
+    case over a K with three generators under a non-trivial action, and
+    the first whose pairing walks reject fills at their leaf check (28 of
+    148)."""
     H, K = parse_preset(h_spec), parse_preset(k_spec)
     action = Action.by_inversion(H, K, inverting=inverting)
     G = action.product_group
     induced = enumerate_induced(H, K, action)
-    ideal = enumerate_brackets(G, SearchConfig(max_group_order=32, require_ideal=split_factor_subgroup(action, G)))
+    ideal = enumerate_brackets(G, SearchConfig(max_group_order=32, require_ideal=split_factor_subgroup(action)))
     assert induced.exhausted and ideal.exhausted
     assert [b.star for b in induced.items] == [b.star for b in ideal.items]
     assert (induced.raw_count, induced.class_count) == (ideal.raw_count, ideal.class_count) == (tables, classes)
@@ -803,7 +807,7 @@ def test_affine_points_decide_every_induced_table(monkeypatch, make_action):
     monkeypatch.setattr(search, "check_gamma_identities", lambda *args, **kwargs: [])
     action = make_action()
     H, K, G = action.H, action.K, action.product_group
-    points = search._affine_points(action)
+    points, reduced = search._affine_points(action), brackets._reduced_ranges(G)
     rng = random.Random(0)
     outcomes = []
     for star_k in enumerate_brackets(K).items:
@@ -817,7 +821,7 @@ def test_affine_points_decide_every_induced_table(monkeypatch, make_action):
                     betas.append(rows)
                 for b in betas:
                     data = ConstructionData(action, star_k, gamma, PairingMap.make(H, K, b))
-                    expected = brackets._is_mla(G, data.induced_table)
+                    expected = brackets._is_mla(G, data.induced_table, reduced)
                     assert brackets._is_mla(G, data.induced_table, points) == expected, (gamma.gamma, b)
                     outcomes.append(expected)
     assert True in outcomes and False in outcomes
@@ -835,7 +839,7 @@ def test_affine_points_need_endomorphism_rows():
     data = ConstructionData(action, trivial_bracket(K), gamma, PairingMap.trivial(H, K))
     G, table = action.product_group, data.induced_table
     assert brackets._is_mla(G, table, search._affine_points(action))
-    assert not brackets._is_mla(G, table)
+    assert not brackets._is_mla(G, table, brackets._reduced_ranges(G))
     assert not check_theorem_conditions(data).passed
 
 
@@ -881,7 +885,7 @@ def test_affine_points_need_the_generator_points(action, star, gamma):
     table = data.induced_table
     assert brackets._is_mla(G, table, _identity_points(action))
     assert not brackets._is_mla(G, table, search._affine_points(action))
-    assert not brackets._is_mla(G, table)
+    assert not brackets._is_mla(G, table, brackets._reduced_ranges(G))
 
 
 def test_enumerate_induced_reports_a_pairing_walk_cut_short():
